@@ -60,10 +60,8 @@ from .momentlab import (
 from .spectral import EigenSystem, LiftCheckReport, eigendecomp, lift_check, path_kernel
 from .stepgraphon import (
     CarlemanReport,
-    Kernel,
     StepGraphon,
     carleman_report,
-    kernel,
     kernel_matrix,
     p_norm,
     validate_graphon,

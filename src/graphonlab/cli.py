@@ -292,6 +292,10 @@ def _cmd_validate(args) -> str:
     return "ok"
 
 
+#: the matched pair is deterministic; matched_pair ignores its seed
+SEED_HELP = "accepted for symmetry with the sampling commands; does not affect the matched pair"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphonlab",
@@ -380,12 +384,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("momentpair", _cmd_momentpair, "moment-matched distribution pair")
     p.add_argument("--support", type=int, required=True, help="largest support point N")
     p.add_argument("--order", type=int, required=True, help="matched order D")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int, default=1, help=SEED_HELP)
 
     p = add("counterexample", _cmd_counterexample, "rank-1 counterexample report")
     p.add_argument("--support", type=int, required=True)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int, default=1, help=SEED_HELP)
 
     p = add("productcheck", _cmd_productcheck, "labeled product identity residual")
     p.add_argument("--graphon", required=True)

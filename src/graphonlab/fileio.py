@@ -12,19 +12,24 @@ One self-describing document family:
 
 Parsing raises :class:`ParseError` with a field path for schema trouble
 and :class:`ValidationError` (with the validate_graphon codes) for
-semantic trouble. ``parse(serialize(x)) == x`` and serialization is
+semantic trouble. ``parse(serialize(x))`` reproduces ``x`` (for a
+graphon: equal masses, blocks and functionals) and serialization is
 canonical.
 """
 from __future__ import annotations
 
 import json
+from itertools import chain, compress
+from operator import itemgetter
 from typing import Any
+
+import numpy as np
 
 from .errors import ParseError, ValidationError
 from .graphs import DecoratedMultigraph
 from .measures import FiniteMeasure, MomentSequence, TestFunctional, ZERO_MEASURE
 from .momentlab import MatchedPair
-from .stepgraphon import StepGraphon, validate_graphon
+from .stepgraphon import StepGraphon, block_arrays, validate_graphon
 from .transforms import Partition
 
 
@@ -80,11 +85,68 @@ def parse_measure(obj: Any, path: str) -> FiniteMeasure:
     return _wrap_validation(lambda: FiniteMeasure(tuple(support), tuple(weights)), path)
 
 
-def parse_graphon(doc: Any) -> StepGraphon:
-    masses = _number_list(doc, "masses", "graphon")
-    q = len(masses)
+def _block_records_bulk(records: list, q: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(support, weights)`` of the block records, checked in bulk.
+
+    Applies every check of the record-by-record parse to whole columns of
+    the document. Returns None as soon as some record fails one, or is of
+    a shape it does not vouch for; :func:`_block_records_checked` then
+    parses record by record and raises the first error in document order.
+    """
+    n = len(records)
+    if not set(map(type, records)) <= {dict}:
+        return None
+    try:
+        ij = list(map(itemgetter("i", "j"), records))
+        sups = list(map(itemgetter("support"), records))
+        wts = list(map(itemgetter("weights"), records))
+    except KeyError:
+        return None
+    if not set(map(type, chain(sups, wts))) <= {list}:
+        return None
+    lengths = list(map(len, sups))
+    if lengths != list(map(len, wts)):
+        return None
+    if not (
+        set(map(type, chain.from_iterable(ij))) <= {int}
+        and set(map(type, chain.from_iterable(sups))) <= {int}
+        and set(map(type, chain.from_iterable(wts))) <= {int, float}
+    ):
+        return None
+    total = sum(lengths)
+    try:
+        idx = np.array(ij, dtype=np.int64).reshape(n, 2)
+        pts = np.fromiter(chain.from_iterable(sups), np.int64, total)
+        vals = np.fromiter(chain.from_iterable(wts), np.float64, total)
+    except OverflowError:
+        return None
+    lo, hi = idx.min(axis=1), idx.max(axis=1)
+    rising = np.diff(pts) > 0
+    starts = np.cumsum(lengths, dtype=np.int64)[:-1]
+    rising[starts[(starts > 0) & (starts < total)] - 1] = True  # pairs across two records
+    if not (
+        (lo >= 0).all()
+        and (hi < q).all()
+        and len(set((lo * q + hi).tolist())) == n
+        and (pts >= 0).all()
+        and rising.all()
+        and np.isfinite(vals).all()
+        and (vals != 0.0).all()
+    ):
+        return None
+    support = np.sort(pts)
+    support = support[np.diff(support, prepend=-1) != 0]
+    column = np.searchsorted(support, pts)
+    weights = np.zeros((q * q, len(support)))
+    weights[np.repeat(lo * q + hi, lengths), column] = vals
+    weights[np.repeat(hi * q + lo, lengths), column] = vals
+    return support, weights.reshape(q, q, len(support))
+
+
+def _block_records_checked(records: list, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(support, weights)`` of the block records, parsed one by one."""
     cells: dict[tuple[int, int], FiniteMeasure] = {}
-    for n, rec in enumerate(_get(doc, "blocks", list, "graphon")):
+    for n, rec in enumerate(records):
         path = f"graphon.blocks[{n}]"
         i = _get(rec, "i", int, path)
         j = _get(rec, "j", int, path)
@@ -94,34 +156,46 @@ def parse_graphon(doc: Any) -> StepGraphon:
         if key in cells:
             raise ParseError(f"{path}: duplicate block for classes {key}")
         cells[key] = parse_measure(rec, path)
+    return _wrap_validation(
+        lambda: block_arrays(
+            tuple(
+                tuple(cells.get((min(i, j), max(i, j)), ZERO_MEASURE) for j in range(q))
+                for i in range(q)
+            )
+        ),
+        "graphon.blocks",
+    )
+
+
+def parse_graphon(doc: Any) -> StepGraphon:
+    masses = _number_list(doc, "masses", "graphon")
+    records, q = _get(doc, "blocks", list, "graphon"), len(masses)
+    support, weights = _block_records_bulk(records, q) or _block_records_checked(records, q)
     functionals: dict[str, TestFunctional] = {}
     for n, rec in enumerate(_get(doc, "functionals", list, "graphon", optional=True, default=[])):
         path = f"graphon.functionals[{n}]"
         fid = _get(rec, "id", str, path)
-        support = _number_list(rec, "support", path, integer=True)
+        support_f = _number_list(rec, "support", path, integer=True)
         values = _number_list(rec, "values", path)
         if fid in functionals:
             raise ParseError(f"{path}: duplicate functional id {fid!r}")
         functionals[fid] = _wrap_validation(
-            lambda: TestFunctional(fid, tuple(support), tuple(values)), path
+            lambda: TestFunctional(fid, tuple(support_f), tuple(values)), path
         )
-    blocks = tuple(
-        tuple(cells.get((min(i, j), max(i, j)), ZERO_MEASURE) for j in range(q))
-        for i in range(q)
-    )
-    W = StepGraphon(tuple(masses), blocks, functionals)
+    W = StepGraphon.from_arrays(masses, support, weights, functionals)
     validate_graphon(W)
     return W
 
 
 def serialize_graphon(W: StepGraphon) -> dict:
+    pts = W.support.tolist()
+    upper_i, upper_j = np.triu_indices(W.q)
     blocks = []
-    for i in range(W.q):
-        for j in range(i, W.q):
-            b = W.blocks[i][j]
-            blocks.append(
-                {"i": i, "j": j, "support": list(b.support), "weights": list(b.weights)}
-            )
+    for i, j, row in zip(upper_i.tolist(), upper_j.tolist(), W.weights[upper_i, upper_j]):
+        ws = row.tolist()
+        blocks.append(
+            {"i": i, "j": j, "support": list(compress(pts, ws)), "weights": list(filter(None, ws))}
+        )
     return {
         "masses": list(W.masses),
         "blocks": blocks,

@@ -4,16 +4,37 @@ A step graphon is the computable graphon: a probability vector of class
 masses, a symmetric matrix of finitely supported signed measures, and a
 dictionary of the test functionals the graphon can be probed with.
 Kernels, p-norms and the Carleman-sum diagnostics live here.
+
+Array layout. The q x q block matrix is stored as two arrays over one
+shared support:
+
+* ``support``: shape ``(S,)``, int64, strictly increasing, the sorted
+  union of the block supports;
+* ``weights``: shape ``(q, q, S)``, float64; ``weights[i, j, s]`` is the
+  mass block (i, j) puts on ``support[s]``, and 0 where it puts none.
+
+A functional acts as its vector of values at the support points, so a
+kernel is ``weights`` contracted with that vector, and the block
+total-variation norms are ``|weights|.sum(-1)``, a ``(q, q)`` matrix
+computed once per graphon. Every entry of either matrix is a function
+of its own block alone, so twin classes get identical kernel and norm
+rows. Both arrays are read-only once the graphon holds them; ``blocks``
+is an exact :class:`FiniteMeasure` view built on first use.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
 from .errors import ValidationError
-from .measures import FiniteMeasure, MomentSequence, TestFunctional, pair, tv_norm
+from .measures import FiniteMeasure, MomentSequence, TestFunctional
+
+# bench/tracing.py counts calls through these names; nothing here calls them
+from .measures import pair, tv_norm  # noqa: F401
 
 MASS_SUM_TOL = 1e-12
 
@@ -23,26 +44,84 @@ DIVERGENT_SLOPE = 1e-6
 CONVERGENT_RATIO = 0.99
 
 
-@dataclass
+def block_arrays(
+    blocks: tuple[tuple[FiniteMeasure, ...], ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(support, weights)`` of a square matrix of measures.
+
+    A matrix that is not square gives empty arrays of shape ``(0, 0, 0)``,
+    which :func:`validate_graphon` rejects as ``bad-shape``.
+    """
+    n = len(blocks)
+    if any(len(row) != n for row in blocks):
+        return np.zeros(0, dtype=np.int64), np.zeros((0, 0, 0))
+    points = sorted({k for row in blocks for b in row for k in b.support})
+    if points and points[-1] > np.iinfo(np.int64).max:
+        raise ValidationError(
+            f"measure: support point {points[-1]} does not fit in 64 bits",
+            code="bad-measure",
+        )
+    column = {k: s for s, k in enumerate(points)}
+    weights = np.zeros((n, n, len(points)))
+    for i, row in enumerate(blocks):
+        for j, b in enumerate(row):
+            weights[i, j, [column[k] for k in b.support]] = b.weights
+    return np.array(points, dtype=np.int64), weights
+
+
 class StepGraphon:
     """Masses, symmetric measure blocks, and the functional dictionary.
 
-    Construction does not validate; call :func:`validate_graphon` (file
-    loading always does).
+    ``StepGraphon(masses, blocks, functionals)`` takes the blocks as a
+    q x q matrix of :class:`FiniteMeasure`; :meth:`from_arrays` takes the
+    support and weight arrays. Construction does not validate; call
+    :func:`validate_graphon` (file loading always does).
     """
 
-    masses: tuple[float, ...]
-    blocks: tuple[tuple[FiniteMeasure, ...], ...]
-    functionals: dict[str, TestFunctional] = field(default_factory=dict)
+    def __init__(self, masses, blocks, functionals: dict[str, TestFunctional] | None = None):
+        rows = tuple(tuple(row) for row in blocks)
+        self._hold(masses, *block_arrays(rows), functionals)
+        self._blocks = rows
 
-    def __post_init__(self):
-        self.masses = tuple(float(m) for m in self.masses)
-        self.blocks = tuple(tuple(row) for row in self.blocks)
-        self.functionals = dict(self.functionals)
+    @classmethod
+    def from_arrays(
+        cls,
+        masses,
+        support: np.ndarray,
+        weights: np.ndarray,
+        functionals: dict[str, TestFunctional] | None = None,
+    ) -> "StepGraphon":
+        """Graphon over the given arrays, which it keeps and makes read-only."""
+        W = cls.__new__(cls)
+        W._hold(masses, support, weights, functionals)
+        W._blocks = None
+        return W
+
+    def _hold(self, masses, support, weights, functionals) -> None:
+        self.masses = tuple(float(m) for m in masses)
+        self.support = np.asarray(support, dtype=np.int64)
+        self.weights = np.asarray(weights, dtype=np.float64)
+        self.support.flags.writeable = False
+        self.weights.flags.writeable = False
+        self.functionals = dict(functionals or {})
 
     @property
     def q(self) -> int:
         return len(self.masses)
+
+    @property
+    def blocks(self) -> tuple[tuple[FiniteMeasure, ...], ...]:
+        """Block (i, j) as an exact measure, zero weights dropped; built once."""
+        if self._blocks is None:
+            pts = self.support.tolist()
+            self._blocks = tuple(
+                tuple(
+                    FiniteMeasure(tuple(compress(pts, ws)), tuple(filter(None, ws)))
+                    for ws in row
+                )
+                for row in self.weights.tolist()
+            )
+        return self._blocks
 
     def block(self, i: int, j: int) -> FiniteMeasure:
         return self.blocks[i][j]
@@ -55,10 +134,15 @@ class StepGraphon:
                 f"unknown functional id {psi_id!r}", code="unknown-functional"
             ) from None
 
+    @cached_property
+    def tv_matrix(self) -> np.ndarray:
+        """Total-variation norm of every block, shape ``(q, q)``."""
+        return np.abs(self.weights).sum(axis=-1)
+
     @property
     def sup_norm(self) -> float:
         """Largest block total-variation norm (internal bound, not a p-norm)."""
-        return max(tv_norm(b) for row in self.blocks for b in row)
+        return float(self.tv_matrix.max())
 
 
 def validate_graphon(W: StepGraphon) -> None:
@@ -81,14 +165,14 @@ def validate_graphon(W: StepGraphon) -> None:
             f"class masses sum to {total!r}, not 1 within {MASS_SUM_TOL}",
             code="mass-sum",
         )
-    if len(W.blocks) != q or any(len(row) != q for row in W.blocks):
+    if W.weights.shape[:2] != (q, q):
         raise ValidationError("block matrix must be q x q", code="bad-shape")
-    for i in range(q):
-        for j in range(i + 1, q):
-            if W.blocks[i][j] != W.blocks[j][i]:
-                raise ValidationError(
-                    f"blocks ({i},{j}) and ({j},{i}) differ", code="asymmetric-blocks"
-                )
+    differ = np.any(W.weights != W.weights.transpose(1, 0, 2), axis=-1)
+    if differ.any():
+        i, j = np.argwhere(np.triu(differ))[0].tolist()
+        raise ValidationError(
+            f"blocks ({i},{j}) and ({j},{i}) differ", code="asymmetric-blocks"
+        )
     for key, f in W.functionals.items():
         if key != f.id:
             raise ValidationError(
@@ -97,27 +181,16 @@ def validate_graphon(W: StepGraphon) -> None:
             )
 
 
-@dataclass
-class Kernel:
-    """Real symmetric matrix of one functional paired against every block."""
-
-    psi_id: str
-    matrix: np.ndarray
-
-
-def kernel(W: StepGraphon, psi_id: str) -> Kernel:
-    """Pair the functional against every block: entry (i, j) = <psi, W_ij>."""
-    psi = W.functional(psi_id)
-    q = W.q
-    mat = np.empty((q, q))
-    for i in range(q):
-        for j in range(i, q):
-            mat[i, j] = mat[j, i] = pair(psi, W.blocks[i][j])
-    return Kernel(psi_id, mat)
-
-
 def kernel_matrix(W: StepGraphon, psi_id: str) -> np.ndarray:
-    return kernel(W, psi_id).matrix
+    """Pair the functional against every block: entry (i, j) = <psi, W_ij>.
+
+    An elementwise product summed over the support rather than a matrix
+    product: BLAS may round a row differently by its position, and twin
+    classes must get bit-identical kernel rows.
+    """
+    psi = W.functional(psi_id)
+    values = np.array([psi(k) for k in W.support.tolist()], dtype=np.float64)
+    return (W.weights * values).sum(axis=-1)
 
 
 def p_norm(W: StepGraphon, p: float) -> float:
@@ -128,15 +201,12 @@ def p_norm(W: StepGraphon, p: float) -> float:
     """
     if p < 1:
         raise ValidationError("p-norms require p >= 1", code="bad-p")
-    tv = [[tv_norm(b) for b in row] for row in W.blocks]
-    top = max(max(row) for row in tv)
+    tv = W.tv_matrix
+    top = W.sup_norm
     if top == 0.0:
         return 0.0
-    s = math.fsum(
-        W.masses[i] * W.masses[j] * (tv[i][j] / top) ** p
-        for i in range(W.q)
-        for j in range(W.q)
-    )
+    pi = np.asarray(W.masses)
+    s = float(pi @ (tv / top) ** p @ pi)
     return top * s ** (1.0 / p)
 
 

@@ -16,11 +16,17 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .measures import measure_combine, tv_distance
 from .stepgraphon import StepGraphon, kernel_matrix
+
+# bench/tracing.py counts calls through these names; nothing here calls them
+from .measures import measure_combine, tv_distance  # noqa: F401
 
 #: default tolerance on the tv distance of block rows when detecting twins
 TWIN_TOL = 1e-9
+
+#: twin detection compares rows in chunks of at most this many float64
+#: differences (512 KB)
+TWIN_CHUNK = 1 << 16
 
 #: feature rows are rounded to this many decimals before exact comparison
 FEATURE_DECIMALS = 12
@@ -46,9 +52,6 @@ class Partition:
     def n_classes(self) -> int:
         return max(self.class_of) + 1
 
-    def members(self, target: int) -> list[int]:
-        return [i for i, c in enumerate(self.class_of) if c == target]
-
     def compose(self, then: "Partition") -> "Partition":
         """First apply self, then ``then`` (so ``then`` partitions self's classes)."""
         if len(then.class_of) != self.n_classes:
@@ -64,49 +67,54 @@ def quotient(W: StepGraphon, P: Partition) -> StepGraphon:
     """Push the graphon forward along the partition.
 
     Merged masses add; merged blocks are the conditional expectation, the
-    mass-weighted average of the constituent measures. Singleton-to-
-    singleton blocks are reused unchanged so that quotients by the
-    identity (and by any discrete refinement) are exact.
+    mass-weighted average of the constituent measures. Each class gets
+    the share ``m_i / M_a`` of its merged class, and the blocks are summed
+    first over the rows, then over the columns of each merged pair, each
+    sum a separate product and reduction (no fused multiply-add), so
+    equal shares of ``+v`` and ``-v`` cancel to an exact zero. A singleton
+    class has share exactly 1.0, so singleton-to-singleton blocks come
+    out bit-for-bit unchanged and quotients by the identity (and by any
+    discrete refinement) are exact.
     """
     if len(P.class_of) != W.q:
         raise ValidationError(
             f"partition covers {len(P.class_of)} classes, graphon has {W.q}",
             code="bad-partition",
         )
-    groups = [P.members(a) for a in range(P.n_classes)]
-    masses = tuple(math.fsum(W.masses[i] for i in g) for g in groups)
+    class_of = np.asarray(P.class_of)
+    order = np.argsort(class_of, kind="stable")
+    starts = np.searchsorted(class_of[order], np.arange(P.n_classes))
+    groups = np.split(order, starts[1:])
+    m = np.asarray(W.masses)
+    masses = tuple(math.fsum(m[g].tolist()) for g in groups)
 
-    blocks = []
-    for a, ga in enumerate(groups):
-        row = []
-        for b, gb in enumerate(groups):
-            if len(ga) == 1 and len(gb) == 1:
-                row.append(W.blocks[ga[0]][gb[0]])
-                continue
-            denom = masses[a] * masses[b]
-            terms = [
-                (W.masses[i] * W.masses[j] / denom, W.blocks[i][j])
-                for i in ga
-                for j in gb
-            ]
-            row.append(measure_combine(terms))
-        blocks.append(tuple(row))
-    return StepGraphon(masses, tuple(blocks), dict(W.functionals))
+    share = (m / np.asarray(masses)[class_of])[order]
+    rows = W.weights[order]
+    rows *= share[:, None, None]
+    rows = np.add.reduceat(rows, starts, axis=0)[:, order]
+    rows *= share[None, :, None]
+    Q = np.add.reduceat(rows, starts, axis=1)
+    lower = np.tril_indices(P.n_classes, -1)
+    Q[lower] = Q[lower[1], lower[0]]  # exact symmetry: mirror the upper triangle
 
-
-def _row_distance(W: StepGraphon, i: int, j: int) -> float:
-    """Largest tv distance between corresponding blocks of two class rows."""
-    return max(tv_distance(W.blocks[i][c], W.blocks[j][c]) for c in range(W.q))
+    keep = Q.any(axis=(0, 1))  # drop points every merged block cancelled
+    return StepGraphon.from_arrays(
+        masses, W.support[keep], Q[:, :, keep], W.functionals
+    )
 
 
 def twin_partition(W: StepGraphon, tol: float = TWIN_TOL) -> Partition:
     """Group classes whose block rows agree within ``tol``, transitively.
 
+    Two rows are within ``tol`` when every pair of corresponding blocks
+    is, in total variation: ``max_c sum_s |w[i,c,s] - w[j,c,s]| <= tol``.
     Classes of the result are numbered by their smallest member.
     """
     if tol < 0:
         raise ValidationError("twin tolerance must be >= 0", code="bad-tolerance")
-    parent = list(range(W.q))
+    q = W.q
+    w = W.weights
+    parent = list(range(q))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -114,16 +122,21 @@ def twin_partition(W: StepGraphon, tol: float = TWIN_TOL) -> Partition:
             x = parent[x]
         return x
 
-    for i in range(W.q):
-        for j in range(i + 1, W.q):
-            if _row_distance(W, i, j) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
+    step = max(1, TWIN_CHUNK // max(1, w.size))
+    for i0 in range(0, q, step):
+        i1 = min(q, i0 + step)
+        diff = w[i0:i1, None] - w[None, i0:]  # rows i0..i1 against rows i0..q
+        np.abs(diff, out=diff)
+        close = diff.sum(axis=-1).max(axis=-1) <= tol
+        close &= np.arange(q - i0)[None, :] > np.arange(i1 - i0)[:, None]
+        for a, b in zip(*np.nonzero(close)):
+            ri, rj = find(i0 + int(a)), find(i0 + int(b))
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
 
     roots: dict[int, int] = {}
     class_of = []
-    for i in range(W.q):
+    for i in range(q):
         r = find(i)
         if r not in roots:
             roots[r] = len(roots)

@@ -1,5 +1,7 @@
-"""Shared fixtures and random-instance generators."""
+"""Shared fixtures, random-instance generators and reference oracles."""
 from __future__ import annotations
+
+from fractions import Fraction
 
 import pytest
 
@@ -155,3 +157,48 @@ def graphons_close_upto_permutation(
         ):
             return True
     return False
+
+
+# -- oracles ----------------------------------------------------------------------
+
+
+def fraction_quotient(W: gl.StepGraphon, P: gl.Partition):
+    """Exact conditional expectation of ``W`` along ``P`` in rationals.
+
+    Returns the merged masses and, per merged block ``(a, b)``, a map from
+    support point to ``(value, sum of |terms|)``, where the terms are
+    ``m_i m_j w_ij(k) / (M_a M_b)`` over the members i of a and j of b.
+    """
+    groups = [[i for i, c in enumerate(P.class_of) if c == a] for a in range(P.n_classes)]
+    masses = [sum(Fraction(W.masses[i]) for i in g) for g in groups]
+    blocks = {}
+    for a, ga in enumerate(groups):
+        for b, gb in enumerate(groups):
+            points: dict[int, tuple[Fraction, Fraction]] = {}
+            for i in ga:
+                for j in gb:
+                    share = Fraction(W.masses[i]) * Fraction(W.masses[j]) / (masses[a] * masses[b])
+                    mu = W.blocks[i][j]
+                    for k, w in zip(mu.support, mu.weights):
+                        term = share * Fraction(w)
+                        value, scale = points.get(k, (Fraction(0), Fraction(0)))
+                        points[k] = (value + term, scale + abs(term))
+            blocks[a, b] = points
+    return masses, blocks
+
+
+def row_distance(W: gl.StepGraphon, i: int, j: int) -> float:
+    """Largest tv distance between corresponding blocks of two class rows."""
+    return max(gl.tv_distance(W.blocks[i][c], W.blocks[j][c]) for c in range(W.q))
+
+
+def pairwise_twin_partition(W: gl.StepGraphon, tol: float) -> tuple[int, ...]:
+    """Twin classes from block-by-block row distances, numbered by smallest member."""
+    label = list(range(W.q))
+    for i in range(W.q):
+        for j in range(i + 1, W.q):
+            if row_distance(W, i, j) <= tol:
+                old, new = max(label[i], label[j]), min(label[i], label[j])
+                label = [new if x == old else x for x in label]
+    number: dict[int, int] = {}
+    return tuple(number.setdefault(x, len(number)) for x in label)

@@ -1,4 +1,5 @@
 """Document formats: round trips, symmetric completion, diagnostics."""
+import copy
 import json
 
 import pytest
@@ -149,3 +150,67 @@ def test_matched_pair_serialization():
     assert doc["support_size"] == 6
     assert doc["order"] == 3
     assert json.dumps(doc)  # serializable
+
+
+def test_bulk_parse_matches_record_by_record_parse():
+    rng = np.random.default_rng(51)
+    for q in range(1, 6):
+        records = fileio.serialize_graphon(rand_graphon(rng, q))["blocks"]
+        records = [
+            dict(r, i=r["j"], j=r["i"]) if n % 3 == 1 else r  # some from the lower triangle
+            for n, r in enumerate(records)
+            if n % 4 != 2  # some omitted: zero blocks
+        ]
+        bulk = fileio._block_records_bulk(records, q)
+        checked = fileio._block_records_checked(records, q)
+        assert np.array_equal(bulk[0], checked[0])
+        assert np.array_equal(bulk[1], checked[1])
+
+
+@pytest.mark.parametrize(
+    "change, error, fragment",
+    [
+        ({"weights": [0.0]}, "bad-measure", "blocks[1]: measure: zero weights"),
+        ({"weights": [float("nan")]}, "bad-measure", "blocks[1]: measure: weights must be finite"),
+        ({"support": [2, 1], "weights": [1.0, 1.0]}, "bad-measure", "strictly increasing"),
+        ({"support": [-1]}, "bad-measure", "nonnegative"),
+        ({"support": [1, 2]}, "bad-measure", "lengths differ"),
+        ({"support": [True]}, ParseError, "blocks[1].support[0]: expected a number"),
+        ({"support": [1.0]}, ParseError, "blocks[1].support[0]: expected an integer"),
+        ({"weights": ["2"]}, ParseError, "blocks[1].weights[0]: expected a number"),
+        ({"i": 1.0}, ParseError, "blocks[1].i: expected an integer"),
+        ({"j": 2}, ParseError, "blocks[1]: class index out of range"),
+        ({"support": 1}, ParseError, "blocks[1].support: expected list"),
+    ],
+)
+def test_block_errors_name_the_first_bad_record(change, error, fragment):
+    doc = copy.deepcopy(W2_DOC)
+    doc["blocks"][1].update(change)
+    assert fileio._block_records_bulk(doc["blocks"], 2) is None
+    doc["blocks"][2]["i"] = 7  # a later record is bad too; the first one is reported
+    kind = ValidationError if isinstance(error, str) else error
+    with pytest.raises(kind) as e:
+        fileio.parse_graphon(doc)
+    assert fragment in str(e.value)
+    if isinstance(error, str):
+        assert e.value.code == error
+
+
+def test_support_point_beyond_64_bits_is_a_coded_error():
+    doc = copy.deepcopy(W2_DOC)
+    doc["blocks"][1]["support"] = [2**64]
+    with pytest.raises(ValidationError) as e:
+        fileio.parse_graphon(doc)
+    assert e.value.code == "bad-measure"
+    assert "64 bits" in str(e.value)
+
+
+def test_serialize_writes_only_nonzero_weights():
+    W = gl.StepGraphon.from_arrays(
+        (0.5, 0.5), [1, 4], [[[1.0, 0.0], [0.0, -2.0]], [[0.0, -2.0], [0.0, 0.0]]]
+    )
+    assert fileio.serialize_graphon(W)["blocks"] == [
+        {"i": 0, "j": 0, "support": [1], "weights": [1.0]},
+        {"i": 0, "j": 1, "support": [4], "weights": [-2.0]},
+        {"i": 1, "j": 1, "support": [], "weights": []},
+    ]

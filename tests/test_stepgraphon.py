@@ -7,7 +7,7 @@ import pytest
 import graphonlab as gl
 from graphonlab.errors import ValidationError
 
-from conftest import rand_graphon, scalar_graphon
+from conftest import duplicate_class, rand_graphon, scalar_graphon
 
 
 def test_validate_accepts_one_class():
@@ -36,9 +36,74 @@ def test_validate_error_codes():
     assert e.value.code == "asymmetric-blocks"
 
 
+def test_validate_rejects_blocks_that_are_not_q_by_q():
+    a = gl.scalar_measure(1.0)
+    ragged = gl.StepGraphon((0.5, 0.5), ((a, a), (a,)))
+    assert ragged.blocks == ((a, a), (a,))
+    too_big = gl.StepGraphon((0.5, 0.5), ((a, a, a),) * 3)
+    for W in (ragged, too_big):
+        with pytest.raises(ValidationError) as e:
+            gl.validate_graphon(W)
+        assert e.value.code == "bad-shape"
+
+
+def test_validate_names_first_asymmetric_pair():
+    w = np.zeros((3, 3, 1))
+    w[1, 2] = w[2, 1] = 1.0
+    w[0, 2] = 2.0  # (2, 0) stays zero
+    W = gl.StepGraphon.from_arrays((0.2, 0.3, 0.5), [1], w)
+    with pytest.raises(ValidationError) as e:
+        gl.validate_graphon(W)
+    assert e.value.code == "asymmetric-blocks"
+    assert "(0,2)" in str(e.value)
+
+
+def test_array_layout_and_exact_block_view():
+    W = rand_graphon(np.random.default_rng(8), 4)
+    points = sorted({k for row in W.blocks for b in row for k in b.support})
+    assert W.support.tolist() == points
+    assert W.weights.shape == (4, 4, len(points))
+    for i in range(4):
+        for j in range(4):
+            b = W.blocks[i][j]
+            assert [W.weights[i, j, points.index(k)] for k in b.support] == list(b.weights)
+            assert np.count_nonzero(W.weights[i, j]) == len(b.support)
+    V = gl.StepGraphon.from_arrays(W.masses, W.support, W.weights, W.functionals)
+    assert V.blocks == W.blocks  # rebuilt from the arrays, zero weights dropped
+    assert not V.weights.flags.writeable
+    tv = [[gl.tv_norm(b) for b in row] for row in W.blocks]
+    assert np.allclose(V.tv_matrix, tv, rtol=1e-15, atol=0)
+
+
+def test_kernels_and_norms_match_per_block_loops():
+    # the block-by-block fsum loops these replace, within the rounding of
+    # a numpy sum over at most four points
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        W = duplicate_class(rand_graphon(rng, int(rng.integers(1, 6))), rng, target=0)
+        for psi in W.functionals.values():
+            K = gl.kernel_matrix(W, psi.id)
+            for i in range(W.q):
+                for j in range(W.q):
+                    b = W.blocks[i][j]
+                    scale = math.fsum(abs(psi(k) * w) for k, w in zip(b.support, b.weights))
+                    assert abs(K[i, j] - gl.pair(psi, b)) <= 4e-16 * scale
+            assert np.array_equal(K[0], K[-1])  # twin classes: bit-identical rows
+        assert np.array_equal(W.tv_matrix[0], W.tv_matrix[-1])
+        for p in (1, 2.5, 7):
+            tv = [[gl.tv_norm(b) for b in row] for row in W.blocks]
+            top = max(map(max, tv))
+            old = top * math.fsum(
+                W.masses[i] * W.masses[j] * (tv[i][j] / top) ** p
+                for i in range(W.q)
+                for j in range(W.q)
+            ) ** (1.0 / p)
+            assert gl.p_norm(W, p) == pytest.approx(old, rel=1e-14)
+
+
 def test_unknown_functional_id(w2):
     with pytest.raises(ValidationError) as e:
-        gl.kernel(w2, "nope")
+        gl.kernel_matrix(w2, "nope")
     assert e.value.code == "unknown-functional"
     assert "nope" in str(e.value)
 
@@ -47,9 +112,9 @@ def test_kernel_w2(w2):
     # oracle: pair each block by hand
     expected = [[gl.pair(w2.functionals["unit"], w2.blocks[i][j]) for j in range(2)] for i in range(2)]
     assert expected == [[1.0, 2.0], [2.0, 3.0]]
-    K = gl.kernel(w2, "unit")
-    assert K.matrix.tolist() == expected
-    assert np.array_equal(K.matrix, K.matrix.T)
+    K = gl.kernel_matrix(w2, "unit")
+    assert K.tolist() == expected
+    assert np.array_equal(K, K.T)
 
 
 def test_kernel_disjoint_support_is_zero(w2):

@@ -1,17 +1,23 @@
 """Quotients, twins, anchored graphons and regularity."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphonlab as gl
+from graphonlab import transforms
 from graphonlab.errors import ValidationError
 
 from conftest import (
     duplicate_class,
+    fraction_quotient,
     graph_suite,
     graphons_close,
     graphons_close_upto_permutation,
+    pairwise_twin_partition,
     rand_graphon,
     rand_partition,
     rand_twin_free_graphon,
@@ -62,6 +68,67 @@ def test_norm_contraction_under_quotient():
             assert gl.p_norm(gl.quotient(W, P), p) <= gl.p_norm(W, p) + 1e-12
 
 
+signed_weights = st.floats(-2, 2, allow_nan=False).filter(lambda x: abs(x) > 1e-3)
+
+
+@st.composite
+def graphons_with_partitions(draw):
+    """A signed graphon on 1..6 classes and a partition of its classes."""
+    q = draw(st.integers(1, 6))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=q, max_size=q))
+    masses = [m / math.fsum(raw) for m in raw]
+    cells = {}
+    for i in range(q):
+        for j in range(i, q):
+            pts = sorted(draw(st.sets(st.integers(0, 3), max_size=4)))
+            ws = draw(st.lists(signed_weights, min_size=len(pts), max_size=len(pts)))
+            cells[i, j] = gl.FiniteMeasure(tuple(pts), tuple(ws))
+    blocks = [[cells[min(i, j), max(i, j)] for j in range(q)] for i in range(q)]
+    labels = draw(st.lists(st.integers(0, q - 1), min_size=q, max_size=q))
+    first: dict[int, int] = {}
+    class_of = tuple(first.setdefault(c, len(first)) for c in labels)
+    return gl.StepGraphon(masses, blocks), gl.Partition(class_of)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphons_with_partitions())
+def test_quotient_matches_fraction_oracle(case):
+    W, P = case
+    Q = gl.quotient(W, P)
+    masses, blocks = fraction_quotient(W, P)
+    assert Q.masses == tuple(float(m) for m in masses)  # fsum rounds correctly
+    assert np.array_equal(Q.weights, Q.weights.transpose(1, 0, 2))
+    members = [[i for i, c in enumerate(P.class_of) if c == a] for a in range(P.n_classes)]
+    for (a, b), points in blocks.items():
+        got = Q.blocks[a][b]
+        if len(members[a]) == len(members[b]) == 1:
+            assert got == W.blocks[members[a][0]][members[b][0]]
+        assert set(got.support) <= set(points)
+        for k, (value, scale) in points.items():
+            assert abs(Fraction(got(k)) - value) <= Fraction(1e-15) * scale
+
+
+@pytest.mark.parametrize("m", [0.25, 0.3, 1 / 3])
+@pytest.mark.parametrize("class_of", [(0, 0, 1), (1, 1, 0)])
+def test_quotient_cancels_opposite_blocks_exactly(m, class_of):
+    # classes 0 and 1 have equal masses and opposite blocks: merged, they cancel
+    v = gl.FiniteMeasure((0, 2), (0.7, -1.3))
+    minus_v = gl.FiniteMeasure((0, 2), (-0.7, 1.3))
+    u, minus_u = gl.point_mass(1, 0.37), gl.point_mass(1, -0.37)
+    x = gl.point_mass(3, 0.9)
+    zero = gl.FiniteMeasure((), ())
+    W = gl.StepGraphon(
+        (m, m, 1 - 2 * m), ((u, zero, v), (zero, minus_u, minus_v), (v, minus_v, x))
+    )
+    Q = gl.quotient(W, gl.Partition(class_of))
+    merged, single = class_of[0], class_of[2]
+    assert Q.blocks[merged][single].is_zero
+    assert Q.blocks[single][merged].is_zero
+    assert Q.blocks[merged][merged].is_zero
+    assert Q.blocks[single][single] == x
+    assert Q.support.tolist() == [3]  # points cancelled everywhere leave the support
+
+
 def test_twin_partition_groups_identical_rows():
     rng = np.random.default_rng(22)
     W = duplicate_class(rand_graphon(rng, 3), rng, target=1)
@@ -78,6 +145,46 @@ def test_twin_partition_w2_is_discrete(w2):
 
 def test_twin_partition_infinite_tolerance(w2):
     assert gl.twin_partition(w2, tol=math.inf).n_classes == 1
+
+
+def near_twin(W: gl.StepGraphon, rng, delta: float) -> gl.StepGraphon:
+    """``W`` plus a copy of class 0 whose block against class 1 moves by ``delta``.
+
+    The copy's row is then exactly ``delta`` from class 0's row.
+    """
+    dup = duplicate_class(W, rng, target=0)
+    d = dup.q - 1
+    blocks = [list(row) for row in dup.blocks]
+    moved = gl.measure_add(blocks[d][1], gl.point_mass(0, delta))
+    blocks[d][1] = blocks[1][d] = moved
+    return gl.StepGraphon(dup.masses, blocks, dup.functionals)
+
+
+@pytest.mark.parametrize("chunk", [1, transforms.TWIN_CHUNK])
+@pytest.mark.parametrize("tol", [gl.transforms.TWIN_TOL, 1e-3])
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_twin_partition_matches_pairwise_oracle(monkeypatch, chunk, tol, factor):
+    monkeypatch.setattr(transforms, "TWIN_CHUNK", chunk)
+    rng = np.random.default_rng(30)
+    for _ in range(10):
+        W = rand_graphon(rng, int(rng.integers(2, 5)))
+        for _ in range(int(rng.integers(0, 3))):
+            W = duplicate_class(W, rng)  # planted exact twins
+        W = near_twin(W, rng, factor * tol)
+        P = gl.twin_partition(W, tol)
+        assert P.class_of == pairwise_twin_partition(W, tol)
+        assert (P.class_of[0] == P.class_of[-1]) == (factor < 1)
+
+
+def test_twin_partition_edge_tolerances():
+    W1 = scalar_graphon((1.0,), [[0.7]])
+    assert gl.twin_partition(W1).class_of == pairwise_twin_partition(W1, 0.0) == (0,)
+    rng = np.random.default_rng(31)
+    W = rand_twin_free_graphon(rng, 5)
+    assert gl.twin_partition(W, math.inf).class_of == (0,) * 5
+    assert pairwise_twin_partition(W, math.inf) == (0,) * 5
+    exact = duplicate_class(W, rng, target=2)
+    assert gl.twin_partition(exact, 0.0).class_of == (0, 1, 2, 3, 4, 2)
 
 
 def test_twin_reduce_duplicate_masses():
