@@ -309,10 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output to this path instead of stdout")
         return p
 
-    p = add("density", _cmd_density, "exact homomorphism density t(F, W)")
+    p = add("density", _cmd_density, "homomorphism density t(F, W) by bucket elimination")
     p.add_argument("--graphon", required=True)
     p.add_argument("--graph", required=True)
-    p.add_argument("--dp", action="store_true", help="use bucket elimination")
+    p.add_argument(
+        "--dp", action="store_true", help="accepted alias: every density is bucket elimination"
+    )
     p.add_argument("--ignore-labels", action="store_true")
 
     p = add("marginal", _cmd_marginal, "density with labeled vertices pinned")

@@ -5,17 +5,27 @@ class assignments:
 
     t(F, W) = sum_{c : V -> [q]}  prod_v pi_{c(v)}  prod_e K_psi[c(u), c(v)]^mult
 
-:func:`density` evaluates that sum by direct (chunked, exactly
-accumulated) enumeration; it is the definitional route. :func:`density_dp`
-computes the same value by bucket elimination, with cost exponential only
-in the induced width of the elimination order. :func:`marginal` pins
-labeled vertices to classes and integrates only the free ones.
-Multiplicities are evaluated as integer powers of kernel entries, never by
-expanding parallel edges.
+Every exact quantity here (:func:`density`, :func:`density_dp`,
+:func:`marginal` and both sides of :func:`product_identity_residual`) is
+computed by one engine, :func:`eliminate`: bucket elimination (Dechter,
+1999), whose cost is exponential only in the induced width of the
+elimination order, not in the vertex count. Contractions that would span
+more than :data:`MAX_CONTRACTION` elements are refused before anything is
+allocated. The enumeration of all q^n assignments, the definitional route,
+is kept in the tests as the oracle every route is checked against.
+
+Each bucket is one numpy contraction, so sums run in numpy's order and
+results are not exactly rounded: densities and marginals agree with the
+oracle to the 1e-10 contract, and values printed at 12 digits are stable,
+but full-precision outputs (a ``productcheck`` residual that is an exact
+zero by enumeration, ``liftcheck``'s direct densities) can move in the
+last unit in the last place. Multiplicities are evaluated as integer
+powers of kernel entries, never by expanding parallel edges.
 """
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -25,8 +35,16 @@ from .errors import ValidationError
 from .graphs import DecoratedMultigraph, product
 from .stepgraphon import StepGraphon, kernel_matrix
 
-#: class assignments are enumerated in chunks of at most this many rows
-_CHUNK = 1 << 18
+#: largest tensor, in elements, one bucket of :func:`eliminate` may span:
+#: q to the power of the vertices the bucket joins
+MAX_CONTRACTION = 1 << 26
+
+#: numpy's einsum names at most this many axes, so a bucket joins at most
+#: this many vertices whatever q is
+MAX_BUCKET_VERTICES = 52
+
+#: Monte Carlo samples are drawn and evaluated this many rows at a time
+MC_CHUNK = 1 << 15
 
 #: a label-to-class pinning for marginal evaluation
 Anchoring = Mapping[int, int]
@@ -57,50 +75,9 @@ def _require_unlabeled(F: DecoratedMultigraph, ignore_labels: bool) -> Decorated
     return F
 
 
-def _assignment_sum(
-    F: DecoratedMultigraph,
-    W: StepGraphon,
-    fixed: Mapping[int, int],
-) -> float:
-    """Sum of pi-weighted edge products over assignments of the non-fixed vertices.
-
-    Fixed vertices contribute no mass factor. Enumeration is vectorized in
-    chunks; chunk totals are combined with exact summation, so the
-    mixed-sign sums arising from signed measures do not lose cancellation.
-    """
-    q = W.q
-    pi = np.asarray(W.masses)
-    kernels = _kernels(F, W)
-    free = [v for v in range(F.n_vertices) if v not in fixed]
-    n_free = len(free)
-
-    total_assignments = q**n_free
-    chunk_sums: list[float] = []
-    col = {v: idx for idx, v in enumerate(free)}
-
-    for start in range(0, total_assignments, _CHUNK):
-        stop = min(start + _CHUNK, total_assignments)
-        codes = np.arange(start, stop, dtype=np.int64)
-        assign = np.empty((stop - start, n_free), dtype=np.int64)
-        for idx in range(n_free):
-            assign[:, idx] = (codes // (q**idx)) % q
-        if n_free:
-            vals = np.prod(pi[assign], axis=1)
-        else:
-            vals = np.ones(1)
-        for u, v, psi, mult in F.edges:
-            cu = assign[:, col[u]] if u in col else np.full(stop - start, fixed[u])
-            cv = assign[:, col[v]] if v in col else np.full(stop - start, fixed[v])
-            entries = kernels[psi][cu, cv]
-            vals = vals * (entries if mult == 1 else entries ** mult)
-        chunk_sums.append(float(np.sum(vals)))
-    return math.fsum(chunk_sums)
-
-
 def density(F: DecoratedMultigraph, W: StepGraphon, *, ignore_labels: bool = False) -> float:
-    """Exact homomorphism density by direct enumeration of class assignments."""
-    F = _require_unlabeled(F, ignore_labels)
-    return _assignment_sum(F, W, {})
+    """Homomorphism density t(F, W), by bucket elimination in min-degree order."""
+    return density_dp(F, W, ignore_labels=ignore_labels)
 
 
 def marginal(F: DecoratedMultigraph, W: StepGraphon, anchoring: Anchoring) -> float:
@@ -109,29 +86,24 @@ def marginal(F: DecoratedMultigraph, W: StepGraphon, anchoring: Anchoring) -> fl
     Pinned vertices carry no mass factor; only the free vertices are
     integrated. The marginal of an unlabeled graph is its density.
     """
-    q = W.q
     fixed: dict[int, int] = {}
     for v, label in F.labels.items():
         if label not in anchoring:
             raise ValidationError(f"no anchor for label {label}", code="missing-anchor")
-        cls = anchoring[label]
-        if not (0 <= cls < q):
-            raise ValidationError(
-                f"anchor class {cls} out of range for q={q}", code="bad-anchor"
-            )
-        fixed[v] = int(cls)
-    return _assignment_sum(F, W, fixed)
+        fixed[v] = anchoring[label]
+    return float(eliminate(F, W, pinned=fixed))
 
 
 # -- bucket elimination --------------------------------------------------------
 
 
-def _min_degree_order(F: DecoratedMultigraph, free: Sequence[int]) -> list[int]:
-    """Greedy min-degree elimination order on the edge-interaction graph."""
-    neighbors: dict[int, set[int]] = {v: set() for v in range(F.n_vertices)}
-    for u, v, _, _ in F.edges:
-        neighbors[u].add(v)
-        neighbors[v].add(u)
+def _min_degree_order(scopes: Sequence[tuple[int, ...]], free: Sequence[int]) -> list[int]:
+    """Greedy min-degree elimination order on the factor-interaction graph."""
+    neighbors: dict[int, set[int]] = defaultdict(set)
+    for scope in scopes:
+        for x in scope:
+            neighbors[x].update(scope)
+            neighbors[x].discard(x)
     remaining = set(free)
     order = []
     while remaining:
@@ -143,6 +115,29 @@ def _min_degree_order(F: DecoratedMultigraph, free: Sequence[int]) -> list[int]:
         remaining.discard(v)
         order.append(v)
     return order
+
+
+def _schedule(scopes: Sequence[tuple[int, ...]], order: Sequence[int]):
+    """The buckets of an elimination, computed on the factor scopes alone.
+
+    Factors are numbered in creation order: one per scope, then one per
+    step. Each step is ``(v, bucket, left)``: the vertex summed out, the
+    ``(number, scope)`` of the live factors that mention it, and the scope
+    of the factor it leaves (the bucket's vertices in first-seen order,
+    without ``v``). Returns the steps and the factors live at the end.
+    """
+    live = dict(enumerate(scopes))
+    steps = []
+    for v in order:
+        bucket = [(i, s) for i, s in live.items() if v in s]
+        if not bucket:
+            continue  # isolated vertex integrates to sum(pi) == 1
+        for i, _ in bucket:
+            del live[i]
+        left = tuple(x for x in dict.fromkeys(x for _, s in bucket for x in s) if x != v)
+        live[len(scopes) + len(steps)] = left
+        steps.append((v, bucket, left))
+    return steps, live
 
 
 def _align(arr: np.ndarray, vars_: tuple[int, ...], target: tuple[int, ...]) -> np.ndarray:
@@ -162,20 +157,33 @@ def eliminate(
     W: StepGraphon,
     keep: Sequence[int] = (),
     order: Sequence[int] | None = None,
+    *,
+    pinned: Mapping[int, int] | None = None,
 ) -> np.ndarray:
     """Sum out every vertex not in ``keep``; returns an array over ``keep``.
 
     Each eliminated vertex is contracted against the mass vector; kept
-    vertices index the axes of the result in the order given. With
-    ``keep=()`` this is the full density as a 0-d array.
+    vertices index the axes of the result in the order given. Vertices in
+    ``pinned`` are fixed to the given classes and carry no mass factor.
+    With ``keep=()`` this is the full density as a 0-d array.
+
+    Raises ``ValidationError(code="too-costly")``, before allocating, when
+    a bucket (or the result) would span more than :data:`MAX_CONTRACTION`
+    elements or :data:`MAX_BUCKET_VERTICES` vertices.
     """
     q = W.q
-    pi = np.asarray(W.masses)
-    kernels = _kernels(F, W)
     keep = tuple(keep)
-    free = [v for v in range(F.n_vertices) if v not in keep]
+    pinned = dict(pinned or {})
+    for v, cls in pinned.items():
+        if not (0 <= cls < q):
+            raise ValidationError(
+                f"anchor class {cls} out of range for q={q}", code="bad-anchor"
+            )
+        pinned[v] = int(cls)
+    scopes = [tuple(x for x in (u, v) if x not in pinned) for u, v, _, _ in F.edges]
+    free = [v for v in range(F.n_vertices) if v not in keep and v not in pinned]
     if order is None:
-        order = _min_degree_order(F, free)
+        order = _min_degree_order(scopes, free)
     else:
         order = list(order)
         if sorted(order) != sorted(free):
@@ -183,33 +191,37 @@ def eliminate(
                 "elimination order must be a permutation of the free vertices",
                 code="bad-order",
             )
+    steps, live = _schedule(scopes, order)
+    width = max([len(keep)] + [len(left) + 1 for _, _, left in steps])
+    if q**width > MAX_CONTRACTION or width > MAX_BUCKET_VERTICES:
+        raise ValidationError(
+            f"elimination would span {q**width} elements (q={q} over {width} vertices); "
+            f"the limits are {MAX_CONTRACTION} elements and {MAX_BUCKET_VERTICES} vertices",
+            code="too-costly",
+        )
 
-    factors: list[tuple[tuple[int, ...], np.ndarray]] = []
-    for u, v, psi, mult in F.edges:
-        arr = kernels[psi]
-        factors.append(((u, v), arr if mult == 1 else arr**mult))
+    pi = np.asarray(W.masses)
+    kernels = _kernels(F, W)
+    arrays = {}
+    for i, (u, v, psi, mult) in enumerate(F.edges):
+        arr = kernels[psi] if mult == 1 else kernels[psi] ** mult
+        arrays[i] = arr[pinned.get(u, slice(None)), pinned.get(v, slice(None))]
+    for n, (v, bucket, left) in enumerate(steps, start=len(scopes)):
+        if len(bucket) == 1:
+            ((i, scope),) = bucket
+            arrays[n] = np.tensordot(arrays.pop(i), pi, axes=(scope.index(v), 0))
+            continue
+        # v is summed inside the pairwise contractions; the joined tensor
+        # over (v, *left) is never built
+        axis = {x: k for k, x in enumerate((v, *left))}
+        operands: list = [pi, [0]]
+        for i, scope in bucket:
+            operands += [arrays.pop(i), [axis[x] for x in scope]]
+        arrays[n] = np.einsum(*operands, list(range(1, len(left) + 1)), optimize="greedy")
 
-    scalar = 1.0
-    for v in order:
-        bucket = [f for f in factors if v in f[0]]
-        if not bucket:
-            continue  # isolated vertex integrates to sum(pi) == 1
-        factors = [f for f in factors if v not in f[0]]
-        combined_vars = tuple(sorted(set().union(*(set(f[0]) for f in bucket))))
-        arr = np.ones((q,) * len(combined_vars))
-        for fv, fa in bucket:
-            arr = arr * _align(fa, fv, combined_vars)
-        axis = combined_vars.index(v)
-        arr = np.tensordot(arr, pi, axes=([axis], [0]))
-        new_vars = tuple(x for x in combined_vars if x != v)
-        if new_vars:
-            factors.append((new_vars, arr))
-        else:
-            scalar *= float(arr)
-
-    result = np.full((q,) * len(keep), scalar)
-    for fv, fa in factors:
-        result = result * _align(fa, fv, keep)
+    result = np.ones((q,) * len(keep))
+    for i, scope in live.items():
+        result = result * _align(arrays[i], scope, keep)
     return result
 
 
@@ -220,12 +232,15 @@ def density_dp(
     *,
     ignore_labels: bool = False,
 ) -> float:
-    """Density by bucket elimination; equals :func:`density` to 1e-10.
+    """Density by bucket elimination along ``order``.
 
     When no order is supplied a greedy min-degree heuristic chooses one.
     """
     F = _require_unlabeled(F, ignore_labels)
-    return float(eliminate(F, W, keep=(), order=order))
+    return float(eliminate(F, W, order=order))
+
+
+
 
 
 # -- Monte Carlo ---------------------------------------------------------------
@@ -245,7 +260,9 @@ def mc_density(
     Each sample draws one class per vertex from the mass distribution and
     evaluates the edge product. Sample blocks are drawn from independent
     substreams spawned off the seed, one per worker, and reduced in worker
-    order, so the estimate is a pure function of (seed, workers).
+    order, so the estimate is a pure function of (seed, workers). Each
+    substream is drawn in chunks of :data:`MC_CHUNK` rows; the generator
+    fills them in row order, so the samples do not depend on the chunk size.
     """
     if samples < 1:
         raise ValidationError("need at least one sample", code="bad-samples")
@@ -255,22 +272,26 @@ def mc_density(
     q = W.q
     pi = np.asarray(W.masses)
     pi = pi / pi.sum()  # guard rounding so choice() accepts the vector
-    kernels = _kernels(F, W)
+    flat = {psi: K.ravel() for psi, K in _kernels(F, W).items()}
 
     shares = [samples // workers + (1 if w < samples % workers else 0) for w in range(workers)]
     streams = np.random.SeedSequence(seed).spawn(workers)
-    parts = []
+    vals = np.empty(samples)
+    pos = 0
     for w, share in enumerate(shares):
         if share == 0:
             continue
         rng = np.random.default_rng(streams[w])
-        assign = rng.choice(q, size=(share, F.n_vertices), p=pi)
-        vals = np.ones(share)
-        for u, v, psi, mult in F.edges:
-            entries = kernels[psi][assign[:, u], assign[:, v]]
-            vals = vals * (entries if mult == 1 else entries**mult)
-        parts.append(vals)
-    vals = np.concatenate(parts) if parts else np.empty(0)
+        for start in range(0, share, MC_CHUNK):
+            rows = min(MC_CHUNK, share - start)
+            # one contiguous row of classes per vertex
+            cls = rng.choice(q, size=(rows, F.n_vertices), p=pi).T.copy()
+            out = vals[pos : pos + rows]
+            out.fill(1.0)
+            for u, v, psi, mult in F.edges:
+                entries = flat[psi][cls[u] * q + cls[v]]
+                out *= entries if mult == 1 else entries**mult
+            pos += rows
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return MCEstimate(mean, stderr, samples, seed)
@@ -286,8 +307,10 @@ def product_identity_residual(
 
     Compares the unlabeled density of the merged product against the
     mass-weighted sum, over all pinnings of the shared labels, of the
-    product of the two marginals. The two routes agree up to rounding; the
-    returned value is the absolute difference.
+    product of the two marginals. Both sides are contractions: the product
+    is eliminated completely, each factor down to a tensor over its labeled
+    vertices in label order. The two agree up to rounding; the returned
+    value is the absolute difference.
     """
     if F1.label_set != F2.label_set:
         raise ValidationError(
@@ -295,21 +318,11 @@ def product_identity_residual(
             code="label-mismatch",
         )
     labels = sorted(F1.label_set)
-    q = W.q
-    lhs = density(product(F1, F2), W, ignore_labels=True)
-
-    terms: list[float] = []
-    anchor = [0] * len(labels)
-
-    def rec(idx: int, weight: float):
-        if idx == len(labels):
-            beta = dict(zip(labels, anchor))
-            terms.append(weight * marginal(F1, W, beta) * marginal(F2, W, beta))
-            return
-        for c in range(q):
-            anchor[idx] = c
-            rec(idx + 1, weight * W.masses[c])
-
-    rec(0, 1.0)
-    rhs = math.fsum(terms)
+    lhs = float(eliminate(product(F1, F2), W))
+    T1 = eliminate(F1, W, keep=[F1.vertex_of_label(l) for l in labels])
+    T2 = eliminate(F2, W, keep=[F2.vertex_of_label(l) for l in labels])
+    weight = np.ones(())
+    for _ in labels:
+        weight = np.multiply.outer(weight, np.asarray(W.masses))
+    rhs = math.fsum((weight * T1 * T2).ravel())
     return abs(lhs - rhs)

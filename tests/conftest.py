@@ -1,8 +1,12 @@
 """Shared fixtures, random-instance generators and reference oracles."""
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
+from typing import Mapping
 
+import numpy as np
 import pytest
 
 import graphonlab as gl
@@ -202,3 +206,80 @@ def pairwise_twin_partition(W: gl.StepGraphon, tol: float) -> tuple[int, ...]:
                 label = [new if x == old else x for x in label]
     number: dict[int, int] = {}
     return tuple(number.setdefault(x, len(number)) for x in label)
+
+
+#: class assignments are enumerated in chunks of at most this many rows
+_CHUNK = 1 << 18
+
+
+def enumerate_density(
+    F: gl.DecoratedMultigraph,
+    W: gl.StepGraphon,
+    fixed: Mapping[int, int],
+) -> float:
+    """Sum of pi-weighted edge products over assignments of the non-fixed vertices.
+
+    The definitional route: all q^n assignments, vectorized in chunks.
+    Fixed vertices contribute no mass factor. Chunk totals are combined
+    with exact summation, so the mixed-sign sums arising from signed
+    measures do not lose cancellation between chunks.
+    """
+    q = W.q
+    pi = np.asarray(W.masses)
+    kernels = {psi: gl.kernel_matrix(W, psi) for psi in sorted(F.psi_ids)}
+    free = [v for v in range(F.n_vertices) if v not in fixed]
+    n_free = len(free)
+
+    total_assignments = q**n_free
+    chunk_sums: list[float] = []
+    col = {v: idx for idx, v in enumerate(free)}
+
+    for start in range(0, total_assignments, _CHUNK):
+        stop = min(start + _CHUNK, total_assignments)
+        codes = np.arange(start, stop, dtype=np.int64)
+        assign = np.empty((stop - start, n_free), dtype=np.int64)
+        for idx in range(n_free):
+            assign[:, idx] = (codes // (q**idx)) % q
+        if n_free:
+            vals = np.prod(pi[assign], axis=1)
+        else:
+            vals = np.ones(1)
+        for u, v, psi, mult in F.edges:
+            cu = assign[:, col[u]] if u in col else np.full(stop - start, fixed[u])
+            cv = assign[:, col[v]] if v in col else np.full(stop - start, fixed[v])
+            entries = kernels[psi][cu, cv]
+            vals = vals * (entries if mult == 1 else entries ** mult)
+        chunk_sums.append(float(np.sum(vals)))
+    return math.fsum(chunk_sums)
+
+
+def fraction_density(
+    F: gl.DecoratedMultigraph, W: gl.StepGraphon, fixed: Mapping[int, int] | None = None
+) -> Fraction:
+    """Exact density (or marginal, with ``fixed`` vertices pinned) in rationals.
+
+    Kernel entries are the exact pairings of the functionals with the
+    blocks, and every assignment is summed without rounding, so this is
+    the true value of the floats in ``W``. Meant for q <= 3, n <= 5.
+    """
+    fixed = dict(fixed or {})
+    masses = [Fraction(m) for m in W.masses]
+    kernels = {}
+    for psi_id in F.psi_ids:
+        psi = W.functional(psi_id)
+        kernels[psi_id] = [
+            [sum(Fraction(psi(k)) * Fraction(w) for k, w in zip(b.support, b.weights)) for b in row]
+            for row in W.blocks
+        ]
+    free = [v for v in range(F.n_vertices) if v not in fixed]
+    total = Fraction(0)
+    for classes in itertools.product(range(W.q), repeat=len(free)):
+        c = dict(fixed)
+        c.update(zip(free, classes))
+        term = Fraction(1)
+        for v in free:
+            term *= masses[c[v]]
+        for u, v, psi_id, mult in F.edges:
+            term *= kernels[psi_id][c[u]][c[v]] ** mult
+        total += term
+    return total

@@ -56,6 +56,52 @@ def test_density_dp_flag(files, capsys):
     assert out_of(capsys) == "2.000000000000\n"
 
 
+def test_density_dp_flag_byte_identical(tmp_path, capsys):
+    graphon = tmp_path / "w3.json"
+    graphon.write_text(json.dumps({
+        "masses": [0.2, 0.3, 0.5],
+        "blocks": [
+            {"i": i, "j": j, "support": [1, 2],
+             "weights": [0.3 + 0.7 * i - 1.1 * j, 0.37 * (i + j) - 0.5]}
+            for i in range(3) for j in range(i, 3)
+        ],
+        "functionals": [
+            {"id": "unit", "support": [1], "values": [1.0]},
+            {"id": "f", "support": [1, 2], "values": [0.6, -1.3]},
+        ],
+    }))
+    graph = tmp_path / "k4.json"
+    graph.write_text(json.dumps({"n_vertices": 4, "edges": [
+        {"u": u, "v": v, "psi": "unit" if (u + v) % 2 else "f", "multiplicity": 1 + (u * v) % 3}
+        for u in range(4) for v in range(u + 1, 4)
+    ]}))
+    argv = ["density", "--graphon", str(graphon), "--graph", str(graph)]
+    assert run(argv) == 0
+    plain = out_of(capsys)
+    assert run(argv + ["--dp"]) == 0
+    assert out_of(capsys) == plain
+    assert plain != "0.000000000000\n"
+
+
+def test_density_too_costly_exit_one(tmp_path, capsys):
+    q = 64
+    graphon = tmp_path / "q64.json"
+    graphon.write_text(json.dumps({
+        "masses": [1 / q] * q,
+        "blocks": [],
+        "functionals": [{"id": "unit", "support": [1], "values": [1.0]}],
+    }))
+    graph = tmp_path / "k8.json"
+    graph.write_text(json.dumps({"n_vertices": 8, "edges": [
+        {"u": u, "v": v, "psi": "unit"} for u in range(8) for v in range(u + 1, 8)
+    ]}))
+    code = run(["density", "--graphon", str(graphon), "--graph", str(graph)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "too-costly" in captured.err and str(q**8) in captured.err
+    assert captured.out == ""
+
+
 def test_validate_mass_sum_exit_one(files, capsys):
     code = run(["validate", "--graphon", files["badmass.json"]])
     captured = capsys.readouterr()

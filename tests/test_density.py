@@ -1,14 +1,22 @@
-"""Density engine: exact enumeration, elimination, Monte Carlo, identities."""
+"""Density engine: elimination, Monte Carlo and identities, against the oracles."""
+import importlib
 import itertools
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphonlab as gl
 from graphonlab.errors import ValidationError
 
-from conftest import rand_graph, rand_graphon, scalar_graphon
+from conftest import enumerate_density, fraction_density, rand_graph, rand_graphon, scalar_graphon
+
+# the package binds the name ``density`` to the function
+density_module = importlib.import_module("graphonlab.density")
 
 
 def brute_density(F: gl.DecoratedMultigraph, W: gl.StepGraphon) -> float:
@@ -127,9 +135,9 @@ def test_density_dp_equals_density_random():
     for _ in range(25):
         W = rand_graphon(rng, int(rng.integers(2, 5)))
         F = rand_graph(rng, max_vertices=8)
-        a = gl.density(F, W)
-        b = gl.density_dp(F, W)
-        assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
+        a = enumerate_density(F, W, {})
+        for b in (gl.density(F, W), gl.density_dp(F, W)):
+            assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
 
 def test_multiplicative_over_disjoint_union():
@@ -151,10 +159,11 @@ def test_label_invariance():
         F = rand_graph(rng, max_vertices=4)
         v = int(rng.integers(0, F.n_vertices))
         labeled = gl.relabel(F, v, 1)
-        total = math.fsum(
-            W.masses[c] * gl.marginal(labeled, W, {1: c}) for c in range(W.q)
-        )
-        assert total == pytest.approx(gl.density(F, W), rel=1e-10, abs=1e-12)
+        marginals = [gl.marginal(labeled, W, {1: c}) for c in range(W.q)]
+        for c, m in enumerate(marginals):
+            assert m == pytest.approx(enumerate_density(F, W, {v: c}), rel=1e-10, abs=1e-12)
+        total = math.fsum(W.masses[c] * m for c, m in enumerate(marginals))
+        assert total == pytest.approx(enumerate_density(F, W, {}), rel=1e-10, abs=1e-12)
 
 
 def test_mc_constant_kernel_zero_variance():
@@ -198,18 +207,35 @@ def test_mc_statistical_coverage():
     assert hits >= 198
 
 
+def check_product_identity(F1, F2, W):
+    """The residual is small, and the enumerated sides agree with each other
+    and with the library's density of the product."""
+    labels = sorted(F1.label_set)
+    lhs = enumerate_density(gl.product(F1, F2), W, {})
+    terms = []
+    for classes in itertools.product(range(W.q), repeat=len(labels)):
+        pin1 = {F1.vertex_of_label(l): c for l, c in zip(labels, classes)}
+        pin2 = {F2.vertex_of_label(l): c for l, c in zip(labels, classes)}
+        weight = math.prod(W.masses[c] for c in classes)
+        terms.append(weight * enumerate_density(F1, W, pin1) * enumerate_density(F2, W, pin2))
+    assert abs(lhs - math.fsum(terms)) <= 1e-10
+    assert gl.product_identity_residual(F1, F2, W) <= 1e-10
+    got = gl.density(gl.product(F1, F2), W, ignore_labels=True)
+    assert abs(got - lhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
 def test_product_identity_unlabeled_factorizes():
     rng = np.random.default_rng(16)
     for _ in range(5):
         W = rand_graphon(rng, 3)
         F1 = rand_graph(rng, max_vertices=4)
         F2 = rand_graph(rng, max_vertices=4)
-        assert gl.product_identity_residual(F1, F2, W) <= 1e-10
+        check_product_identity(F1, F2, W)
 
 
 def test_product_identity_two_star(w2):
     F = gl.relabel(gl.edge_graph(), 0, 1)
-    assert gl.product_identity_residual(F, F, w2) <= 1e-10
+    check_product_identity(F, F, w2)
     # both routes equal the 2-star density 4.25
     assert gl.density(gl.product(F, F), w2, ignore_labels=True) == pytest.approx(4.25, abs=1e-12)
 
@@ -220,7 +246,7 @@ def test_product_identity_two_labels():
         W = rand_graphon(rng, int(rng.integers(2, 5)))
         F1 = rand_graph(rng, max_vertices=4, n_labels=2)
         F2 = rand_graph(rng, max_vertices=4, n_labels=2)
-        assert gl.product_identity_residual(F1, F2, W) <= 1e-10
+        check_product_identity(F1, F2, W)
 
 
 def test_product_identity_label_mismatch(w2):
@@ -234,3 +260,158 @@ def test_eliminate_keep_matrix(w2):
     # keeping both endpoints of an edge returns the kernel itself
     T = gl.eliminate(gl.edge_graph(), w2, keep=(0, 1))
     assert np.allclose(T, gl.kernel_matrix(w2, "unit"), atol=1e-14)
+
+
+# -- exact rational oracle on heavily cancelling signed graphons -------------------
+
+MIX = gl.TestFunctional("mix", (1, 2), (0.75, -0.25))
+
+
+@st.composite
+def cancelling_graphons(draw):
+    """A signed graphon on 1..3 classes whose kernels nearly annihilate the masses.
+
+    Blocks weigh points 1 and 2. Each point's weight matrix is ``Q S Q^T``
+    with ``Q = I - 1 pi^T`` and ``S`` symmetric, so its pi-weighted row sums
+    vanish up to rounding, plus optional noise; it is scaled to entries of
+    at most 1. Any graph with a leaf then sums terms of order one to a
+    density near zero, and cycles mix signs.
+    """
+    q = draw(st.integers(1, 3))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=q, max_size=q))
+    pi = np.array([m / math.fsum(raw) for m in raw])
+    Q = np.eye(q) - np.outer(np.ones(q), pi)
+    noise = draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+    entries = st.lists(st.floats(-1, 1), min_size=q * q, max_size=q * q)
+    weights = np.empty((q, q, 2))
+    for k in range(2):
+        S, R = (np.array(draw(entries)).reshape(q, q) for _ in range(2))
+        A = Q @ (S + S.T) @ Q.T + noise * (R + R.T)
+        A = (A + A.T) / 2
+        top = np.abs(A).max()
+        weights[:, :, k] = A / top * draw(st.floats(0.25, 1.0)) if top > 0 else A
+    unit = gl.unit_functional()
+    return gl.StepGraphon.from_arrays(
+        tuple(pi), np.array([1, 2]), weights, {unit.id: unit, MIX.id: MIX}
+    )
+
+
+@st.composite
+def tiny_graphs(draw, n_labels: int = 0, max_vertices: int = 5):
+    """A multigraph on at most ``max_vertices`` vertices with labels 1..n_labels."""
+    n = draw(st.integers(max(2, n_labels), max_vertices))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    edge = st.tuples(pair, st.sampled_from(["unit", MIX.id]), st.integers(1, 2))
+    edges = draw(st.lists(edge, min_size=1, max_size=2 * n))
+    labeled = draw(st.permutations(range(n)))[:n_labels]
+    return gl.DecoratedMultigraph(
+        n,
+        tuple((u, v, psi, m) for (u, v), psi, m in edges),
+        {v: l + 1 for l, v in enumerate(labeled)},
+    )
+
+
+def close_to_exact(got: float, exact: Fraction) -> bool:
+    return abs(got - float(exact)) <= 1e-10 * max(1.0, abs(float(exact)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cancelling_graphons(), tiny_graphs())
+def test_density_matches_fraction_oracle(W, F):
+    exact = fraction_density(F, W)
+    assert close_to_exact(gl.density(F, W), exact)
+    assert close_to_exact(gl.density_dp(F, W, order=list(range(F.n_vertices))[::-1]), exact)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cancelling_graphons(), st.integers(1, 2), st.data())
+def test_marginal_matches_fraction_oracle(W, n_labels, data):
+    F = data.draw(tiny_graphs(n_labels))
+    classes = data.draw(st.lists(st.integers(0, W.q - 1), min_size=n_labels, max_size=n_labels))
+    anchoring = {l + 1: c for l, c in enumerate(classes)}
+    exact = fraction_density(F, W, {v: anchoring[l] for v, l in F.labels.items()})
+    assert close_to_exact(gl.marginal(F, W, anchoring), exact)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cancelling_graphons(), st.integers(0, 2), st.data())
+def test_product_identity_matches_fraction_oracle(W, n_labels, data):
+    F1 = data.draw(tiny_graphs(n_labels, max_vertices=3))
+    F2 = data.draw(tiny_graphs(n_labels, max_vertices=5 - F1.n_vertices + n_labels))
+    labels = range(1, n_labels + 1)
+    rhs = Fraction(0)
+    for classes in itertools.product(range(W.q), repeat=n_labels):
+        pin1 = {F1.vertex_of_label(l): c for l, c in zip(labels, classes)}
+        pin2 = {F2.vertex_of_label(l): c for l, c in zip(labels, classes)}
+        weight = math.prod(Fraction(W.masses[c]) for c in classes)
+        rhs += weight * fraction_density(F1, W, pin1) * fraction_density(F2, W, pin2)
+    assert fraction_density(gl.product(F1, F2), W) == rhs  # the identity is exact
+    assert gl.product_identity_residual(F1, F2, W) <= 1e-10
+
+
+# -- Monte Carlo output bytes and the cost guard ---------------------------------
+
+#: (seed, workers, mean, stderr) of ``mc_density`` on the graphon and graph
+#: below with 70,001 samples, as drawn with each substream in one piece; the
+#: chunked draw must reproduce them at any chunk size
+MC_BYTES = [
+    (0, 1, "0x1.f1d8b3f14c6a3p+4", "0x1.c613d823d0216p-1"),
+    (0, 3, "0x1.ee4fb44283e1dp+4", "0x1.c8ee9c8c54644p-1"),
+    (1, 1, "0x1.f15f3f11f7a01p+4", "0x1.ce21c7625320dp-1"),
+    (1, 3, "0x1.f440542c29bc1p+4", "0x1.c9f5891e7e7d5p-1"),
+    (7, 1, "0x1.01f0c5591902cp+5", "0x1.cff0853c59902p-1"),
+    (7, 3, "0x1.03049693d76f8p+5", "0x1.d23c022cd2a1cp-1"),
+]
+
+
+@pytest.mark.parametrize("chunk", [1000, density_module.MC_CHUNK])
+@pytest.mark.parametrize("seed, workers, mean, stderr", MC_BYTES)
+def test_mc_output_bytes_pinned(monkeypatch, chunk, seed, workers, mean, stderr):
+    monkeypatch.setattr(density_module, "MC_CHUNK", chunk)
+    W = scalar_graphon((0.2, 0.3, 0.5), [[1.0, -2.0, 0.5], [-2.0, 3.0, 1.5], [0.5, 1.5, -0.25]])
+    F = gl.DecoratedMultigraph(
+        4, ((0, 1, "unit", 1), (1, 2, "unit", 2), (2, 0, "unit", 1), (2, 3, "unit", 3))
+    )
+    est = gl.mc_density(F, W, samples=70_001, seed=seed, workers=workers)
+    assert (est.mean.hex(), est.stderr.hex()) == (mean, stderr)
+
+
+def test_eliminate_refuses_oversized_contraction_up_front():
+    q = 64
+    unit = gl.unit_functional()
+    W = gl.StepGraphon.from_arrays(
+        (1 / q,) * q, np.array([1]), np.ones((q, q, 1)), {unit.id: unit}
+    )
+    K8 = gl.DecoratedMultigraph(
+        8, tuple((u, v, "unit", 1) for u, v in itertools.combinations(range(8), 2))
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as e:
+            gl.density(K8, W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert e.value.code == "too-costly"
+    assert str(q**8) in str(e.value)
+    assert peak < 1 << 20  # refused before the 2^48-element bucket or any kernel
+    # keeping too many axes is refused the same way; a K4 bucket (q^4) is not
+    with pytest.raises(ValidationError) as e:
+        gl.eliminate(gl.DecoratedMultigraph(5), W, keep=range(5))
+    assert e.value.code == "too-costly"
+    K4 = gl.DecoratedMultigraph(
+        4, tuple((u, v, "unit", 1) for u, v in itertools.combinations(range(4), 2))
+    )
+    assert gl.density(K4, W) == pytest.approx(1.0, rel=1e-12)
+    # one class: no size limit, but a bucket names at most 52 axes
+    W1 = scalar_graphon((1.0,), [[1.0]])
+    for n, ok in ((52, True), (53, False)):
+        K = gl.DecoratedMultigraph(
+            n, tuple((u, v, "unit", 1) for u, v in itertools.combinations(range(n), 2))
+        )
+        if ok:
+            assert gl.density(K, W1) == 1.0
+        else:
+            with pytest.raises(ValidationError) as e:
+                gl.density(K, W1)
+            assert e.value.code == "too-costly"
