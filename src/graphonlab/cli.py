@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation failure, 2 file or parse failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -296,7 +297,14 @@ def _cmd_validate(args) -> str:
 SEED_HELP = "accepted for symmetry with the sampling commands; does not affect the matched pair"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    ``parse_args`` keeps no state between calls: each returns a fresh
+    namespace filled from the parser's defaults, so one instance serves
+    every :func:`run`.
+    """
     parser = argparse.ArgumentParser(
         prog="graphonlab",
         description="Densities, transforms and moment diagnostics for step graphons.",

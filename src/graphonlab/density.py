@@ -21,6 +21,11 @@ but full-precision outputs (a ``productcheck`` residual that is an exact
 zero by enumeration, ``liftcheck``'s direct densities) can move in the
 last unit in the last place. Multiplicities are evaluated as integer
 powers of kernel entries, never by expanding parallel edges.
+
+:func:`mc_density` samples the same sum: each vertex's class is drawn by
+inverse CDF over ``pi / sum(pi)`` through a lookup table, and the classes
+are exactly those ``numpy.random.Generator.choice`` draws from the same
+generator.
 """
 from __future__ import annotations
 
@@ -240,10 +245,49 @@ def density_dp(
     return float(eliminate(F, W, order=order))
 
 
-
-
-
 # -- Monte Carlo ---------------------------------------------------------------
+
+
+class _ClassSampler:
+    """Inverse-CDF class draw over ``pi``, equal to ``Generator.choice``.
+
+    ``rng.choice(q, size, p=pi)`` is ``cdf.searchsorted(rng.random(size),
+    side="right")`` with ``cdf = pi.cumsum() / pi.cumsum()[-1]``.
+    :meth:`draw` consumes the same uniforms and returns the same classes,
+    but looks them up in a table of ``m`` equal cells of [0, 1) instead of
+    searching: ``m`` is a power of two, so ``u * m`` is exact and its
+    integer part is the cell holding ``u``. ``table[c]`` is the class of
+    every ``u`` in cell ``c``, or -1 when a cdf value lies strictly inside
+    the cell; only those draws (at most about q/m of them, with
+    ``m >= 64 q``) fall back to the search.
+    """
+
+    def __init__(self, pi: np.ndarray):
+        self.cdf = pi.cumsum()
+        self.cdf /= self.cdf[-1]
+        self.m = 1 << max(12, (64 * pi.size - 1).bit_length())
+        edges = np.arange(self.m + 1) / self.m
+        lo = self.cdf.searchsorted(edges[:-1], side="right")
+        # the class of the largest double below the cell's upper end
+        hi = self.cdf.searchsorted(np.nextafter(edges[1:], 0), side="right")
+        self.table = np.where(lo == hi, lo, -1)
+
+    def draw(self, rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
+        """Classes of ``rows`` samples of ``n`` vertices, one contiguous row per vertex.
+
+        Equal to ``rng.choice(q, size=(rows, n), p=pi).T`` and leaves
+        ``rng`` in the same state.
+        """
+        u = rng.random((rows, n)).T
+        u *= self.m
+        cls = u.astype(np.intp, order="C")
+        # in place: each cell index is read before its slot is written, and
+        # "clip" (a no-op, cells lie in [0, m)) keeps take from buffering
+        self.table.take(cls, out=cls, mode="clip")
+        straddle = cls < 0
+        if straddle.any():
+            cls[straddle] = self.cdf.searchsorted(u[straddle] / self.m, side="right")
+        return cls
 
 
 def mc_density(
@@ -257,21 +301,44 @@ def mc_density(
 ) -> MCEstimate:
     """Unbiased sampling estimate of the density.
 
-    Each sample draws one class per vertex from the mass distribution and
-    evaluates the edge product. Sample blocks are drawn from independent
-    substreams spawned off the seed, one per worker, and reduced in worker
-    order, so the estimate is a pure function of (seed, workers). Each
-    substream is drawn in chunks of :data:`MC_CHUNK` rows; the generator
-    fills them in row order, so the samples do not depend on the chunk size.
+    Each sample draws one class per vertex from the mass distribution
+    ``pi / sum(pi)``, by inverse CDF, and evaluates the edge product; the
+    classes are those ``Generator.choice`` would draw. Sample blocks are
+    drawn from independent substreams spawned off the seed, one per worker,
+    and reduced in worker order, so the estimate is a pure function of
+    (seed, workers). Each substream is drawn in chunks of :data:`MC_CHUNK`
+    rows; the generator fills them in row order, so the samples do not
+    depend on the chunk size.
+
+    Raises ``ValidationError(code="too-costly")``, before allocating, when
+    the sample vector would hold more than :data:`MAX_CONTRACTION` values,
+    and ``code="nonpositive-mass"`` for a negative or non-finite mass or a
+    mass vector that does not sum to a positive number.
     """
     if samples < 1:
         raise ValidationError("need at least one sample", code="bad-samples")
     if workers < 1:
         raise ValidationError("need at least one worker", code="bad-workers")
+    if samples > MAX_CONTRACTION:
+        raise ValidationError(
+            f"Monte Carlo would hold {samples} sample values; "
+            f"the limit is {MAX_CONTRACTION} elements",
+            code="too-costly",
+        )
     F = _require_unlabeled(F, ignore_labels)
     q = W.q
-    pi = np.asarray(W.masses)
-    pi = pi / pi.sum()  # guard rounding so choice() accepts the vector
+    masses = np.asarray(W.masses, dtype=float)
+    total = masses.sum()
+    bad = masses[~(masses >= 0)]  # NaN too; an infinite mass makes the total infinite
+    if bad.size or not 0 < total < math.inf:
+        got = f"mass {float(bad[0])!r}" if bad.size else f"total {float(total)!r}"
+        raise ValidationError(
+            f"sampling needs finite nonnegative class masses with a positive total, got {got}",
+            code="nonpositive-mass",
+        )
+    # the cdf is renormalised anyway, but dividing first rounds it as
+    # choice(p=pi / pi.sum()) did, so the classes and output bytes stay put
+    sampler = _ClassSampler(masses / total)
     flat = {psi: K.ravel() for psi, K in _kernels(F, W).items()}
 
     shares = [samples // workers + (1 if w < samples % workers else 0) for w in range(workers)]
@@ -284,8 +351,7 @@ def mc_density(
         rng = np.random.default_rng(streams[w])
         for start in range(0, share, MC_CHUNK):
             rows = min(MC_CHUNK, share - start)
-            # one contiguous row of classes per vertex
-            cls = rng.choice(q, size=(rows, F.n_vertices), p=pi).T.copy()
+            cls = sampler.draw(rng, rows, F.n_vertices)
             out = vals[pos : pos + rows]
             out.fill(1.0)
             for u, v, psi, mult in F.edges:

@@ -1,8 +1,12 @@
 """CLI surface: formats, exit codes, determinism."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import graphonlab
 from graphonlab import fileio
 from graphonlab.cli import run
 
@@ -100,6 +104,56 @@ def test_density_too_costly_exit_one(tmp_path, capsys):
     assert code == 1
     assert "too-costly" in captured.err and str(q**8) in captured.err
     assert captured.out == ""
+
+
+def test_mc_too_costly_exit_one(files, capsys):
+    samples = str((1 << 26) + 1)
+    code = run(["mc", "--graphon", files["w2.json"], "--graph", files["edge.json"],
+                "--samples", samples, "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "too-costly" in captured.err and samples in captured.err
+    assert captured.out == ""
+
+
+def fresh_process(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of the CLI in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(graphonlab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphonlab.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def in_process(argv: list[str], capsys) -> tuple[int, str, str]:
+    try:
+        code = run(argv)
+    except SystemExit as e:  # argparse reports usage errors by exiting
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_every_run(files, tmp_path, capsys):
+    bad = tmp_path / "broken.json"
+    bad.write_text("{oops")
+    target = tmp_path / "dp.txt"
+    density = ["density", "--graphon", files["w2.json"], "--graph", files["double_edge.json"]]
+    calls = [
+        density + ["--dp", "--out", str(target)],
+        density,  # neither --dp nor --out may carry over
+        ["density", "--graphon", str(bad), "--graph", files["edge.json"]],
+        ["density", "--graphon", files["w2.json"]],  # usage error: --graph missing
+        ["twins", "--graphon", files["w2.json"]],
+    ]
+    results = [in_process(argv, capsys) for argv in calls]
+    assert [code for code, _, _ in results] == [0, 0, 2, 2, 0]
+    assert target.read_text() == results[1][1] != ""
+    assert results[0][1] == ""
+    target.unlink()
+    assert results == [fresh_process(argv) for argv in calls]
+    assert target.read_text() == results[1][1]
 
 
 def test_validate_mass_sum_exit_one(files, capsys):

@@ -376,6 +376,107 @@ def test_mc_output_bytes_pinned(monkeypatch, chunk, seed, workers, mean, stderr)
     assert (est.mean.hex(), est.stderr.hex()) == (mean, stderr)
 
 
+def _skewed(q: int) -> np.ndarray:
+    pi = np.random.default_rng(q).random(q) + 0.05
+    pi[q // 2] = 1e-12
+    return pi / pi.sum()
+
+
+#: mass vectors for the class sampler; dyadic ones put cdf values exactly
+#: on cell edges, zero masses repeat a cdf value
+SAMPLER_MASSES = {
+    "q1": np.array([1.0]),
+    "q3-dyadic": np.array([0.25, 0.25, 0.5]),
+    "q3": np.array([0.2, 0.3, 0.5]),
+    "q4-zeros": np.array([0.0, 0.5, 0.0, 0.5]),
+    "q8-dyadic": np.full(8, 1 / 8),
+    "q8-skewed": _skewed(8),
+    "q64-dyadic": np.full(64, 1 / 64),
+    "q64-skewed": _skewed(64),
+    "q300": np.random.default_rng(300).dirichlet(np.ones(300)),
+    "q300-skewed": _skewed(300),
+}
+
+
+@pytest.mark.parametrize("chunk", [1000, density_module.MC_CHUNK])
+@pytest.mark.parametrize("seed", [0, 1, 12345])
+@pytest.mark.parametrize("name", sorted(SAMPLER_MASSES))
+def test_class_sampler_matches_choice(name, seed, chunk):
+    pi = SAMPLER_MASSES[name]
+    n, samples = 3, 40_000
+    sampler = density_module._ClassSampler(pi)
+    rng = np.random.default_rng(seed)
+    drawn = np.concatenate(
+        [sampler.draw(rng, min(chunk, samples - s), n) for s in range(0, samples, chunk)], axis=1
+    )
+    ref_rng = np.random.default_rng(seed)
+    expected = ref_rng.choice(pi.size, size=(samples, n), p=pi).T
+    assert drawn.dtype == expected.dtype  # class * q must not wrap
+    assert drawn.flags.c_contiguous
+    np.testing.assert_array_equal(drawn, expected)
+    assert rng.random() == ref_rng.random()  # the same uniforms were consumed
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLER_MASSES))
+def test_class_sampler_table_and_edges(name):
+    pi = SAMPLER_MASSES[name]
+    sampler = density_module._ClassSampler(pi)
+    cdf, m = sampler.cdf, sampler.m
+    assert m & (m - 1) == 0 and m >= 64 * pi.size
+    # the search is left exactly for the cells with a cdf value strictly inside
+    inside = {int(v * m) for v in cdf if v * m != int(v * m)}
+    assert set(np.flatnonzero(sampler.table < 0).tolist()) == inside
+    # uniforms on, just below and just above every cell edge and cdf value
+    grid = np.concatenate([np.arange(m) / m, cdf[cdf < 1]])
+    u = np.concatenate([grid, np.nextafter(grid, 0), np.nextafter(grid, 1)])
+    u = u[(u >= 0) & (u < 1)]
+
+    class Uniforms:
+        def random(self, shape):
+            return u.reshape(shape).copy()
+
+    got = sampler.draw(Uniforms(), u.size, 1)[0]
+    np.testing.assert_array_equal(got, cdf.searchsorted(u, side="right"))
+
+
+def test_mc_density_many_classes_matches_eliminate():
+    q = 300
+    rng = np.random.default_rng(3)
+    masses = rng.dirichlet(np.ones(q))
+    idx = np.arange(q)
+    weights = (1 + np.add.outer(idx, idx) / q)[:, :, None]  # large classes weigh more
+    unit = gl.unit_functional()
+    W = gl.StepGraphon.from_arrays(masses, np.array([1]), weights, {unit.id: unit})
+    F = gl.cycle_graph(3)
+    est = gl.mc_density(F, W, samples=100_000, seed=5)
+    assert abs(est.mean - gl.density(F, W)) <= 5 * est.stderr
+
+
+@pytest.mark.parametrize(
+    "masses", [(-0.1, 1.1), (math.nan, 1.0), (0.5, math.inf), (0.0, 0.0), (-0.5, -0.5)]
+)
+def test_mc_refuses_bad_masses(masses):
+    unit = gl.unit_functional()
+    W = gl.StepGraphon.from_arrays(masses, np.array([1]), np.ones((2, 2, 1)), {unit.id: unit})
+    with pytest.raises(ValidationError) as e:
+        gl.mc_density(gl.edge_graph(), W, samples=100, seed=0)
+    assert e.value.code == "nonpositive-mass"
+
+
+def test_mc_refuses_oversized_sample_count_up_front(w2):
+    samples = density_module.MAX_CONTRACTION + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as e:
+            gl.mc_density(gl.edge_graph(), w2, samples=samples, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert e.value.code == "too-costly"
+    assert str(samples) in str(e.value)
+    assert peak < 1 << 20  # refused before the sample vector
+
+
 def test_eliminate_refuses_oversized_contraction_up_front():
     q = 64
     unit = gl.unit_functional()
