@@ -13,32 +13,22 @@ from .density import (
 from .errors import GraphonlabError, ParseError, ValidationError
 from .graphs import (
     DecoratedMultigraph,
-    FStarFlag,
     add_path,
-    canonical_form,
-    canonical_key,
     cycle_graph,
     edge_graph,
     empty_graph,
-    fstar_flag,
-    is_isomorphic,
     path_graph,
-    power,
     product,
     relabel,
     single_vertex,
     star_graph,
-    unlabel,
 )
 from .measures import (
     DEFAULT_FUNCTIONAL_ID,
     FiniteMeasure,
     MomentSequence,
     TestFunctional,
-    functional_combine,
-    measure_add,
     measure_combine,
-    measure_scale,
     moment,
     moments_of_distribution,
     pair,

@@ -72,7 +72,7 @@ def _kernels(F: DecoratedMultigraph, W: StepGraphon) -> dict[str, np.ndarray]:
 def _require_unlabeled(F: DecoratedMultigraph, ignore_labels: bool) -> DecoratedMultigraph:
     if F.labels and not ignore_labels:
         raise ValidationError(
-            "graph is labeled; unlabel it or pass ignore_labels=True",
+            "graph is labeled; drop its labels or pass ignore_labels=True",
             code="labeled-graph",
         )
     if F.labels:

@@ -9,16 +9,11 @@ product.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from functools import reduce
 
 from .errors import ValidationError
 
 Edge = tuple[int, int, str, int]  # (u, v, psi_id, multiplicity), u < v
-
-#: permutation budget for brute-force tie refinement during canonicalization
-_TIE_BUDGET = 500_000
 
 
 @dataclass
@@ -67,10 +62,6 @@ class DecoratedMultigraph:
         return frozenset(self.labels.values())
 
     @property
-    def is_unlabeled(self) -> bool:
-        return not self.labels
-
-    @property
     def psi_ids(self) -> frozenset[str]:
         return frozenset(e[2] for e in self.edges)
 
@@ -101,18 +92,6 @@ class DecoratedMultigraph:
             and self.edges == other.edges
             and self.labels == other.labels
         )
-
-
-@dataclass(frozen=True)
-class FStarFlag:
-    """Whether a graph has no edge joining two labeled vertices."""
-
-    holds: bool
-
-
-def fstar_flag(F: DecoratedMultigraph) -> FStarFlag:
-    labeled = set(F.labels)
-    return FStarFlag(not any(u in labeled and v in labeled for u, v, _, _ in F.edges))
 
 
 # -- constructors -------------------------------------------------------------
@@ -161,14 +140,6 @@ def relabel(F: DecoratedMultigraph, vertex: int, label: int) -> DecoratedMultigr
     return DecoratedMultigraph(F.n_vertices, F.edges, labels)
 
 
-def unlabel(F: DecoratedMultigraph, label: int) -> DecoratedMultigraph:
-    """Remove one label, leaving the graph otherwise untouched."""
-    v = F.vertex_of_label(label)
-    labels = dict(F.labels)
-    del labels[v]
-    return DecoratedMultigraph(F.n_vertices, F.edges, labels)
-
-
 # -- algebra ------------------------------------------------------------------
 
 
@@ -194,23 +165,6 @@ def product(F1: DecoratedMultigraph, F2: DecoratedMultigraph) -> DecoratedMultig
     for v, l in F2.labels.items():
         labels[mapping[v]] = l
     return DecoratedMultigraph(next_vertex, tuple(edges), labels)
-
-
-def power(F: DecoratedMultigraph, q: int) -> DecoratedMultigraph:
-    """q-fold product of ``F`` with itself.
-
-    ``q == 0`` yields the labeled skeleton: the labeled vertices of ``F``
-    with no edges (the identity of the product on F's label set).
-    """
-    if q < 0:
-        raise ValidationError("power exponent must be >= 0", code="bad-graph")
-    if q == 0:
-        labels = {
-            i: l
-            for i, (_, l) in enumerate(sorted((v, l) for v, l in F.labels.items()))
-        }
-        return DecoratedMultigraph(len(labels), (), labels)
-    return reduce(product, [F] * q)
 
 
 def add_path(
@@ -251,136 +205,3 @@ def remove_one_edge(F: DecoratedMultigraph, u: int, v: int, psi_id: str) -> Deco
         )
     return DecoratedMultigraph(F.n_vertices, tuple(edges), dict(F.labels))
 
-
-# -- canonical form -----------------------------------------------------------
-#
-# Deterministic relabeling: labeled vertices come first ordered by label;
-# unlabeled vertices are ordered by an iterated degree/decoration signature
-# (1-dimensional WL refinement), with brute-force refinement over residual
-# tie groups. Tie groups whose members are mutually interchangeable
-# (identical incident-edge records toward every vertex outside the group,
-# no edges inside it) are ordered arbitrarily since all orders agree.
-
-
-def _refine_colors(F: DecoratedMultigraph) -> list[int]:
-    init = []
-    for v in range(F.n_vertices):
-        l = F.labels.get(v)
-        init.append((0, l) if l is not None else (1, 0))
-    order = sorted(set(init))
-    colors = [order.index(c) for c in init]
-
-    incident: list[list[tuple[str, int, int]]] = [[] for _ in range(F.n_vertices)]
-    for u, v, psi, m in F.edges:
-        incident[u].append((psi, m, v))
-        incident[v].append((psi, m, u))
-
-    while True:
-        sigs = []
-        for v in range(F.n_vertices):
-            nb = tuple(sorted((psi, m, colors[w]) for psi, m, w in incident[v]))
-            sigs.append((colors[v], nb))
-        distinct = sorted(set(sigs))
-        new_colors = [distinct.index(s) for s in sigs]
-        if new_colors == colors:
-            return colors
-        colors = new_colors
-
-
-def _encode(F: DecoratedMultigraph, position: dict[int, int]) -> tuple:
-    edges = tuple(
-        sorted(
-            (min(position[u], position[v]), max(position[u], position[v]), psi, m)
-            for u, v, psi, m in F.edges
-        )
-    )
-    labels = tuple(sorted((position[v], l) for v, l in F.labels.items()))
-    return (edges, labels)
-
-
-def _interchangeable(F: DecoratedMultigraph, group: list[int]) -> bool:
-    members = set(group)
-    profiles = []
-    for v in group:
-        prof = []
-        for a, b, psi, m in F.edges:
-            if a in members and b in members:
-                return False
-            if v == a:
-                prof.append((b, psi, m))
-            elif v == b:
-                prof.append((a, psi, m))
-        profiles.append(tuple(sorted(prof)))
-    return len(set(profiles)) == 1
-
-
-def canonical_form(F: DecoratedMultigraph) -> DecoratedMultigraph:
-    """Return ``F`` with vertices renumbered into the canonical order.
-
-    Two graphs are isomorphic (label- and decoration-preserving) exactly
-    when their canonical forms are equal. Raises when residual symmetry
-    exceeds the brute-force tie budget (far beyond desk-scale graphs).
-    """
-    colors = _refine_colors(F)
-    classes: dict[int, list[int]] = {}
-    for v in range(F.n_vertices):
-        classes.setdefault(colors[v], []).append(v)
-
-    slots: list[list[int]] = []  # per color class, in color order
-    tie_groups: list[int] = []  # indices into slots that need brute force
-    for c in sorted(classes):
-        group = sorted(classes[c])
-        slots.append(group)
-        # multi-member classes are always unlabeled (labels are injective)
-        if len(group) > 1 and not _interchangeable(F, group):
-            tie_groups.append(len(slots) - 1)
-
-    budget = 1
-    for gi in tie_groups:
-        for i in range(2, len(slots[gi]) + 1):
-            budget *= i
-        if budget > _TIE_BUDGET:
-            raise ValidationError(
-                "canonicalization tie groups exceed the brute-force budget",
-                code="canonical-budget",
-            )
-
-    def build_position(perms: tuple[tuple[int, ...], ...]) -> dict[int, int]:
-        position = {}
-        idx = 0
-        pi = 0
-        for si, group in enumerate(slots):
-            if si in tie_groups:
-                ordered = perms[pi]
-                pi += 1
-            else:
-                ordered = group
-            for v in ordered:
-                position[v] = idx
-                idx += 1
-        return position
-
-    if not tie_groups:
-        best_pos = build_position(())
-    else:
-        best_key = None
-        best_pos = None
-        pools = [itertools.permutations(slots[gi]) for gi in tie_groups]
-        for perms in itertools.product(*pools):
-            pos = build_position(perms)
-            key = _encode(F, pos)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_pos = pos
-
-    edges, labels = _encode(F, best_pos)
-    return DecoratedMultigraph(F.n_vertices, edges, dict(labels))
-
-
-def canonical_key(F: DecoratedMultigraph) -> tuple:
-    G = canonical_form(F)
-    return (G.n_vertices, G.edges, tuple(sorted(G.labels.items())))
-
-
-def is_isomorphic(F1: DecoratedMultigraph, F2: DecoratedMultigraph) -> bool:
-    return canonical_key(F1) == canonical_key(F2)

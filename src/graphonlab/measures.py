@@ -67,10 +67,6 @@ class TestFunctional:
     def __call__(self, k: int) -> float:
         return self._table.get(k, 0.0)
 
-    @property
-    def sup_norm(self) -> float:
-        return max((abs(v) for v in self.values), default=0.0)
-
 
 @dataclass(frozen=True)
 class FiniteMeasure:
@@ -163,36 +159,10 @@ def measure_combine(terms: Sequence[tuple[float, FiniteMeasure]]) -> FiniteMeasu
     return FiniteMeasure(tuple(support), tuple(weights))
 
 
-def measure_scale(coef: float, mu: FiniteMeasure) -> FiniteMeasure:
-    return measure_combine([(coef, mu)])
-
-
-def measure_add(mu: FiniteMeasure, nu: FiniteMeasure) -> FiniteMeasure:
-    return measure_combine([(1.0, mu), (1.0, nu)])
-
-
 def tv_distance(mu: FiniteMeasure, nu: FiniteMeasure) -> float:
     """``tv_norm(mu - nu)`` without materialising the difference."""
     points = set(mu.support) | set(nu.support)
     return math.fsum(abs(mu(k) - nu(k)) for k in points)
-
-
-def functional_combine(
-    new_id: str, terms: Sequence[tuple[float, TestFunctional]]
-) -> TestFunctional:
-    """Linear combination of functionals under a fresh id."""
-    buckets: dict[int, list[float]] = {}
-    for coef, psi in terms:
-        for k, v in zip(psi.support, psi.values):
-            buckets.setdefault(k, []).append(coef * v)
-    support = []
-    values = []
-    for k in sorted(buckets):
-        v = math.fsum(buckets[k])
-        if v != 0.0:
-            support.append(k)
-            values.append(v)
-    return TestFunctional(new_id, tuple(support), tuple(values))
 
 
 def moment(dist: Sequence[float], r: int, *, tol: float = 1e-12) -> float:

@@ -45,16 +45,10 @@ class EigenSystem:
     basis: np.ndarray
 
 
-def _symmetrized(W: StepGraphon, psi_id: str) -> tuple[np.ndarray, np.ndarray]:
-    K = kernel_matrix(W, psi_id)
-    s = np.sqrt(np.asarray(W.masses))
-    return K, s[:, None] * K * s[None, :]
-
-
 def eigendecomp(W: StepGraphon, psi_id: str) -> EigenSystem:
     """Full eigensystem of the symmetrized kernel, deterministically signed."""
-    _, M = _symmetrized(W, psi_id)
-    vals, vecs = np.linalg.eigh(M)
+    s = np.sqrt(np.asarray(W.masses))
+    vals, vecs = np.linalg.eigh(s[:, None] * kernel_matrix(W, psi_id) * s[None, :])
     order = sorted(range(len(vals)), key=lambda n: (-abs(vals[n]), -vals[n]))
     vals = vals[order]
     vecs = vecs[:, order]
@@ -80,13 +74,6 @@ def path_kernel(W: StepGraphon, psi_id: str, k: int) -> np.ndarray:
     for _ in range(k - 1):
         P = P @ (pi[:, None] * K)
     return P
-
-
-def hs_norm_sq(W: StepGraphon, psi_id: str) -> float:
-    """Squared Hilbert-Schmidt norm ``sum_ij pi_i pi_j K_ij^2``."""
-    K = kernel_matrix(W, psi_id)
-    pi = np.asarray(W.masses)
-    return float(pi @ (K * K) @ pi)
 
 
 @dataclass

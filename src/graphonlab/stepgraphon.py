@@ -199,7 +199,7 @@ def p_norm(W: StepGraphon, p: float) -> float:
     Computed with max scaling so large exponents (the Carleman sums go up
     to p = 2Nk) neither overflow nor underflow.
     """
-    if p < 1:
+    if not p >= 1:  # NaN fails too
         raise ValidationError("p-norms require p >= 1", code="bad-p")
     tv = W.tv_matrix
     top = W.sup_norm
@@ -235,6 +235,22 @@ def _fit_slope(values: list[float]) -> float:
     num = math.fsum((x - xm) * (y - ym) for x, y in zip(xs, ys))
     den = math.fsum((x - xm) ** 2 for x in xs)
     return num / den
+
+
+def _inverse_power(nv: float, k: int) -> float:
+    """``nv ** -k``, or ``inf`` where that is no finite double (a zero norm too)."""
+    try:
+        return nv ** (-float(k))
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def _fsum_or_inf(values: list[float]) -> float:
+    """Exact sum of nonnegative terms, ``inf`` once it leaves the double range."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
 
 
 def carleman_report(
@@ -274,12 +290,8 @@ def carleman_report(
         norms = [source.norm_at(2 * n * k) for n in range(1, n_terms + 1)]
         forced_divergent = False
 
-    terms = [math.inf if nv == 0.0 else nv ** (-float(k)) for nv in norms]
-    sums: list[float] = []
-    acc: list[float] = []
-    for t in terms:
-        acc.append(t)
-        sums.append(math.fsum(acc) if not any(math.isinf(x) for x in acc) else math.inf)
+    terms = [_inverse_power(nv, k) for nv in norms]
+    sums = [_fsum_or_inf(terms[: n + 1]) for n in range(len(terms))]
     slope = _fit_slope(sums)
 
     if forced_divergent or any(math.isinf(t) for t in terms):

@@ -110,7 +110,7 @@ def twin_partition(W: StepGraphon, tol: float = TWIN_TOL) -> Partition:
     is, in total variation: ``max_c sum_s |w[i,c,s] - w[j,c,s]| <= tol``.
     Classes of the result are numbered by their smallest member.
     """
-    if tol < 0:
+    if not tol >= 0:  # NaN fails too
         raise ValidationError("twin tolerance must be >= 0", code="bad-tolerance")
     q = W.q
     w = W.weights

@@ -1,5 +1,6 @@
 """CLI surface: formats, exit codes, determinism."""
 import json
+import math
 import os
 import subprocess
 import sys
@@ -241,6 +242,51 @@ def test_carleman_moments_source(files, tmp_path, capsys):
     p.write_text(json.dumps(doc))
     assert run(["carleman", "--moments", str(p), "--k", "1", "--terms", "50"]) == 0
     assert json.loads(out_of(capsys))["classification"] == "convergent"
+
+
+@pytest.mark.parametrize(
+    "flag, doc",
+    [
+        (
+            "--graphon",
+            {**W2_DOC, "masses": [1.0], "blocks": [{"i": 0, "j": 0, "support": [1], "weights": [1e-200]}]},
+        ),
+        ("--moments", {"moments": [1e-154] * 13, "source": "symbolic"}),
+    ],
+    ids=["graphon", "moments"],
+)
+def test_carleman_overflow_is_divergent(tmp_path, capsys, flag, doc):
+    p = tmp_path / "tiny.json"
+    p.write_text(json.dumps(doc))
+    assert run(["carleman", flag, str(p), "--k", "2", "--terms", "3"]) == 0
+    out = json.loads(out_of(capsys))
+    assert out["classification"] == "divergent"
+    assert out["partial_sums"][1:] == [math.inf, math.inf]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["pnorm", "--p", "nan"], "bad-p"),
+        (["twins", "--tol", "nan"], "bad-tolerance"),
+        (["reduce", "--tol", "nan"], "bad-tolerance"),
+    ],
+    ids=["pnorm", "twins", "reduce"],
+)
+def test_nan_flags_refused(files, capsys, argv, code):
+    assert run([argv[0], "--graphon", files["w2.json"], *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert f"error[{code}]" in captured.err
+    assert captured.out == ""
+
+
+def test_infinite_flags_accepted(files, capsys):
+    assert run(["pnorm", "--graphon", files["w2.json"], "--p", "inf"]) == 0
+    assert out_of(capsys) == "3.000000000000\n"
+    assert run(["twins", "--graphon", files["w2.json"], "--tol", "inf"]) == 0
+    assert json.loads(out_of(capsys)) == {"class_of": [0, 0]}
+    assert run(["reduce", "--graphon", files["w2.json"], "--tol", "inf"]) == 0
+    assert fileio.parse_graphon(json.loads(out_of(capsys))).q == 1
 
 
 def test_quotient_and_reduce(files, capsys):

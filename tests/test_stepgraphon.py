@@ -127,7 +127,7 @@ def test_kernel_disjoint_support_is_zero(w2):
 def test_kernel_linear_in_functional(w2):
     psi1 = gl.TestFunctional("a", (1,), (2.0,))
     psi2 = gl.TestFunctional("b", (1, 3), (-1.0, 4.0))
-    combo = gl.measures.functional_combine("c", [(0.5, psi1), (2.0, psi2)])
+    combo = gl.TestFunctional("c", (1, 3), [0.5 * psi1(k) + 2.0 * psi2(k) for k in (1, 3)])
     W = gl.StepGraphon(w2.masses, w2.blocks, {"a": psi1, "b": psi2, "c": combo})
     lhs = gl.kernel_matrix(W, "c")
     rhs = 0.5 * gl.kernel_matrix(W, "a") + 2.0 * gl.kernel_matrix(W, "b")
@@ -220,6 +220,16 @@ def test_carleman_higher_k(w2):
     rep = gl.carleman_report(w2, 3, 50)
     assert rep.classification == "divergent"
     assert rep.partial_sums[-1] >= 50 * w2.sup_norm**-3 - 1e-9
+
+
+def test_carleman_overflowing_terms_are_infinite():
+    # 1e-200 ** -2 is no double, and 1e-154 ** -2 is one but two of them are not
+    rep = gl.carleman_report(scalar_graphon((1.0,), [[1e-200]]), 2, 3)
+    assert rep.classification == "divergent"
+    assert rep.partial_sums == (math.inf, math.inf, math.inf)
+    rep = gl.carleman_report(gl.MomentSequence((1e-154,) * 13, "symbolic"), 2, 3)
+    assert rep.classification == "divergent"
+    assert rep.partial_sums == (1e-154**-2.0, math.inf, math.inf)
 
 
 def test_carleman_distribution_source():

@@ -155,7 +155,7 @@ def near_twin(W: gl.StepGraphon, rng, delta: float) -> gl.StepGraphon:
     dup = duplicate_class(W, rng, target=0)
     d = dup.q - 1
     blocks = [list(row) for row in dup.blocks]
-    moved = gl.measure_add(blocks[d][1], gl.point_mass(0, delta))
+    moved = gl.measure_combine([(1.0, blocks[d][1]), (1.0, gl.point_mass(0, delta))])
     blocks[d][1] = blocks[1][d] = moved
     return gl.StepGraphon(dup.masses, blocks, dup.functionals)
 
