@@ -112,7 +112,9 @@ def _cmd_mc(args) -> str:
     W = fileio.load_graphon(args.graphon)
     F = fileio.load_graph(args.graph)
     _check_decorations(F, W)
-    est = mc_density(F, W, args.samples, args.seed, workers=_workers())
+    est = mc_density(
+        F, W, args.samples, args.seed, workers=_workers(), ignore_labels=args.ignore_labels
+    )
     return fileio.dump_json(
         {
             "mean": est.mean,
@@ -149,6 +151,8 @@ def _cmd_carleman(args) -> str:
         else fileio.load_moments(args.moments)
     )
     if args.kmax is not None:
+        if args.kmax < 1:
+            raise ValidationError("carleman --kmax must be >= 1", code="bad-order")
         docs = [_carleman_doc(source, k, args.terms) for k in range(1, args.kmax + 1)]
         return fileio.dump_json(docs)
     return fileio.dump_json(_carleman_doc(source, args.k, args.terms))
@@ -162,7 +166,7 @@ def _cmd_kernel(args) -> str:
 def _cmd_quotient(args) -> str:
     W = fileio.load_graphon(args.graphon)
     P = fileio.load_partition(args.partition)
-    return fileio.dump_json(fileio.serialize_graphon(quotient(W, P)))
+    return fileio.dump_json(quotient(W, P))
 
 
 def _cmd_twins(args) -> str:
@@ -172,7 +176,7 @@ def _cmd_twins(args) -> str:
 
 def _cmd_reduce(args) -> str:
     W = fileio.load_graphon(args.graphon)
-    return fileio.dump_json(fileio.serialize_graphon(twin_reduce(W, args.tol)))
+    return fileio.dump_json(twin_reduce(W, args.tol))
 
 
 def _anchor_args(args, W):
@@ -194,7 +198,7 @@ def _cmd_anchor(args) -> str:
             "anchors": list(fm.anchors),
             "functional_ids": list(fm.functional_ids),
             "features": [list(map(float, row)) for row in fm.features],
-            "graphon": fileio.serialize_graphon(G),
+            "graphon": G,
         }
     )
 
@@ -335,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--ignore-labels", action="store_true")
 
     p = add("pnorm", _cmd_pnorm, "p-norm of the graphon")
     p.add_argument("--graphon", required=True)

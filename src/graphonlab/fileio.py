@@ -15,16 +15,26 @@ and :class:`ValidationError` (with the validate_graphon codes) for
 semantic trouble. ``parse(serialize(x))`` reproduces ``x`` (for a
 graphon: equal masses, blocks and functionals) and serialization is
 canonical.
+
+:func:`dump_json` writes every output document. Its bytes are those of
+``json.dumps(doc, indent=2)``: numbers are written with ``repr``, NaN and
+infinities as ``NaN``/``Infinity``/``-Infinity``, strings ASCII-escaped.
+A :class:`StepGraphon` inside a document is written straight from its
+arrays as the document :func:`serialize_graphon` builds, without building
+one dict per block; :func:`serialize_graphon` is the tests' oracle for it.
 """
 from __future__ import annotations
 
 import json
-from itertools import chain, compress
+import math
+from itertools import chain, compress, islice
+from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 from typing import Any
 
 import numpy as np
 
+from .density import MAX_CONTRACTION
 from .errors import ParseError, ValidationError
 from .graphs import DecoratedMultigraph
 from .measures import FiniteMeasure, MomentSequence, TestFunctional, ZERO_MEASURE
@@ -92,6 +102,8 @@ def _block_records_bulk(records: list, q: int) -> tuple[np.ndarray, np.ndarray] 
     the document. Returns None as soon as some record fails one, or is of
     a shape it does not vouch for; :func:`_block_records_checked` then
     parses record by record and raises the first error in document order.
+    Blocks that would hold more than :data:`MAX_CONTRACTION` weights are
+    refused as ``too-costly`` before they are allocated.
     """
     n = len(records)
     if not set(map(type, records)) <= {dict}:
@@ -136,6 +148,12 @@ def _block_records_bulk(records: list, q: int) -> tuple[np.ndarray, np.ndarray] 
         return None
     support = np.sort(pts)
     support = support[np.diff(support, prepend=-1) != 0]
+    if q * q * len(support) > MAX_CONTRACTION:
+        raise ValidationError(
+            f"graphon.blocks: the dense blocks would hold {q * q * len(support)} weights "
+            f"(q={q}, {len(support)} support points); the limit is {MAX_CONTRACTION} elements",
+            code="too-costly",
+        )
     column = np.searchsorted(support, pts)
     weights = np.zeros((q * q, len(support)))
     weights[np.repeat(lo * q + hi, lengths), column] = vals
@@ -187,7 +205,15 @@ def parse_graphon(doc: Any) -> StepGraphon:
     return W
 
 
+def _functional_records(W: StepGraphon) -> list[dict]:
+    return [
+        {"id": f.id, "support": list(f.support), "values": list(f.values)}
+        for _, f in sorted(W.functionals.items())
+    ]
+
+
 def serialize_graphon(W: StepGraphon) -> dict:
+    """The graphon document; :func:`dump_json` writes ``W`` as exactly this."""
     pts = W.support.tolist()
     upper_i, upper_j = np.triu_indices(W.q)
     blocks = []
@@ -196,14 +222,7 @@ def serialize_graphon(W: StepGraphon) -> dict:
         blocks.append(
             {"i": i, "j": j, "support": list(compress(pts, ws)), "weights": list(filter(None, ws))}
         )
-    return {
-        "masses": list(W.masses),
-        "blocks": blocks,
-        "functionals": [
-            {"id": f.id, "support": list(f.support), "values": list(f.values)}
-            for _, f in sorted(W.functionals.items())
-        ],
-    }
+    return {"masses": list(W.masses), "blocks": blocks, "functionals": _functional_records(W)}
 
 
 # -- graphs ---------------------------------------------------------------------
@@ -301,4 +320,127 @@ def load_moments(path: str) -> MomentSequence:
 
 
 def dump_json(doc: Any) -> str:
-    return json.dumps(doc, indent=2)
+    """``json.dumps(doc, indent=2)``, byte for byte.
+
+    A :class:`StepGraphon` anywhere in ``doc`` is written as
+    ``serialize_graphon`` of it. Raises ``TypeError`` where ``json.dumps``
+    would; a document that contains itself exceeds the recursion limit.
+    """
+    out: list[str] = []
+    _write(doc, 0, out)
+    return "".join(out)
+
+
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key(key: Any) -> str:
+    """A dict key as json converts it to a string, before quoting."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        text: list[str] = []
+        _write(key, 0, text)
+        return text[0]
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _write(x: Any, level: int, out: list[str]) -> None:
+    # the order of the tests is json's: bool before int, str before both
+    if isinstance(x, str):
+        out.append(_quote(x))
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, float):
+        out.append(_float(x))
+    elif isinstance(x, (list, tuple)):
+        _write_list(x, level, out)
+    elif isinstance(x, dict):
+        _write_dict(x, level, out)
+    elif isinstance(x, StepGraphon):
+        _write_graphon(x, level, out)
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _write_list(items: list | tuple, level: int, out: list[str]) -> None:
+    if not items:
+        out.append("[]")
+        return
+    inner = "\n" + "  " * (level + 1)
+    kinds = set(map(type, items))
+    if kinds == {float} and np.isfinite(items).all():
+        out.append("[" + inner + ("," + inner).join(map(float.__repr__, items)))
+    elif kinds == {int}:
+        out.append("[" + inner + ("," + inner).join(map(int.__repr__, items)))
+    else:
+        sep = "[" + inner
+        for item in items:
+            out.append(sep)
+            sep = "," + inner
+            _write(item, level + 1, out)
+    out.append("\n" + "  " * level + "]")
+
+
+def _write_dict(doc: dict, level: int, out: list[str]) -> None:
+    if not doc:
+        out.append("{}")
+        return
+    inner = "\n" + "  " * (level + 1)
+    sep = "{" + inner
+    for key, value in doc.items():
+        out.append(sep + _quote(_key(key)) + ": ")
+        sep = "," + inner
+        _write(value, level + 1, out)
+    out.append("\n" + "  " * level + "}")
+
+
+def _write_graphon(W: StepGraphon, level: int, out: list[str]) -> None:
+    """``serialize_graphon(W)`` at ``level``, with the blocks written from the arrays.
+
+    One ``repr`` pass runs over the nonzero weights of the upper triangle
+    in row-major block order; each block record takes its slice of it, so
+    only one block's strings are held at a time.
+    """
+    inner = "\n" + "  " * (level + 1)
+    out.append("{" + inner + '"masses": ')
+    _write_list(W.masses, level + 1, out)
+    upper_i, upper_j = np.triu_indices(W.q)
+    upper = W.weights[upper_i, upper_j]
+    rows, cols = np.nonzero(upper)
+    values = upper[rows, cols]
+    weights = map(float.__repr__ if np.isfinite(values).all() else _float, values.tolist())
+    points = iter(np.array(list(map(int.__repr__, W.support.tolist())), dtype=object)[cols].tolist())
+    counts = np.bincount(rows, minlength=len(upper_i)).tolist()
+    record = "\n" + "  " * (level + 2)  # a block's braces
+    field = "\n" + "  " * (level + 3)  # its keys
+    item = "\n" + "  " * (level + 4)  # its support points and weights
+    sep, close = "," + item, field + "]"
+    lead = "," + inner + '"blocks": [' + record
+    for i, j, n in zip(upper_i.tolist(), upper_j.tolist(), counts):
+        head = f'{lead}{{{field}"i": {i},{field}"j": {j},{field}"support": '
+        if n:
+            out.append(
+                f"{head}[{item}{sep.join(islice(points, n))}{close},"
+                f'{field}"weights": [{item}{sep.join(islice(weights, n))}{close}{record}}}'
+            )
+        else:
+            out.append(f'{head}[],{field}"weights": []{record}}}')
+        lead = "," + record
+    out.append(inner + "]")
+    out.append("," + inner + '"functionals": ')
+    _write_list(_functional_records(W), level + 1, out)
+    out.append("\n" + "  " * level + "}")

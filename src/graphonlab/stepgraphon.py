@@ -253,6 +253,35 @@ def _fsum_or_inf(values: list[float]) -> float:
         return math.inf
 
 
+def _prefix_sums(terms: list[float]) -> list[float]:
+    """``_fsum_or_inf(terms[: n + 1])`` for every n, in linear time.
+
+    Keeps Shewchuk's partials, the expansion ``math.fsum`` builds, as a
+    running sum. They add up exactly to the prefix, so ``fsum`` of them is
+    the correctly rounded prefix sum, and there are at most a few dozen of
+    them. The terms are nonnegative: once one is ``inf``, or a partial
+    overflows, every later prefix is ``inf``.
+    """
+    partials: list[float] = []
+    sums = []
+    for x in terms:
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
+        if math.isinf(x):
+            break
+        sums.append(_fsum_or_inf(partials))
+    return sums + [math.inf] * (len(terms) - len(sums))
+
+
 def carleman_report(
     source: StepGraphon | MomentSequence, k: int, n_terms: int
 ) -> CarlemanReport:
@@ -291,7 +320,7 @@ def carleman_report(
         forced_divergent = False
 
     terms = [_inverse_power(nv, k) for nv in norms]
-    sums = [_fsum_or_inf(terms[: n + 1]) for n in range(len(terms))]
+    sums = _prefix_sums(terms)
     slope = _fit_slope(sums)
 
     if forced_divergent or any(math.isinf(t) for t in terms):

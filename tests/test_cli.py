@@ -1,4 +1,5 @@
 """CLI surface: formats, exit codes, determinism."""
+import hashlib
 import json
 import math
 import os
@@ -21,6 +22,19 @@ W2_DOC = {
     "functionals": [{"id": "unit", "support": [1], "values": [1.0]}],
 }
 
+W3_DOC = {
+    "masses": [0.2, 0.3, 0.5],
+    "blocks": [
+        {"i": i, "j": j, "support": [1, 2],
+         "weights": [0.3 + 0.7 * i - 1.1 * j, 0.37 * (i + j) - 0.5]}
+        for i in range(3) for j in range(i, 3)
+    ],
+    "functionals": [
+        {"id": "unit", "support": [1], "values": [1.0]},
+        {"id": "f", "support": [1, 2], "values": [0.6, -1.3]},
+    ],
+}
+
 EDGE_DOC = {"n_vertices": 2, "edges": [{"u": 0, "v": 1, "psi": "unit"}]}
 
 
@@ -35,6 +49,7 @@ def files(tmp_path):
         return str(p)
 
     write("w2.json", W2_DOC)
+    write("w3.json", W3_DOC)
     write("edge.json", EDGE_DOC)
     write("badmass.json", {"masses": [0.6, 0.5], "blocks": [], "functionals": []})
     write(
@@ -43,6 +58,7 @@ def files(tmp_path):
     )
     write("double_edge.json", {"n_vertices": 2, "edges": [{"u": 0, "v": 1, "psi": "unit", "multiplicity": 2}]})
     write("partition.json", {"class_of": [0, 0]})
+    write("partition3.json", {"class_of": [0, 1, 0]})
     paths["tmp"] = str(tmp_path)
     return paths
 
@@ -63,18 +79,7 @@ def test_density_dp_flag(files, capsys):
 
 def test_density_dp_flag_byte_identical(tmp_path, capsys):
     graphon = tmp_path / "w3.json"
-    graphon.write_text(json.dumps({
-        "masses": [0.2, 0.3, 0.5],
-        "blocks": [
-            {"i": i, "j": j, "support": [1, 2],
-             "weights": [0.3 + 0.7 * i - 1.1 * j, 0.37 * (i + j) - 0.5]}
-            for i in range(3) for j in range(i, 3)
-        ],
-        "functionals": [
-            {"id": "unit", "support": [1], "values": [1.0]},
-            {"id": "f", "support": [1, 2], "values": [0.6, -1.3]},
-        ],
-    }))
+    graphon.write_text(json.dumps(W3_DOC))
     graph = tmp_path / "k4.json"
     graph.write_text(json.dumps({"n_vertices": 4, "edges": [
         {"u": u, "v": v, "psi": "unit" if (u + v) % 2 else "f", "multiplicity": 1 + (u * v) % 3}
@@ -220,6 +225,19 @@ def test_mc_deterministic_bytes(files, capsys):
     assert abs(doc["mean"] - 2.0) <= 5 * doc["stderr"]
 
 
+def test_mc_ignore_labels(files, capsys):
+    tail = ["--samples", "5000", "--seed", "3"]
+    labeled = ["mc", "--graphon", files["w2.json"], "--graph", files["labeled_edge.json"], *tail]
+    assert run(labeled) == 1
+    captured = capsys.readouterr()
+    assert "error[labeled-graph]" in captured.err and "--ignore-labels" in captured.err
+    assert captured.out == ""
+    assert run(labeled + ["--ignore-labels"]) == 0
+    ignored = out_of(capsys)
+    assert run(["mc", "--graphon", files["w2.json"], "--graph", files["edge.json"], *tail]) == 0
+    assert ignored == out_of(capsys)
+
+
 def test_carleman_graphon(files, capsys):
     assert run(["carleman", "--graphon", files["w2.json"], "--k", "1", "--terms", "50"]) == 0
     doc = json.loads(out_of(capsys))
@@ -232,6 +250,14 @@ def test_carleman_k_range(files, capsys):
     docs = json.loads(out_of(capsys))
     assert [d["k"] for d in docs] == [1, 2, 3]
     assert all(d["classification"] == "divergent" for d in docs)
+
+
+@pytest.mark.parametrize("kmax", ["0", "-1"])
+def test_carleman_kmax_below_one_refused(files, capsys, kmax):
+    assert run(["carleman", "--graphon", files["w2.json"], "--kmax", kmax]) == 1
+    captured = capsys.readouterr()
+    assert "error[bad-order]" in captured.err and "--kmax" in captured.err
+    assert captured.out == ""
 
 
 def test_carleman_moments_source(files, tmp_path, capsys):
@@ -387,3 +413,68 @@ def test_repeated_runs_byte_identical(files, capsys):
         first = out_of(capsys)
         assert run(argv) == 0
         assert out_of(capsys) == first
+
+
+def test_graphon_too_costly_exit_one(tmp_path, capsys):
+    q, S = 4000, 100
+    graphon = tmp_path / "wide.json"
+    graphon.write_text(json.dumps({
+        "masses": [1 / q] * q,
+        "blocks": [{"i": 0, "j": 1, "support": list(range(S)), "weights": [1.0] * S}],
+        "functionals": [],
+    }))
+    assert run(["validate", "--graphon", str(graphon)]) == 1
+    captured = capsys.readouterr()
+    assert "error[too-costly]" in captured.err and str(q * q * S) in captured.err
+    assert captured.out == ""
+
+
+JSON_COMMANDS = {
+    "mc": ["mc", "--graphon", "w2.json", "--graph", "edge.json", "--samples", "1000", "--seed", "5"],
+    "carleman-k": ["carleman", "--graphon", "w3.json", "--k", "2", "--terms", "5"],
+    "carleman-kmax": ["carleman", "--graphon", "w2.json", "--kmax", "3", "--terms", "4"],
+    "quotient": ["quotient", "--graphon", "w3.json", "--partition", "partition3.json"],
+    "twins": ["twins", "--graphon", "w3.json"],
+    "reduce": ["reduce", "--graphon", "w3.json"],
+    "anchor": ["anchor", "--graphon", "w3.json", "--anchors", "0,2"],
+    "liftcheck": ["liftcheck", "--graphon", "w2.json", "--graph", "double_edge.json",
+                  "--u", "0", "--v", "1", "--psi", "unit", "--kmax", "3"],
+    "momentpair": ["momentpair", "--support", "5", "--order", "3"],
+    "counterexample": ["counterexample", "--support", "5", "--order", "3"],
+}
+
+
+def resolve(files, argv: list[str]) -> list[str]:
+    return [files.get(a, a) for a in argv]
+
+
+@pytest.mark.parametrize("name", list(JSON_COMMANDS))
+def test_json_output_is_json_dumps_indent_2(files, capsys, name):
+    assert run(resolve(files, JSON_COMMANDS[name])) == 0
+    out = out_of(capsys)
+    assert out.endswith("}\n") or out.endswith("]\n")
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+#: sha256 of stdout, recorded before graphons were written straight from their arrays
+GRAPHON_OUTPUTS = {
+    "quotient-w2": (["quotient", "--graphon", "w2.json", "--partition", "partition.json"],
+                    "10ee8c8d0261a3a32d5dcc4d6115f84aea9c8975857ca698972e37fe751d4c6b"),
+    "reduce-w2": (["reduce", "--graphon", "w2.json"],
+                  "f2bc6032b4c3023bcc3961cc92abecea40876866cd33050d404842e1905f1c31"),
+    "anchor-w2": (["anchor", "--graphon", "w2.json", "--anchors", "0", "--psis", "unit"],
+                  "387cfcf9e5df0ef0103780ba6e44b6819931e9bd821704f3b7b1a925d9781608"),
+    "quotient-w3": (JSON_COMMANDS["quotient"],
+                    "64a3b6d7f54e14c0d7b20e40eff9b1e58f619573cdd696fa8a282e4b19894878"),
+    "reduce-w3": (JSON_COMMANDS["reduce"],
+                  "102236837f28b4a9c185df64ec29e0fd4a4f98bde3e3e76ea52d940100fae5d8"),
+    "anchor-w3": (JSON_COMMANDS["anchor"],
+                  "ab76dde5442178b722529bb5af464d5b2f2b782c61deebe5e8932cf3702f905d"),
+}
+
+
+@pytest.mark.parametrize("name", list(GRAPHON_OUTPUTS))
+def test_graphon_output_bytes_pinned(files, capsys, name):
+    argv, digest = GRAPHON_OUTPUTS[name]
+    assert run(resolve(files, argv)) == 0
+    assert hashlib.sha256(out_of(capsys).encode()).hexdigest() == digest

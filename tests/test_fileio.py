@@ -1,14 +1,18 @@
-"""Document formats: round trips, symmetric completion, diagnostics."""
+"""Document formats: round trips, symmetric completion, diagnostics, the writer."""
 import copy
 import json
+import math
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphonlab as gl
 from graphonlab import fileio
 from graphonlab.errors import ParseError, ValidationError
 
-from conftest import rand_graphon
+from conftest import rand_graphon, scalar_graphon
 
 import numpy as np
 
@@ -214,3 +218,129 @@ def test_serialize_writes_only_nonzero_weights():
         {"i": 0, "j": 1, "support": [4], "weights": [-2.0]},
         {"i": 1, "j": 1, "support": [], "weights": []},
     ]
+
+
+def test_dense_blocks_refused_before_allocating():
+    q, S = 4000, 100  # 12.8 GB of float64 weights
+    doc = {
+        "masses": [1 / q] * q,
+        "blocks": [{"i": 0, "j": q - 1, "support": list(range(S)), "weights": [1.0] * S}],
+        "functionals": [],
+    }
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as e:
+            fileio.parse_graphon(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert e.value.code == "too-costly"
+    assert str(q * q * S) in str(e.value)
+    assert peak < 1 << 20
+
+
+def test_dense_block_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(fileio, "MAX_CONTRACTION", 64)
+    doc = copy.deepcopy(W2_DOC)
+    doc["blocks"][0].update(support=list(range(1, 9)), weights=[1.0] * 8)
+    doc["blocks"][2].update(support=list(range(9, 17)), weights=[1.0] * 8)
+    assert fileio.parse_graphon(doc).weights.shape == (2, 2, 16)  # 64 weights
+    doc["blocks"][1]["support"] = [17]
+    with pytest.raises(ValidationError) as e:
+        fileio.parse_graphon(doc)
+    assert e.value.code == "too-costly" and "68 weights" in str(e.value)
+
+
+# -- the writer -------------------------------------------------------------------
+
+MAX = 1.7976931348623157e308
+#: where repr switches between fixed and exponent notation, and their neighbours
+SWITCH_POINTS = [
+    y
+    for x in (1e16, 1e-5, 1e-4, 1.0)
+    for y in (x, math.nextafter(x, 0.0), math.nextafter(x, math.inf))
+]
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+         1e-310, MAX, -MAX, *SWITCH_POINTS, *(-x for x in SWITCH_POINTS)]
+    ),
+)
+ESCAPES = '"\\/\b\f\n\r\t\x00\x1f\x7f\x80é€\u2028\ud800\U0001f600 a'
+STRINGS = st.one_of(st.text(), st.text(alphabet=st.sampled_from(ESCAPES)))
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-1, 1), FLOATS,
+    FLOATS.map(np.float64), STRINGS,
+)
+KEYS = st.one_of(STRINGS, st.integers(), FLOATS, st.booleans(), st.none())
+TREES = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.lists(FLOATS, min_size=1),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1),
+        st.lists(st.integers(), min_size=1),
+        st.dictionaries(KEYS, children),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(TREES)
+def test_dump_json_equals_json_dumps(doc):
+    assert fileio.dump_json(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize(
+    "doc", [object(), [1, {2}], {"a": np.int64(1)}, [np.bool_(True)], {(1, 2): 3}, {"a": {b"k": 1}}],
+    ids=["object", "set", "int64", "bool_", "tuple-key", "bytes-key"],
+)
+def test_dump_json_refuses_what_json_refuses(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError):
+        fileio.dump_json(doc)
+
+
+def overflowing_quotient() -> gl.StepGraphon:
+    """Every weight the largest double; the mass-weighted average rounds to inf."""
+    masses = (0.41391896417788415, 0.3947212968057879, 0.19135973901632777)
+    W = gl.StepGraphon.from_arrays(masses, [1], np.full((3, 3, 1), MAX))
+    with np.errstate(over="ignore"):
+        Q = gl.quotient(W, gl.Partition((0, 0, 0)))
+    assert math.isinf(Q.weights[0, 0, 0])
+    return Q
+
+
+def graphon_cases():
+    rng = np.random.default_rng(52)
+    unit = gl.unit_functional()
+    return {
+        "q1": gl.StepGraphon.from_arrays((1.0,), [7], [[[0.25]]], {unit.id: unit}),
+        "no-functionals": gl.StepGraphon.from_arrays((0.5, 0.5), [1, 2], np.ones((2, 2, 2))),
+        "all-zero": gl.StepGraphon.from_arrays((0.25, 0.75), np.zeros(0, int), np.zeros((2, 2, 0))),
+        "some-zero": gl.StepGraphon.from_arrays(
+            (0.5, 0.5), [1, 4], [[[1.0, 0.0], [0.0, -2.0]], [[0.0, -2.0], [0.0, 0.0]]]
+        ),
+        "one-point": scalar_graphon((0.2, 0.3, 0.5), [[1.0, -0.5, 0.0], [-0.5, 1e-300, 3.0], [0.0, 3.0, 1e16]]),
+        "wide-support": gl.StepGraphon.from_arrays(
+            (0.5, 0.5), [0, 2**62 + 1], [[[5e-324, 1.0], [-1e-5, 0.1]], [[-1e-5, 0.1], [MAX, 0.0]]]
+        ),
+        "overflowing-quotient": overflowing_quotient(),
+        **{f"random-q{q}": rand_graphon(rng, q) for q in (1, 2, 5, 9)},
+    }
+
+
+@pytest.mark.parametrize("name", list(graphon_cases()))
+def test_dump_json_writes_graphons_as_serialize_graphon(name):
+    W = graphon_cases()[name]
+    doc = fileio.serialize_graphon(W)
+    assert fileio.dump_json(W) == json.dumps(doc, indent=2)
+    anchored = {"anchors": [0], "functional_ids": ["unit"], "features": [[1.0], [2.5]]}
+    assert fileio.dump_json({**anchored, "graphon": W}) == json.dumps(
+        {**anchored, "graphon": doc}, indent=2
+    )
+    assert fileio.dump_json([[W], {"graphon": W}]) == json.dumps([[doc], {"graphon": doc}], indent=2)

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphonlab as gl
 from graphonlab.errors import ValidationError
+from graphonlab.stepgraphon import _fsum_or_inf, _prefix_sums
 
 from conftest import duplicate_class, rand_graphon, scalar_graphon
 
@@ -230,6 +233,34 @@ def test_carleman_overflowing_terms_are_infinite():
     rep = gl.carleman_report(gl.MomentSequence((1e-154,) * 13, "symbolic"), 2, 3)
     assert rep.classification == "divergent"
     assert rep.partial_sums == (1e-154**-2.0, math.inf, math.inf)
+
+
+MAX = 1.7976931348623157e308
+TERMS = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False),
+    st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 1e16, 2.0**969, 2.0**970, 1e308, MAX / 2, MAX, math.inf]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(TERMS, max_size=40))
+def test_prefix_sums_are_fsum_of_every_prefix(terms):
+    assert _prefix_sums(terms) == [_fsum_or_inf(terms[: n + 1]) for n in range(len(terms))]
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [math.inf] * 3,  # the terms of the 1e-200 graphon at k = 2
+        [1e-154**-2.0] * 3,  # the terms of the 1e-154 moments at k = 2: the sum overflows
+        [MAX, 2.0**970, 1.0],  # a tie that rounds to inf
+        [MAX, 2.0**969, 2.0**969],  # two quarter ulps make that tie
+        [1e16, 1.0, 1.0, 1.0],
+        [0.1] * 10 + [1e-20] * 5,
+    ],
+)
+def test_prefix_sums_edge_cases(terms):
+    assert _prefix_sums(terms) == [_fsum_or_inf(terms[: n + 1]) for n in range(len(terms))]
 
 
 def test_carleman_distribution_source():
