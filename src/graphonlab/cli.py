@@ -112,9 +112,7 @@ def _cmd_mc(args) -> str:
     W = fileio.load_graphon(args.graphon)
     F = fileio.load_graph(args.graph)
     _check_decorations(F, W)
-    est = mc_density(
-        F, W, args.samples, args.seed, workers=_workers(), ignore_labels=args.ignore_labels
-    )
+    est = mc_density(F, W, args.samples, args.seed, workers=_workers())
     return fileio.dump_json(
         {
             "mean": est.mean,
@@ -339,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--ignore-labels", action="store_true")
 
     p = add("pnorm", _cmd_pnorm, "p-norm of the graphon")
     p.add_argument("--graphon", required=True)

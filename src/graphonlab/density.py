@@ -72,8 +72,8 @@ def _kernels(F: DecoratedMultigraph, W: StepGraphon) -> dict[str, np.ndarray]:
 def _require_unlabeled(F: DecoratedMultigraph, ignore_labels: bool) -> DecoratedMultigraph:
     if F.labels and not ignore_labels:
         raise ValidationError(
-            "graph is labeled; drop its labels, or pass --ignore-labels "
-            "(ignore_labels=True in the library)",
+            "graph is labeled; drop the labels from the graph file, or pass "
+            "ignore_labels=True (density --ignore-labels)",
             code="labeled-graph",
         )
     if F.labels:

@@ -323,8 +323,9 @@ def dump_json(doc: Any) -> str:
     """``json.dumps(doc, indent=2)``, byte for byte.
 
     A :class:`StepGraphon` anywhere in ``doc`` is written as
-    ``serialize_graphon`` of it. Raises ``TypeError`` where ``json.dumps``
-    would; a document that contains itself exceeds the recursion limit.
+    ``serialize_graphon`` of it. Dict keys must be ``str``. Raises
+    ``TypeError`` where ``json.dumps`` would, and for a non-str key; a
+    document that contains itself exceeds the recursion limit.
     """
     out: list[str] = []
     _write(doc, 0, out)
@@ -339,17 +340,6 @@ def _float(x: float) -> str:
     if x == -math.inf:
         return "-Infinity"
     return float.__repr__(x)
-
-
-def _key(key: Any) -> str:
-    """A dict key as json converts it to a string, before quoting."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        text: list[str] = []
-        _write(key, 0, text)
-        return text[0]
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _write(x: Any, level: int, out: list[str]) -> None:
@@ -402,7 +392,7 @@ def _write_dict(doc: dict, level: int, out: list[str]) -> None:
     inner = "\n" + "  " * (level + 1)
     sep = "{" + inner
     for key, value in doc.items():
-        out.append(sep + _quote(_key(key)) + ": ")
+        out.append(sep + _quote(key) + ": ")  # a non-str key is a TypeError
         sep = "," + inner
         _write(value, level + 1, out)
     out.append("\n" + "  " * level + "}")

@@ -225,17 +225,14 @@ def test_mc_deterministic_bytes(files, capsys):
     assert abs(doc["mean"] - 2.0) <= 5 * doc["stderr"]
 
 
-def test_mc_ignore_labels(files, capsys):
-    tail = ["--samples", "5000", "--seed", "3"]
-    labeled = ["mc", "--graphon", files["w2.json"], "--graph", files["labeled_edge.json"], *tail]
-    assert run(labeled) == 1
+def test_mc_labeled_graph_refused(files, capsys):
+    argv = ["mc", "--graphon", files["w2.json"], "--graph", files["labeled_edge.json"],
+            "--samples", "5000", "--seed", "3"]
+    assert run(argv) == 1
     captured = capsys.readouterr()
-    assert "error[labeled-graph]" in captured.err and "--ignore-labels" in captured.err
+    assert "error[labeled-graph]" in captured.err
+    assert "drop the labels from the graph file" in captured.err
     assert captured.out == ""
-    assert run(labeled + ["--ignore-labels"]) == 0
-    ignored = out_of(capsys)
-    assert run(["mc", "--graphon", files["w2.json"], "--graph", files["edge.json"], *tail]) == 0
-    assert ignored == out_of(capsys)
 
 
 def test_carleman_graphon(files, capsys):

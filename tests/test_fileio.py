@@ -273,7 +273,6 @@ SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.integers(-1, 1), FLOATS,
     FLOATS.map(np.float64), STRINGS,
 )
-KEYS = st.one_of(STRINGS, st.integers(), FLOATS, st.booleans(), st.none())
 TREES = st.recursive(
     SCALARS,
     lambda children: st.one_of(
@@ -282,7 +281,7 @@ TREES = st.recursive(
         st.lists(FLOATS, min_size=1),
         st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1),
         st.lists(st.integers(), min_size=1),
-        st.dictionaries(KEYS, children),
+        st.dictionaries(STRINGS, children),
     ),
     max_leaves=40,
 )
@@ -303,6 +302,12 @@ def test_dump_json_refuses_what_json_refuses(doc):
         json.dumps(doc, indent=2)
     with pytest.raises(TypeError):
         fileio.dump_json(doc)
+
+
+@pytest.mark.parametrize("key", [1, 1.5, True, None])
+def test_dump_json_refuses_non_str_keys(key):
+    with pytest.raises(TypeError):
+        fileio.dump_json({key: 1})
 
 
 def overflowing_quotient() -> gl.StepGraphon:
