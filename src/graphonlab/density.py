@@ -48,8 +48,10 @@ MAX_CONTRACTION = 1 << 26
 #: this many vertices whatever q is
 MAX_BUCKET_VERTICES = 52
 
-#: Monte Carlo samples are drawn and evaluated this many rows at a time
-MC_CHUNK = 1 << 15
+#: Monte Carlo samples are drawn and evaluated about this many class draws
+#: at a time: ``max(1, MC_CHUNK // n)`` samples of an n-vertex graph, so each
+#: chunk array holds about 0.5 MB whatever the graph
+MC_CHUNK = 1 << 16
 
 #: a label-to-class pinning for marginal evaluation
 Anchoring = Mapping[int, int]
@@ -306,10 +308,15 @@ def mc_density(
     ``pi / sum(pi)``, by inverse CDF, and evaluates the edge product; the
     classes are those ``Generator.choice`` would draw. Sample blocks are
     drawn from independent substreams spawned off the seed, one per worker,
-    and reduced in worker order, so the estimate is a pure function of
-    (seed, workers). Each substream is drawn in chunks of :data:`MC_CHUNK`
-    rows; the generator fills them in row order, so the samples do not
-    depend on the chunk size.
+    and reduced in worker order, one after another, so the estimate is a
+    pure function of (seed, workers). Each substream is drawn in chunks of
+    about :data:`MC_CHUNK` class draws; the generator fills them in sample
+    order, so the samples do not depend on the chunk size.
+
+    Memory is one float64 per sample plus one chunk: the variance is
+    computed inside the sample vector with the operations ``np.std``
+    performs (subtract the mean, square, ``np.add.reduce``), so the
+    standard error has the same bytes without a second vector.
 
     Raises ``ValidationError(code="too-costly")``, before allocating, when
     the sample vector would hold more than :data:`MAX_CONTRACTION` values,
@@ -344,14 +351,15 @@ def mc_density(
 
     shares = [samples // workers + (1 if w < samples % workers else 0) for w in range(workers)]
     streams = np.random.SeedSequence(seed).spawn(workers)
+    rows_per_chunk = max(1, MC_CHUNK // max(1, F.n_vertices))
     vals = np.empty(samples)
     pos = 0
     for w, share in enumerate(shares):
         if share == 0:
             continue
         rng = np.random.default_rng(streams[w])
-        for start in range(0, share, MC_CHUNK):
-            rows = min(MC_CHUNK, share - start)
+        for start in range(0, share, rows_per_chunk):
+            rows = min(rows_per_chunk, share - start)
             cls = sampler.draw(rng, rows, F.n_vertices)
             out = vals[pos : pos + rows]
             out.fill(1.0)
@@ -359,9 +367,13 @@ def mc_density(
                 entries = flat[psi][cls[u] * q + cls[v]]
                 out *= entries if mult == 1 else entries**mult
             pos += rows
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return MCEstimate(mean, stderr, samples, seed)
+    mean = np.mean(vals)
+    stderr = 0.0
+    if samples > 1:  # np.std(vals, ddof=1), step for step, without a second vector
+        vals -= mean
+        np.square(vals, out=vals)
+        stderr = math.sqrt(np.add.reduce(vals) / (samples - 1)) / math.sqrt(samples)
+    return MCEstimate(float(mean), stderr, samples, seed)
 
 
 # -- labeled product identity ----------------------------------------------------

@@ -174,6 +174,13 @@ def _block_records_checked(records: list, q: int) -> tuple[np.ndarray, np.ndarra
         if key in cells:
             raise ParseError(f"{path}: duplicate block for classes {key}")
         cells[key] = parse_measure(rec, path)
+    # before block_arrays builds the q x q matrix of measures
+    top = max((b.support[-1] for b in cells.values() if b.support), default=0)
+    if top > np.iinfo(np.int64).max:
+        raise ValidationError(
+            f"graphon.blocks: measure: support point {top} does not fit in 64 bits",
+            code="bad-measure",
+        )
     return _wrap_validation(
         lambda: block_arrays(
             tuple(

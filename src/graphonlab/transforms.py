@@ -75,6 +75,9 @@ def quotient(W: StepGraphon, P: Partition) -> StepGraphon:
     class has share exactly 1.0, so singleton-to-singleton blocks come
     out bit-for-bit unchanged and quotients by the identity (and by any
     discrete refinement) are exact.
+
+    Raises ``ValidationError(code="bad-measure")`` when a merged block's
+    weights overflow to a non-finite value.
     """
     if len(P.class_of) != W.q:
         raise ValidationError(
@@ -89,13 +92,22 @@ def quotient(W: StepGraphon, P: Partition) -> StepGraphon:
     masses = tuple(math.fsum(m[g].tolist()) for g in groups)
 
     share = (m / np.asarray(masses)[class_of])[order]
-    rows = W.weights[order]
-    rows *= share[:, None, None]
-    rows = np.add.reduceat(rows, starts, axis=0)[:, order]
-    rows *= share[None, :, None]
-    Q = np.add.reduceat(rows, starts, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        rows = W.weights[order]
+        rows *= share[:, None, None]
+        rows = np.add.reduceat(rows, starts, axis=0)[:, order]
+        rows *= share[None, :, None]
+        Q = np.add.reduceat(rows, starts, axis=1)
     lower = np.tril_indices(P.n_classes, -1)
     Q[lower] = Q[lower[1], lower[0]]  # exact symmetry: mirror the upper triangle
+    overflow = np.argwhere(~np.isfinite(Q).all(axis=2))
+    if overflow.size:
+        a, b = overflow[0]  # row-major on a symmetric mask, so a <= b
+        raise ValidationError(
+            f"quotient block ({a}, {b}) merges classes {groups[a].tolist()} with "
+            f"{groups[b].tolist()}; its weights overflow the double range",
+            code="bad-measure",
+        )
 
     keep = Q.any(axis=(0, 1))  # drop points every merged block cancelled
     return StepGraphon.from_arrays(

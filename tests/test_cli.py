@@ -132,6 +132,33 @@ def fresh_process(argv: list[str]) -> tuple[int, str, str]:
     return proc.returncode, proc.stdout, proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quotient", "--partition", "merge3.json"],
+        ["reduce", "--tol", "inf"],
+        ["anchor", "--anchors", "0", "--psis", ""],
+    ],
+    ids=["quotient", "reduce", "anchor"],
+)
+def test_overflowing_quotient_exit_one(tmp_path, argv):
+    doc = {
+        "masses": [0.3954619895429785, 0.5930180594914136, 0.011519950965607978],
+        "blocks": [
+            {"i": i, "j": j, "support": [1], "weights": [1.7976931348623157e308]}
+            for i in range(3) for j in range(i, 3)
+        ],
+        "functionals": [],
+    }
+    (tmp_path / "big.json").write_text(json.dumps(doc))
+    (tmp_path / "merge3.json").write_text(json.dumps({"class_of": [0, 0, 0]}))
+    argv = [arg if not arg.endswith(".json") else str(tmp_path / arg) for arg in argv]
+    code, out, err = fresh_process([argv[0], "--graphon", str(tmp_path / "big.json"), *argv[1:]])
+    assert (code, out) == (1, "")
+    assert err.startswith("error[bad-measure]: quotient block (0, 0) merges classes [0, 1, 2]")
+    assert "Warning" not in err and err.count("\n") == 1
+
+
 def in_process(argv: list[str], capsys) -> tuple[int, str, str]:
     try:
         code = run(argv)

@@ -364,8 +364,18 @@ MC_BYTES = [
 ]
 
 
-@pytest.mark.parametrize("chunk", [1000, density_module.MC_CHUNK])
-@pytest.mark.parametrize("seed, workers, mean, stderr", MC_BYTES)
+#: chunk sizes in class draws, on the 4-vertex graph below: 1 and 7 draw one
+#: sample per chunk (fewer draws than vertices, and not a multiple of them),
+#: 2^20 holds every sample of a substream; one-sample chunks loop 70,001 times
+#: in Python, so they run on the first seed only, with 1 and 3 workers
+MC_CHUNK_CASES = [
+    (*row, chunk)
+    for chunk in (1000, 32768, density_module.MC_CHUNK, 1 << 20)
+    for row in MC_BYTES
+] + [(*row, chunk) for chunk in (1, 7) for row in MC_BYTES[:2]]
+
+
+@pytest.mark.parametrize("seed, workers, mean, stderr, chunk", MC_CHUNK_CASES)
 def test_mc_output_bytes_pinned(monkeypatch, chunk, seed, workers, mean, stderr):
     monkeypatch.setattr(density_module, "MC_CHUNK", chunk)
     W = scalar_graphon((0.2, 0.3, 0.5), [[1.0, -2.0, 0.5], [-2.0, 3.0, 1.5], [0.5, 1.5, -0.25]])
@@ -374,6 +384,20 @@ def test_mc_output_bytes_pinned(monkeypatch, chunk, seed, workers, mean, stderr)
     )
     est = gl.mc_density(F, W, samples=70_001, seed=seed, workers=workers)
     assert (est.mean.hex(), est.stderr.hex()) == (mean, stderr)
+
+
+def test_mc_memory_is_one_value_per_sample_plus_a_chunk():
+    rng = np.random.default_rng(8)
+    W = rand_graphon(rng, 8)
+    samples = 10**6
+    tracemalloc.start()
+    try:
+        est = gl.mc_density(gl.cycle_graph(7), W, samples=samples, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(est.mean) and est.stderr > 0
+    assert peak <= 8 * samples + (2 << 20)
 
 
 def _skewed(q: int) -> np.ndarray:
@@ -398,7 +422,7 @@ SAMPLER_MASSES = {
 }
 
 
-@pytest.mark.parametrize("chunk", [1000, density_module.MC_CHUNK])
+@pytest.mark.parametrize("chunk", [1000, 32768])
 @pytest.mark.parametrize("seed", [0, 1, 12345])
 @pytest.mark.parametrize("name", sorted(SAMPLER_MASSES))
 def test_class_sampler_matches_choice(name, seed, chunk):

@@ -209,6 +209,25 @@ def test_support_point_beyond_64_bits_is_a_coded_error():
     assert "64 bits" in str(e.value)
 
 
+def test_support_point_beyond_64_bits_refused_before_the_block_matrix():
+    q = 4000
+    doc = {
+        "masses": [1 / q] * q,
+        "blocks": [{"i": 0, "j": 1, "support": [3, 2**64], "weights": [1.0, 2.0]}],
+        "functionals": [],
+    }
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as e:
+            fileio.parse_graphon(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert e.value.code == "bad-measure"
+    assert str(e.value) == f"graphon.blocks: measure: support point {2**64} does not fit in 64 bits"
+    assert peak < 1 << 20
+
+
 def test_serialize_writes_only_nonzero_weights():
     W = gl.StepGraphon.from_arrays(
         (0.5, 0.5), [1, 4], [[[1.0, 0.0], [0.0, -2.0]], [[0.0, -2.0], [0.0, 0.0]]]
@@ -310,16 +329,6 @@ def test_dump_json_refuses_non_str_keys(key):
         fileio.dump_json({key: 1})
 
 
-def overflowing_quotient() -> gl.StepGraphon:
-    """Every weight the largest double; the mass-weighted average rounds to inf."""
-    masses = (0.41391896417788415, 0.3947212968057879, 0.19135973901632777)
-    W = gl.StepGraphon.from_arrays(masses, [1], np.full((3, 3, 1), MAX))
-    with np.errstate(over="ignore"):
-        Q = gl.quotient(W, gl.Partition((0, 0, 0)))
-    assert math.isinf(Q.weights[0, 0, 0])
-    return Q
-
-
 def graphon_cases():
     rng = np.random.default_rng(52)
     unit = gl.unit_functional()
@@ -334,7 +343,7 @@ def graphon_cases():
         "wide-support": gl.StepGraphon.from_arrays(
             (0.5, 0.5), [0, 2**62 + 1], [[[5e-324, 1.0], [-1e-5, 0.1]], [[-1e-5, 0.1], [MAX, 0.0]]]
         ),
-        "overflowing-quotient": overflowing_quotient(),
+        "infinite-weight": gl.StepGraphon.from_arrays((1.0,), [1], [[[math.inf]]]),
         **{f"random-q{q}": rand_graphon(rng, q) for q in (1, 2, 5, 9)},
     }
 

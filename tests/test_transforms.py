@@ -129,6 +129,40 @@ def test_quotient_cancels_opposite_blocks_exactly(m, class_of):
     assert Q.support.tolist() == [3]  # points cancelled everywhere leave the support
 
 
+#: masses whose merged average of the largest double rounds past it
+OVERFLOW_MASSES = (0.3954619895429785, 0.5930180594914136, 0.011519950965607978)
+
+
+@pytest.mark.parametrize(
+    "transform",
+    [
+        lambda W: gl.quotient(W, gl.Partition((0, 0, 0))),
+        lambda W: gl.twin_reduce(W, math.inf),
+        lambda W: gl.anchored_graphon(W, [0], []),
+    ],
+    ids=["quotient", "reduce", "anchor"],
+)
+def test_quotient_refuses_overflowing_weights(transform):
+    W = gl.StepGraphon.from_arrays(
+        OVERFLOW_MASSES, [1], np.full((3, 3, 1), 1.7976931348623157e308)
+    )
+    with pytest.raises(ValidationError) as e:
+        transform(W)  # and no RuntimeWarning: pytest turns it into an error
+    assert e.value.code == "bad-measure"
+    assert "(0, 0) merges classes [0, 1, 2] with [0, 1, 2]" in str(e.value)
+
+
+def test_quotient_names_the_overflowing_merged_block():
+    big = 1.7976931348623157e308
+    weights = np.array([[big, 1.0, big], [1.0, 2.0, 3.0], [big, 3.0, big]])[:, :, None]
+    masses = (0.30331788788358993, 0.33193383162441087, 0.3647482804919992)
+    W = gl.StepGraphon.from_arrays(masses, [1], weights)
+    with pytest.raises(ValidationError) as e:
+        gl.quotient(W, gl.Partition((1, 0, 1)))
+    assert "block (1, 1) merges classes [0, 2] with [0, 2]" in str(e.value)
+    assert gl.quotient(W, gl.Partition((0, 1, 2))).weights.tolist() == weights.tolist()
+
+
 def test_twin_partition_groups_identical_rows():
     rng = np.random.default_rng(22)
     W = duplicate_class(rand_graphon(rng, 3), rng, target=1)
