@@ -1,7 +1,6 @@
 """Densities, transforms and moment diagnostics for measure-valued step graphons."""
 
 from .density import (
-    Anchoring,
     MCEstimate,
     density,
     density_dp,
@@ -16,11 +15,9 @@ from .graphs import (
     add_path,
     cycle_graph,
     edge_graph,
-    empty_graph,
     path_graph,
     product,
     relabel,
-    single_vertex,
     star_graph,
 )
 from .measures import (
@@ -28,14 +25,7 @@ from .measures import (
     FiniteMeasure,
     MomentSequence,
     TestFunctional,
-    measure_combine,
     moment,
-    moments_of_distribution,
-    pair,
-    point_mass,
-    scalar_measure,
-    tv_distance,
-    tv_norm,
     unit_functional,
 )
 from .momentlab import (
@@ -45,7 +35,6 @@ from .momentlab import (
     matched_pair,
     rank1_density,
     rank1_graphon,
-    standard_suite,
 )
 from .spectral import EigenSystem, LiftCheckReport, eigendecomp, lift_check, path_kernel
 from .stepgraphon import (
@@ -60,8 +49,6 @@ from .transforms import (
     FeatureMap,
     Partition,
     anchored_graphon,
-    feature_map,
-    identity_partition,
     quotient,
     regularity_check,
     sample_anchors,

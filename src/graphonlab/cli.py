@@ -13,7 +13,8 @@ import os
 import sys
 
 from . import fileio
-from .density import density, density_dp, marginal, mc_density, product_identity_residual
+from .density import MAX_CONTRACTION, density, density_dp, marginal, mc_density
+from .density import product_identity_residual
 from .errors import GraphonlabError, ParseError, ValidationError
 from .momentlab import counterexample_report, matched_pair
 from .spectral import eigendecomp, lift_check, path_kernel
@@ -148,9 +149,18 @@ def _cmd_carleman(args) -> str:
         if args.graphon
         else fileio.load_moments(args.moments)
     )
+    if args.kmax is not None and args.kmax < 1:
+        raise ValidationError("carleman --kmax must be >= 1", code="bad-order")
+    if args.graphon:
+        # one p-norm over the q x q blocks per term and order
+        entries = args.terms * (args.kmax or 1) * source.q**2
+        if entries > MAX_CONTRACTION:
+            raise ValidationError(
+                f"carleman: {args.terms} terms at {args.kmax or 1} orders over q={source.q} "
+                f"take {entries} block norms; the limit is {MAX_CONTRACTION} elements",
+                code="too-costly",
+            )
     if args.kmax is not None:
-        if args.kmax < 1:
-            raise ValidationError("carleman --kmax must be >= 1", code="bad-order")
         docs = [_carleman_doc(source, k, args.terms) for k in range(1, args.kmax + 1)]
         return fileio.dump_json(docs)
     return fileio.dump_json(_carleman_doc(source, args.k, args.terms))
@@ -250,7 +260,7 @@ def _cmd_liftcheck(args) -> str:
 
 
 def _cmd_momentpair(args) -> str:
-    pair = matched_pair(args.support, args.order, args.seed)
+    pair = matched_pair(args.support, args.order)
     return fileio.dump_json(fileio.serialize_matched_pair(pair))
 
 
@@ -295,7 +305,7 @@ def _cmd_validate(args) -> str:
     return "ok"
 
 
-#: the matched pair is deterministic; matched_pair ignores its seed
+#: the matched pair is deterministic; --seed is accepted and not used
 SEED_HELP = "accepted for symmetry with the sampling commands; does not affect the matched pair"
 
 

@@ -37,9 +37,9 @@ import numpy as np
 from .density import MAX_CONTRACTION
 from .errors import ParseError, ValidationError
 from .graphs import DecoratedMultigraph
-from .measures import FiniteMeasure, MomentSequence, TestFunctional, ZERO_MEASURE
+from .measures import MomentSequence, TestFunctional, check_measure
 from .momentlab import MatchedPair
-from .stepgraphon import StepGraphon, block_arrays, validate_graphon
+from .stepgraphon import StepGraphon, validate_graphon
 from .transforms import Partition
 
 
@@ -51,10 +51,6 @@ def _get(obj: Any, key: str, kind, path: str, *, optional: bool = False, default
             return default
         raise ParseError(f"{path}: missing field {key!r}")
     val = obj[key]
-    if kind is float:
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ParseError(f"{path}.{key}: expected a number")
-        return float(val)
     if kind is int:
         if not isinstance(val, int) or isinstance(val, bool):
             raise ParseError(f"{path}.{key}: expected an integer")
@@ -75,7 +71,10 @@ def _number_list(obj: Any, key: str, path: str, *, integer: bool = False) -> lis
                 raise ParseError(f"{path}.{key}[{n}]: expected an integer")
             out.append(x)
         else:
-            out.append(float(x))
+            try:
+                out.append(float(x))
+            except OverflowError:
+                raise ParseError(f"{path}.{key}[{n}]: number beyond the double range") from None
     return out
 
 
@@ -89,21 +88,15 @@ def _wrap_validation(fn, path: str):
 # -- graphons -------------------------------------------------------------------
 
 
-def parse_measure(obj: Any, path: str) -> FiniteMeasure:
-    support = _number_list(obj, "support", path, integer=True)
-    weights = _number_list(obj, "weights", path)
-    return _wrap_validation(lambda: FiniteMeasure(tuple(support), tuple(weights)), path)
-
-
 def _block_records_bulk(records: list, q: int) -> tuple[np.ndarray, np.ndarray] | None:
     """``(support, weights)`` of the block records, checked in bulk.
 
-    Applies every check of the record-by-record parse to whole columns of
-    the document. Returns None as soon as some record fails one, or is of
-    a shape it does not vouch for; :func:`_block_records_checked` then
-    parses record by record and raises the first error in document order.
-    Blocks that would hold more than :data:`MAX_CONTRACTION` weights are
-    refused as ``too-costly`` before they are allocated.
+    Applies every check of :func:`_raise_first_block_error` to whole
+    columns of the document. Returns None as soon as some record fails
+    one, or is of a shape it does not vouch for; the locator then finds
+    the first error in document order. Blocks that would hold more than
+    :data:`MAX_CONTRACTION` weights are refused as ``too-costly`` before
+    they are allocated.
     """
     n = len(records)
     if not set(map(type, records)) <= {dict}:
@@ -161,9 +154,15 @@ def _block_records_bulk(records: list, q: int) -> tuple[np.ndarray, np.ndarray] 
     return support, weights.reshape(q, q, len(support))
 
 
-def _block_records_checked(records: list, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(support, weights)`` of the block records, parsed one by one."""
-    cells: dict[tuple[int, int], FiniteMeasure] = {}
+def _raise_first_block_error(records: list, q: int) -> None:
+    """Raise the error of the first bad block record, in document order.
+
+    Runs when :func:`_block_records_bulk` refuses the records, and checks
+    them one at a time without building any block. A support point beyond
+    64 bits is reported only once every record has passed.
+    """
+    seen = set()
+    top = 0
     for n, rec in enumerate(records):
         path = f"graphon.blocks[{n}]"
         i = _get(rec, "i", int, path)
@@ -171,31 +170,29 @@ def _block_records_checked(records: list, q: int) -> tuple[np.ndarray, np.ndarra
         if not (0 <= i < q and 0 <= j < q):
             raise ParseError(f"{path}: class index out of range for q={q}")
         key = (min(i, j), max(i, j))
-        if key in cells:
+        if key in seen:
             raise ParseError(f"{path}: duplicate block for classes {key}")
-        cells[key] = parse_measure(rec, path)
-    # before block_arrays builds the q x q matrix of measures
-    top = max((b.support[-1] for b in cells.values() if b.support), default=0)
+        seen.add(key)
+        support = _number_list(rec, "support", path, integer=True)
+        weights = _number_list(rec, "weights", path)
+        _wrap_validation(lambda: check_measure(support, weights), path)
+        if support:
+            top = max(top, support[-1])
     if top > np.iinfo(np.int64).max:
         raise ValidationError(
             f"graphon.blocks: measure: support point {top} does not fit in 64 bits",
             code="bad-measure",
         )
-    return _wrap_validation(
-        lambda: block_arrays(
-            tuple(
-                tuple(cells.get((min(i, j), max(i, j)), ZERO_MEASURE) for j in range(q))
-                for i in range(q)
-            )
-        ),
-        "graphon.blocks",
-    )
+    raise AssertionError("the bulk block checks refused valid records")
 
 
 def parse_graphon(doc: Any) -> StepGraphon:
     masses = _number_list(doc, "masses", "graphon")
     records, q = _get(doc, "blocks", list, "graphon"), len(masses)
-    support, weights = _block_records_bulk(records, q) or _block_records_checked(records, q)
+    blocks = _block_records_bulk(records, q)
+    if blocks is None:
+        _raise_first_block_error(records, q)
+    support, weights = blocks
     functionals: dict[str, TestFunctional] = {}
     for n, rec in enumerate(_get(doc, "functionals", list, "graphon", optional=True, default=[])):
         path = f"graphon.functionals[{n}]"
@@ -207,7 +204,7 @@ def parse_graphon(doc: Any) -> StepGraphon:
         functionals[fid] = _wrap_validation(
             lambda: TestFunctional(fid, tuple(support_f), tuple(values)), path
         )
-    W = StepGraphon.from_arrays(masses, support, weights, functionals)
+    W = StepGraphon(masses, support, weights, functionals)
     validate_graphon(W)
     return W
 
@@ -306,7 +303,7 @@ def _load_json(path: str) -> Any:
             return json.load(fh)
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON, bad UTF-8, or an integer of over 4300 digits
         raise ParseError(f"{path} is not valid JSON: {e}") from None
 
 

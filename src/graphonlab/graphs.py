@@ -97,14 +97,6 @@ class DecoratedMultigraph:
 # -- constructors -------------------------------------------------------------
 
 
-def empty_graph() -> DecoratedMultigraph:
-    return DecoratedMultigraph(0)
-
-
-def single_vertex() -> DecoratedMultigraph:
-    return DecoratedMultigraph(1)
-
-
 def edge_graph(psi_id: str = "unit", multiplicity: int = 1) -> DecoratedMultigraph:
     return DecoratedMultigraph(2, ((0, 1, psi_id, multiplicity),))
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ValidationError
 
@@ -68,6 +68,22 @@ class TestFunctional:
         return self._table.get(k, 0.0)
 
 
+def check_measure(support: Sequence[int], weights: Sequence[float]) -> None:
+    """Raise ``bad-measure`` unless support and weights make a :class:`FiniteMeasure`."""
+    _validate_support(support, "measure")
+    if len(weights) != len(support):
+        raise ValidationError(
+            "measure: weights and support lengths differ", code="bad-measure"
+        )
+    for w in weights:
+        if not math.isfinite(w):
+            raise ValidationError("measure: weights must be finite", code="bad-measure")
+        if w == 0.0:
+            raise ValidationError(
+                "measure: zero weights must not be stored", code="bad-measure"
+            )
+
+
 @dataclass(frozen=True)
 class FiniteMeasure:
     """A finitely supported signed measure on the nonnegative integers.
@@ -82,18 +98,7 @@ class FiniteMeasure:
     def __post_init__(self):
         object.__setattr__(self, "support", tuple(self.support))
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        _validate_support(self.support, "measure")
-        if len(self.weights) != len(self.support):
-            raise ValidationError(
-                "measure: weights and support lengths differ", code="bad-measure"
-            )
-        for w in self.weights:
-            if not math.isfinite(w):
-                raise ValidationError("measure: weights must be finite", code="bad-measure")
-            if w == 0.0:
-                raise ValidationError(
-                    "measure: zero weights must not be stored", code="bad-measure"
-                )
+        check_measure(self.support, self.weights)
 
     def __call__(self, k: int) -> float:
         return self._table.get(k, 0.0)
@@ -115,11 +120,6 @@ def point_mass(k: int, weight: float = 1.0) -> FiniteMeasure:
     if weight == 0.0:
         return ZERO_MEASURE
     return FiniteMeasure((k,), (weight,))
-
-
-def scalar_measure(r: float) -> FiniteMeasure:
-    """Embed the real number ``r`` as ``r * delta_1``."""
-    return point_mass(1, r)
 
 
 def unit_functional() -> TestFunctional:
@@ -244,8 +244,3 @@ class MomentSequence:
             )
         return m ** (1.0 / p)
 
-
-def moments_of_distribution(dist: Iterable[float], max_order: int) -> MomentSequence:
-    """Raw moments of a probability vector up to ``max_order``."""
-    p = list(dist)
-    return MomentSequence(tuple(moment(p, r) for r in range(max_order + 1)), "distribution")

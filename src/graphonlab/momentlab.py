@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .density import density
 from .errors import ValidationError
 from .graphs import (
@@ -21,13 +23,11 @@ from .graphs import (
     path_graph,
     star_graph,
 )
-from .measures import (
-    DEFAULT_FUNCTIONAL_ID,
-    moment,
-    point_mass,
-    unit_functional,
-)
+from .measures import DEFAULT_FUNCTIONAL_ID, moment, unit_functional
 from .stepgraphon import StepGraphon
+
+# bench/tracing.py counts calls through this name; nothing here calls it
+from .measures import point_mass  # noqa: F401
 
 MOMENT_MATCH_TOL = 1e-10
 WITNESS_GAP_MIN = 1e-8
@@ -82,15 +82,13 @@ def _difference_stencil(order: int, length: int) -> tuple[float, ...]:
     return tuple(z)
 
 
-def matched_pair(N: int, D: int, seed: int | None = None) -> MatchedPair:
+def matched_pair(N: int, D: int) -> MatchedPair:
     """Deterministic moment-matched pair on {0..N} to order D.
 
     The annihilating direction is the (D+1)-th finite-difference stencil at
     positions 0..D+1 (zero-padded), which kills every moment of order at
     most D; around the uniform vector the largest admissible step in that
-    direction is taken on both sides. The construction is deterministic;
-    ``seed`` is accepted for interface symmetry with the sampling entry
-    points and does not influence the result.
+    direction is taken on both sides.
     """
     if N < D + 1:
         raise ValidationError(
@@ -115,7 +113,8 @@ def rank1_graphon(dist) -> StepGraphon:
 
     Support points with positive mass become classes; the block between
     classes with values k and k' is the scalar k*k' embedded at point 1,
-    so every density can be read off with the canonical functional.
+    so every density can be read off with the canonical functional. The
+    support is empty when every product is 0 (the lone class k = 0).
     """
     dist = [float(x) for x in dist]
     points = [k for k, x in enumerate(dist) if x > 0.0]
@@ -124,11 +123,10 @@ def rank1_graphon(dist) -> StepGraphon:
     if not points:
         raise ValidationError("distribution has empty support", code="empty-support")
     masses = tuple(dist[k] for k in points)
-    blocks = tuple(
-        tuple(point_mass(1, float(a * b)) for b in points) for a in points
-    )
+    weights = np.outer(points, points).astype(np.float64)[:, :, None]
+    support = [1] if weights.any() else []
     unit = unit_functional()
-    return StepGraphon(masses, blocks, {unit.id: unit})
+    return StepGraphon(masses, support, weights[:, :, : len(support)], {unit.id: unit})
 
 
 def rank1_density(F: DecoratedMultigraph, dist) -> float:
@@ -189,9 +187,11 @@ def counterexample_report(
 
     Graphs of maximum degree at most D must come out with equal densities;
     the designated witness (the first suite graph with a vertex of degree
-    exactly D+1) exhibits the gap. Degrees beyond D+1 are rejected.
+    exactly D+1) exhibits the gap. Degrees beyond D+1 are rejected. The
+    report is deterministic: ``seed`` is accepted for the CLI's ``--seed``
+    and does not influence it.
     """
-    pair = matched_pair(N, D, seed)
+    pair = matched_pair(N, D)
     if graph_suite is None:
         low, witness = standard_suite(D)
         graph_suite = low + [witness]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .density import eliminate
+from .density import MAX_CONTRACTION, eliminate
 from .graphs import DecoratedMultigraph, add_path, remove_one_edge
 from .stepgraphon import StepGraphon, kernel_matrix
 
@@ -65,9 +65,18 @@ def path_kernel(W: StepGraphon, psi_id: str, k: int) -> np.ndarray:
     of the k-edge psi-path with its endpoints pinned to classes i and j.
 
     Computed as ``K (Pi K)^(k-1)``; ``k == 1`` returns the kernel itself.
+    Refused as ``too-costly`` when the k - 1 products would make more than
+    :data:`MAX_CONTRACTION` entries in all.
     """
     if k < 1:
         raise ValidationError("path length must be >= 1", code="bad-order")
+    entries = (k - 1) * W.q**2
+    if entries > MAX_CONTRACTION:
+        raise ValidationError(
+            f"path kernel of length {k} takes {k - 1} products of {W.q} x {W.q} matrices, "
+            f"{entries} entries; the limit is {MAX_CONTRACTION} elements",
+            code="too-costly",
+        )
     K = kernel_matrix(W, psi_id)
     pi = np.asarray(W.masses)
     P = K.copy()

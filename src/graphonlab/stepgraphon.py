@@ -44,60 +44,21 @@ DIVERGENT_SLOPE = 1e-6
 CONVERGENT_RATIO = 0.99
 
 
-def block_arrays(
-    blocks: tuple[tuple[FiniteMeasure, ...], ...],
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(support, weights)`` of a square matrix of measures.
-
-    A matrix that is not square gives empty arrays of shape ``(0, 0, 0)``,
-    which :func:`validate_graphon` rejects as ``bad-shape``.
-    """
-    n = len(blocks)
-    if any(len(row) != n for row in blocks):
-        return np.zeros(0, dtype=np.int64), np.zeros((0, 0, 0))
-    points = sorted({k for row in blocks for b in row for k in b.support})
-    if points and points[-1] > np.iinfo(np.int64).max:
-        raise ValidationError(
-            f"measure: support point {points[-1]} does not fit in 64 bits",
-            code="bad-measure",
-        )
-    column = {k: s for s, k in enumerate(points)}
-    weights = np.zeros((n, n, len(points)))
-    for i, row in enumerate(blocks):
-        for j, b in enumerate(row):
-            weights[i, j, [column[k] for k in b.support]] = b.weights
-    return np.array(points, dtype=np.int64), weights
-
-
 class StepGraphon:
     """Masses, symmetric measure blocks, and the functional dictionary.
 
-    ``StepGraphon(masses, blocks, functionals)`` takes the blocks as a
-    q x q matrix of :class:`FiniteMeasure`; :meth:`from_arrays` takes the
-    support and weight arrays. Construction does not validate; call
+    ``StepGraphon(masses, support, weights, functionals)`` keeps the given
+    arrays and makes them read-only. Construction does not validate; call
     :func:`validate_graphon` (file loading always does).
     """
 
-    def __init__(self, masses, blocks, functionals: dict[str, TestFunctional] | None = None):
-        rows = tuple(tuple(row) for row in blocks)
-        self._hold(masses, *block_arrays(rows), functionals)
-        self._blocks = rows
-
-    @classmethod
-    def from_arrays(
-        cls,
+    def __init__(
+        self,
         masses,
         support: np.ndarray,
         weights: np.ndarray,
         functionals: dict[str, TestFunctional] | None = None,
-    ) -> "StepGraphon":
-        """Graphon over the given arrays, which it keeps and makes read-only."""
-        W = cls.__new__(cls)
-        W._hold(masses, support, weights, functionals)
-        W._blocks = None
-        return W
-
-    def _hold(self, masses, support, weights, functionals) -> None:
+    ):
         self.masses = tuple(float(m) for m in masses)
         self.support = np.asarray(support, dtype=np.int64)
         self.weights = np.asarray(weights, dtype=np.float64)
@@ -109,22 +70,17 @@ class StepGraphon:
     def q(self) -> int:
         return len(self.masses)
 
-    @property
+    @cached_property
     def blocks(self) -> tuple[tuple[FiniteMeasure, ...], ...]:
         """Block (i, j) as an exact measure, zero weights dropped; built once."""
-        if self._blocks is None:
-            pts = self.support.tolist()
-            self._blocks = tuple(
-                tuple(
-                    FiniteMeasure(tuple(compress(pts, ws)), tuple(filter(None, ws)))
-                    for ws in row
-                )
-                for row in self.weights.tolist()
+        pts = self.support.tolist()
+        return tuple(
+            tuple(
+                FiniteMeasure(tuple(compress(pts, ws)), tuple(filter(None, ws)))
+                for ws in row
             )
-        return self._blocks
-
-    def block(self, i: int, j: int) -> FiniteMeasure:
-        return self.blocks[i][j]
+            for row in self.weights.tolist()
+        )
 
     def functional(self, psi_id: str) -> TestFunctional:
         try:

@@ -59,10 +59,6 @@ class Partition:
         return Partition(tuple(then.class_of[c] for c in self.class_of))
 
 
-def identity_partition(q: int) -> Partition:
-    return Partition(tuple(range(q)))
-
-
 def quotient(W: StepGraphon, P: Partition) -> StepGraphon:
     """Push the graphon forward along the partition.
 
@@ -110,9 +106,7 @@ def quotient(W: StepGraphon, P: Partition) -> StepGraphon:
         )
 
     keep = Q.any(axis=(0, 1))  # drop points every merged block cancelled
-    return StepGraphon.from_arrays(
-        masses, W.support[keep], Q[:, :, keep], W.functionals
-    )
+    return StepGraphon(masses, W.support[keep], Q[:, :, keep], W.functionals)
 
 
 def twin_partition(W: StepGraphon, tol: float = TWIN_TOL) -> Partition:

@@ -10,16 +10,71 @@ import numpy as np
 import pytest
 
 import graphonlab as gl
+from graphonlab import fileio
+from graphonlab.errors import ParseError, ValidationError
+from graphonlab.measures import tv_distance
 
 INDICATORS = tuple(gl.TestFunctional(f"e{k}", (k,), (1.0,)) for k in range(4))
 PSI_CHOICES = tuple(f.id for f in INDICATORS) + (gl.DEFAULT_FUNCTIONAL_ID,)
 
 
+def block_arrays(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """``(support, weights)`` of a square matrix of measures, by definition."""
+    n = len(blocks)
+    points = sorted({k for row in blocks for b in row for k in b.support})
+    column = {k: s for s, k in enumerate(points)}
+    weights = np.zeros((n, n, len(points)))
+    for i, row in enumerate(blocks):
+        for j, b in enumerate(row):
+            weights[i, j, [column[k] for k in b.support]] = b.weights
+    return np.array(points, dtype=np.int64), weights
+
+
+def graphon_from_blocks(masses, blocks, functionals=None) -> gl.StepGraphon:
+    """Graphon whose block (i, j) is the measure ``blocks[i][j]``."""
+    return gl.StepGraphon(masses, *block_arrays(blocks), functionals)
+
+
+def parse_block_records(records, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(support, weights)`` of graphon block records, parsed one record at a time.
+
+    The oracle for ``fileio.parse_graphon``: every record becomes a
+    :class:`FiniteMeasure` in document order, so the first bad record
+    raises first; a support point beyond 64 bits is reported after all.
+    """
+    cells = {}
+    for n, rec in enumerate(records):
+        path = f"graphon.blocks[{n}]"
+        i = fileio._get(rec, "i", int, path)
+        j = fileio._get(rec, "j", int, path)
+        if not (0 <= i < q and 0 <= j < q):
+            raise ParseError(f"{path}: class index out of range for q={q}")
+        key = (min(i, j), max(i, j))
+        if key in cells:
+            raise ParseError(f"{path}: duplicate block for classes {key}")
+        support = fileio._number_list(rec, "support", path, integer=True)
+        weights = fileio._number_list(rec, "weights", path)
+        cells[key] = fileio._wrap_validation(
+            lambda: gl.FiniteMeasure(tuple(support), tuple(weights)), path
+        )
+    top = max((b.support[-1] for b in cells.values() if b.support), default=0)
+    if top > np.iinfo(np.int64).max:
+        raise ValidationError(
+            f"graphon.blocks: measure: support point {top} does not fit in 64 bits",
+            code="bad-measure",
+        )
+    zero = gl.FiniteMeasure((), ())
+    return block_arrays(
+        [[cells.get((min(i, j), max(i, j)), zero) for j in range(q)] for i in range(q)]
+    )
+
+
 def scalar_graphon(masses, matrix) -> gl.StepGraphon:
     """Graphon with real-valued blocks embedded as point masses at 1."""
     unit = gl.unit_functional()
-    blocks = tuple(tuple(gl.scalar_measure(float(x)) for x in row) for row in matrix)
-    return gl.StepGraphon(tuple(float(m) for m in masses), blocks, {unit.id: unit})
+    weights = np.array(matrix, dtype=np.float64)[:, :, None]
+    support = [1] if weights.any() else []
+    return gl.StepGraphon(masses, support, weights[:, :, : len(support)], {unit.id: unit})
 
 
 @pytest.fixture
@@ -57,7 +112,7 @@ def rand_graphon(rng, q: int, scale: float = 0.6) -> gl.StepGraphon:
     unit = gl.unit_functional()
     fns = {f.id: f for f in INDICATORS}
     fns[unit.id] = unit
-    return gl.StepGraphon(rand_masses(rng, q), blocks, fns)
+    return graphon_from_blocks(rand_masses(rng, q), blocks, fns)
 
 
 def rand_twin_free_graphon(rng, q: int, scale: float = 0.6) -> gl.StepGraphon:
@@ -75,12 +130,8 @@ def duplicate_class(W: gl.StepGraphon, rng, target: int | None = None) -> gl.Ste
     masses = list(W.masses)
     masses.append(masses[i] * (1.0 - frac))
     masses[i] = masses[i] * frac
-    blocks = [list(row) for row in W.blocks]
-    for row in blocks:
-        row.append(row[i])
-    # row i is already extended with its own corner, so it IS the twin row
-    blocks.append(list(blocks[i]))
-    return gl.StepGraphon(tuple(masses), tuple(tuple(r) for r in blocks), dict(W.functionals))
+    rows = list(range(q)) + [i]  # the new last class copies row and column i
+    return gl.StepGraphon(masses, W.support, W.weights[rows][:, rows], dict(W.functionals))
 
 
 def rand_graph(
@@ -138,7 +189,7 @@ def graphons_close(W1: gl.StepGraphon, W2: gl.StepGraphon, tol: float = 1e-10) -
     if any(abs(a - b) > 1e-12 for a, b in zip(W1.masses, W2.masses)):
         return False
     return all(
-        gl.tv_distance(W1.blocks[i][j], W2.blocks[i][j]) <= tol
+        tv_distance(W1.blocks[i][j], W2.blocks[i][j]) <= tol
         for i in range(W1.q)
         for j in range(W1.q)
     )
@@ -155,7 +206,7 @@ def graphons_close_upto_permutation(
         if any(abs(W1.masses[i] - W2.masses[perm[i]]) > 1e-12 for i in range(W1.q)):
             continue
         if all(
-            gl.tv_distance(W1.blocks[i][j], W2.blocks[perm[i]][perm[j]]) <= tol
+            tv_distance(W1.blocks[i][j], W2.blocks[perm[i]][perm[j]]) <= tol
             for i in range(W1.q)
             for j in range(W1.q)
         ):
@@ -193,7 +244,7 @@ def fraction_quotient(W: gl.StepGraphon, P: gl.Partition):
 
 def row_distance(W: gl.StepGraphon, i: int, j: int) -> float:
     """Largest tv distance between corresponding blocks of two class rows."""
-    return max(gl.tv_distance(W.blocks[i][c], W.blocks[j][c]) for c in range(W.q))
+    return max(tv_distance(W.blocks[i][c], W.blocks[j][c]) for c in range(W.q))
 
 
 def pairwise_twin_partition(W: gl.StepGraphon, tol: float) -> tuple[int, ...]:

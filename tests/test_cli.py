@@ -1,15 +1,17 @@
 """CLI surface: formats, exit codes, determinism."""
+import copy
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import graphonlab
-from graphonlab import fileio
+from graphonlab import cli, fileio, spectral
 from graphonlab.cli import run
 
 W2_DOC = {
@@ -120,6 +122,81 @@ def test_mc_too_costly_exit_one(files, capsys):
     assert code == 1
     assert "too-costly" in captured.err and samples in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, entries",
+    [
+        (["pathkernel", "--psi", "unit", "--k", str(10**9)], (10**9 - 1) * 9),
+        (["carleman", "--terms", str(10**7)], 10**7 * 9),
+        (["carleman", "--terms", str(10**6), "--kmax", "8"], 10**6 * 8 * 9),
+    ],
+    ids=["pathkernel", "carleman", "carleman-kmax"],
+)
+def test_size_flags_refused_before_the_work(files, capsys, argv, entries):
+    tracemalloc.start()
+    try:
+        code = run([argv[0], "--graphon", files["w3.json"], *argv[1:]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error[too-costly]: ") and f" {entries} " in captured.err
+    assert captured.out == ""
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "module, argv, largest, limit",
+    [
+        (spectral, ["pathkernel", "--psi", "unit", "--k"], 3, 2 * 9),  # k - 1 products at q=3
+        (cli, ["carleman", "--kmax", "2", "--terms"], 4, 4 * 2 * 9),  # terms x kmax x q^2
+    ],
+    ids=["pathkernel", "carleman"],
+)
+def test_size_flag_limits_are_inclusive(monkeypatch, files, capsys, module, argv, largest, limit):
+    monkeypatch.setattr(module, "MAX_CONTRACTION", limit)
+    assert run([argv[0], "--graphon", files["w3.json"], *argv[1:], str(largest)]) == 0
+    assert run([argv[0], "--graphon", files["w3.json"], *argv[1:], str(largest + 1)]) == 1
+    assert "error[too-costly]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, field, path",
+    [
+        (["validate", "--graphon"], ("masses", 0), "graphon.masses[0]"),
+        (["validate", "--graphon"], ("blocks", 1, "weights", 0), "graphon.blocks[1].weights[0]"),
+        (["validate", "--graphon"], ("functionals", 0, "values", 0),
+         "graphon.functionals[0].values[0]"),
+        (["carleman", "--moments"], ("moments", 1), "moments.moments[1]"),
+    ],
+    ids=["masses", "weights", "values", "moments"],
+)
+def test_integer_beyond_the_double_range_is_a_parse_error(tmp_path, capsys, argv, field, path):
+    doc = copy.deepcopy(W2_DOC) if argv[0] == "validate" else {"moments": [1.0, 2.0, 5.0]}
+    *keys, last = field
+    parent = doc
+    for key in keys:
+        parent = parent[key]
+    parent[last] = 10**400
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    assert run([*argv, str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error[parse]: {path}: number beyond the double range\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "content", [b'{"moments": [1, ' + b"1" * 5000 + b"]}", b"\xff\xfe{}"],
+    ids=["5000-digit-integer", "not-utf-8"],
+)
+def test_unreadable_json_is_a_parse_error(tmp_path, capsys, content):
+    p = tmp_path / "doc.json"
+    p.write_bytes(content)
+    assert run(["carleman", "--moments", str(p)]) == 2
+    assert capsys.readouterr().err.startswith(f"error[parse]: {p} is not valid JSON: ")
 
 
 def fresh_process(argv: list[str]) -> tuple[int, str, str]:

@@ -5,14 +5,14 @@ import math
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import graphonlab as gl
 from graphonlab import fileio
 from graphonlab.errors import ParseError, ValidationError
 
-from conftest import rand_graphon, scalar_graphon
+from conftest import parse_block_records, rand_graphon, scalar_graphon
 
 import numpy as np
 
@@ -166,7 +166,7 @@ def test_bulk_parse_matches_record_by_record_parse():
             if n % 4 != 2  # some omitted: zero blocks
         ]
         bulk = fileio._block_records_bulk(records, q)
-        checked = fileio._block_records_checked(records, q)
+        checked = parse_block_records(records, q)
         assert np.array_equal(bulk[0], checked[0])
         assert np.array_equal(bulk[1], checked[1])
 
@@ -229,7 +229,7 @@ def test_support_point_beyond_64_bits_refused_before_the_block_matrix():
 
 
 def test_serialize_writes_only_nonzero_weights():
-    W = gl.StepGraphon.from_arrays(
+    W = gl.StepGraphon(
         (0.5, 0.5), [1, 4], [[[1.0, 0.0], [0.0, -2.0]], [[0.0, -2.0], [0.0, 0.0]]]
     )
     assert fileio.serialize_graphon(W)["blocks"] == [
@@ -268,6 +268,118 @@ def test_dense_block_limit_is_inclusive(monkeypatch):
     with pytest.raises(ValidationError) as e:
         fileio.parse_graphon(doc)
     assert e.value.code == "too-costly" and "68 weights" in str(e.value)
+
+
+# -- one parse path, checked against the record-by-record oracle -------------------
+
+#: an integer that no double holds
+BIG = 10**400
+
+POINTS = st.one_of(st.integers(0, 9), st.integers(2**62, 2**63 - 1))
+WEIGHTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).filter(bool),
+    st.integers(-(2**70), 2**70).filter(bool),
+)
+
+
+def _mutate(draw, records: list, q: int) -> None:
+    """Break one record of ``records`` in place, in one of the ways a file can."""
+    if not records:
+        return
+    n = draw(st.integers(0, len(records) - 1))
+    rec = records[n]
+    if not isinstance(rec, dict):
+        return
+    kind = draw(st.sampled_from([
+        "not-a-dict", "missing-key", "odd-index", "index-out-of-range", "duplicate",
+        "decreasing-support", "negative-support", "wide-support", "length-mismatch",
+        "bad-weight", "not-a-list",
+    ]))
+    index = draw(st.sampled_from(["i", "j"]))
+    field = draw(st.sampled_from(["support", "weights"]))
+    if kind == "not-a-dict":
+        records[n] = draw(st.sampled_from([None, 1, "block", [rec]]))
+    elif kind == "missing-key" and rec:
+        del rec[draw(st.sampled_from(sorted(rec)))]
+    elif kind == "odd-index":
+        rec[index] = draw(st.sampled_from([True, False, 0.0, 1.0, float(q)]))
+    elif kind == "index-out-of-range":
+        rec[index] = draw(st.sampled_from([-1, q, q + 7, 2**64, -(2**70)]))
+    elif kind == "duplicate":
+        twin = dict(rec, i=rec.get("j"), j=rec.get("i")) if draw(st.booleans()) else dict(rec)
+        if draw(st.booleans()):  # is the duplicate or its bad field reported first?
+            twin[field] = draw(st.sampled_from([None, [None], [True]]))
+        records.insert(draw(st.integers(n + 1, len(records))), twin)
+    elif kind == "decreasing-support":
+        rec["support"] = [3, draw(st.sampled_from([0, 2, 3]))]
+        rec["weights"] = [1.0, -2.0]
+    elif kind == "negative-support":
+        rec["support"] = [draw(st.sampled_from([-1, -(2**63), -(2**70)]))]
+        rec["weights"] = [1.0]
+    elif kind == "wide-support":
+        rec["support"] = [5, draw(st.sampled_from([2**63, 2**64, 10**30]))]
+        rec["weights"] = [1.0, -1.0]
+    elif kind == "length-mismatch":
+        rec[field] = [*rec[field], 7] if isinstance(rec.get(field), list) else [7]
+    elif kind == "bad-weight":
+        bad = draw(st.sampled_from([0, 0.0, -0.0, math.nan, BIG, -BIG]))
+        ws = list(rec["weights"]) if isinstance(rec.get("weights"), list) else []
+        if ws:
+            ws[draw(st.integers(0, len(ws) - 1))] = bad
+        else:
+            rec["support"], ws = [2], [bad]
+        rec["weights"] = ws
+    elif kind == "not-a-list":
+        rec[field] = draw(st.sampled_from([1, 1.5, "1", {"0": 1}, None]))
+
+
+@st.composite
+def graphon_documents(draw):
+    """A valid graphon document (q <= 6, at most 5 support points), then 0-2 mutations."""
+    q = draw(st.integers(1, 6))
+    pool = sorted(draw(st.sets(POINTS, max_size=5)))
+    records = []
+    for i in range(q):
+        for j in range(i, q):
+            if not draw(st.booleans()):
+                continue  # an omitted block is the zero measure
+            support = sorted(draw(st.sets(st.sampled_from(pool), max_size=5))) if pool else []
+            weights = draw(st.lists(WEIGHTS, min_size=len(support), max_size=len(support)))
+            i_, j_ = (j, i) if draw(st.booleans()) else (i, j)  # some from the lower triangle
+            records.append({"i": i_, "j": j_, "support": support, "weights": weights})
+    records = draw(st.permutations(records))
+    for _ in range(draw(st.integers(0, 2))):
+        _mutate(draw, records, q)
+    return {"masses": [1 / q] * q, "blocks": records, "functionals": []}
+
+
+def _outcome(parse):
+    try:
+        return "ok", parse()
+    except (ParseError, ValidationError) as e:
+        return "error", (type(e), str(e), e.code)
+
+
+def _doc(*records: tuple) -> dict:
+    keys = ("i", "j", "support", "weights")
+    return {"masses": [0.5, 0.5], "blocks": [dict(zip(keys, r)) for r in records]}
+
+
+@settings(max_examples=500, deadline=None)
+@given(graphon_documents())
+@example(_doc((0, 1, [1], [1.0]), (1, 0, None, [1.0])))  # the duplicate, not its bad field
+@example(_doc((0, 0, [2**64], [1.0]), (0, 1, [1], [0.0])))  # a later bad record, not 2^64
+def test_parse_graphon_matches_the_record_by_record_oracle(doc):
+    got, value = _outcome(lambda: fileio.parse_graphon(doc))
+    want, expected = _outcome(lambda: parse_block_records(doc["blocks"], len(doc["masses"])))
+    assert got == want
+    if want == "error":
+        assert value == expected
+    else:
+        support, weights = expected
+        assert value.support.tolist() == support.tolist()
+        assert value.weights.shape == weights.shape
+        assert value.weights.tobytes() == weights.tobytes()
 
 
 # -- the writer -------------------------------------------------------------------
@@ -333,17 +445,17 @@ def graphon_cases():
     rng = np.random.default_rng(52)
     unit = gl.unit_functional()
     return {
-        "q1": gl.StepGraphon.from_arrays((1.0,), [7], [[[0.25]]], {unit.id: unit}),
-        "no-functionals": gl.StepGraphon.from_arrays((0.5, 0.5), [1, 2], np.ones((2, 2, 2))),
-        "all-zero": gl.StepGraphon.from_arrays((0.25, 0.75), np.zeros(0, int), np.zeros((2, 2, 0))),
-        "some-zero": gl.StepGraphon.from_arrays(
+        "q1": gl.StepGraphon((1.0,), [7], [[[0.25]]], {unit.id: unit}),
+        "no-functionals": gl.StepGraphon((0.5, 0.5), [1, 2], np.ones((2, 2, 2))),
+        "all-zero": gl.StepGraphon((0.25, 0.75), np.zeros(0, int), np.zeros((2, 2, 0))),
+        "some-zero": gl.StepGraphon(
             (0.5, 0.5), [1, 4], [[[1.0, 0.0], [0.0, -2.0]], [[0.0, -2.0], [0.0, 0.0]]]
         ),
         "one-point": scalar_graphon((0.2, 0.3, 0.5), [[1.0, -0.5, 0.0], [-0.5, 1e-300, 3.0], [0.0, 3.0, 1e16]]),
-        "wide-support": gl.StepGraphon.from_arrays(
+        "wide-support": gl.StepGraphon(
             (0.5, 0.5), [0, 2**62 + 1], [[[5e-324, 1.0], [-1e-5, 0.1]], [[-1e-5, 0.1], [MAX, 0.0]]]
         ),
-        "infinite-weight": gl.StepGraphon.from_arrays((1.0,), [1], [[[math.inf]]]),
+        "infinite-weight": gl.StepGraphon((1.0,), [1], [[[math.inf]]]),
         **{f"random-q{q}": rand_graphon(rng, q) for q in (1, 2, 5, 9)},
     }
 

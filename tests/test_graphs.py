@@ -40,8 +40,9 @@ def test_product_merges_on_labels_to_a_two_star():
 
 def test_product_with_empty_graph_is_identity():
     F = rand_graph(np.random.default_rng(0), n_labels=1)
-    assert gl.product(F, gl.empty_graph()) == F
-    assert gl.product(gl.empty_graph(), F) == F
+    empty = gl.DecoratedMultigraph(0)
+    assert gl.product(F, empty) == F
+    assert gl.product(empty, F) == F
 
 
 def placement(A: gl.DecoratedMultigraph, B: gl.DecoratedMultigraph) -> dict[int, int]:

@@ -6,8 +6,10 @@ import pytest
 
 import graphonlab as gl
 from graphonlab.errors import ValidationError
+from graphonlab.measures import point_mass, tv_distance, tv_norm
+from graphonlab.momentlab import standard_suite
 
-from conftest import rand_graph
+from conftest import block_arrays, rand_graph
 
 
 def null_oracle(z, order):
@@ -19,7 +21,7 @@ def null_oracle(z, order):
 
 
 def test_matched_pair_n5_d3_canonical_values():
-    pair = gl.matched_pair(5, 3, seed=1)
+    pair = gl.matched_pair(5, 3)
     assert pair.null_vector == (1.0, -4.0, 6.0, -4.0, 1.0, 0.0)
     assert null_oracle(pair.null_vector, 3)
     assert pair.epsilon == pytest.approx(1 / 36, abs=1e-18)
@@ -80,7 +82,7 @@ def test_matched_pair_validation_rejects_bad_pairs():
 def test_rank1_graphon_point_mass_at_one():
     W = gl.rank1_graphon((0.0, 1.0))
     assert W.q == 1
-    assert gl.tv_distance(W.blocks[0][0], gl.point_mass(1, 1.0)) == 0.0
+    assert tv_distance(W.blocks[0][0], point_mass(1, 1.0)) == 0.0
     for F in (gl.edge_graph(), gl.cycle_graph(3), gl.star_graph(4)):
         assert gl.density(F, W) == pytest.approx(1.0, abs=1e-12)
 
@@ -90,6 +92,16 @@ def test_rank1_graphon_point_mass_at_zero():
     assert W.q == 1
     assert W.blocks[0][0].is_zero
     assert gl.density(gl.edge_graph(), W) == 0.0
+
+
+@pytest.mark.parametrize("dist", [(1.0,), (0.0, 1.0), (0.5, 0.5), (0.2, 0.0, 0.3, 0.5)])
+def test_rank1_graphon_arrays_are_its_measure_blocks(dist):
+    points = [k for k, x in enumerate(dist) if x > 0]
+    blocks = [[point_mass(1, float(a * b)) for b in points] for a in points]
+    support, weights = block_arrays(blocks)  # empty support when every product is 0
+    W = gl.rank1_graphon(dist)
+    assert W.support.tolist() == support.tolist()
+    assert W.weights.shape == weights.shape and W.weights.tobytes() == weights.tobytes()
 
 
 def test_rank1_graphon_uniform_two_points():
@@ -179,15 +191,15 @@ def test_rank1_pair_not_weakly_isomorphic():
     pair = gl.matched_pair(5, 3)
     Rp = gl.twin_reduce(gl.rank1_graphon(pair.p))
     Rq = gl.twin_reduce(gl.rank1_graphon(pair.q))
-    profile_p = sorted((m, gl.tv_norm(Rp.blocks[i][i])) for i, m in enumerate(Rp.masses))
-    profile_q = sorted((m, gl.tv_norm(Rq.blocks[i][i])) for i, m in enumerate(Rq.masses))
+    profile_p = sorted((m, tv_norm(Rp.blocks[i][i])) for i, m in enumerate(Rp.masses))
+    profile_q = sorted((m, tv_norm(Rq.blocks[i][i])) for i, m in enumerate(Rq.masses))
     assert profile_p != profile_q
 
 
 def test_standard_suite_shapes():
-    low, witness = gl.standard_suite(3)
+    low, witness = standard_suite(3)
     assert witness.max_degree == 4
     assert all(g.max_degree <= 3 for g in low)
-    low2, witness2 = gl.standard_suite(2)
+    low2, witness2 = standard_suite(2)
     assert all(g.max_degree <= 2 for g in low2)
     assert witness2.max_degree == 3

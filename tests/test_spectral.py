@@ -45,9 +45,7 @@ def test_eigendecomp_diagonal_kernel():
 
 
 def test_eigendecomp_zero_kernel():
-    unit = gl.unit_functional()
-    zero = gl.FiniteMeasure((), ())
-    W = gl.StepGraphon((0.5, 0.5), ((zero, zero), (zero, zero)), {unit.id: unit})
+    W = scalar_graphon((0.5, 0.5), [[0.0, 0.0], [0.0, 0.0]])
     es = gl.eigendecomp(W, "unit")
     assert es.eigenvalues == (0.0, 0.0)
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import graphonlab as gl
 from graphonlab.errors import ValidationError
+from graphonlab.measures import pair, tv_norm
 from graphonlab.stepgraphon import _fsum_or_inf, _prefix_sums
 
 from conftest import duplicate_class, rand_graphon, scalar_graphon
@@ -20,33 +21,25 @@ def test_validate_accepts_one_class():
 
 def test_validate_error_codes():
     good = scalar_graphon((0.5, 0.5), [[1, 2], [2, 3]])
-    bad_sum = gl.StepGraphon((0.6, 0.5), good.blocks, good.functionals)
+    bad_sum = gl.StepGraphon((0.6, 0.5), good.support, good.weights, good.functionals)
     with pytest.raises(ValidationError) as e:
         gl.validate_graphon(bad_sum)
     assert e.value.code == "mass-sum"
 
-    bad_mass = gl.StepGraphon((1.2, -0.2), good.blocks, good.functionals)
+    bad_mass = gl.StepGraphon((1.2, -0.2), good.support, good.weights, good.functionals)
     with pytest.raises(ValidationError) as e:
         gl.validate_graphon(bad_mass)
     assert e.value.code == "nonpositive-mass"
 
-    asym_blocks = (
-        (gl.scalar_measure(1.0), gl.scalar_measure(2.0)),
-        (gl.scalar_measure(9.0), gl.scalar_measure(3.0)),
-    )
     with pytest.raises(ValidationError) as e:
-        gl.validate_graphon(gl.StepGraphon((0.5, 0.5), asym_blocks, good.functionals))
+        gl.validate_graphon(scalar_graphon((0.5, 0.5), [[1, 2], [9, 3]]))
     assert e.value.code == "asymmetric-blocks"
 
 
 def test_validate_rejects_blocks_that_are_not_q_by_q():
-    a = gl.scalar_measure(1.0)
-    ragged = gl.StepGraphon((0.5, 0.5), ((a, a), (a,)))
-    assert ragged.blocks == ((a, a), (a,))
-    too_big = gl.StepGraphon((0.5, 0.5), ((a, a, a),) * 3)
-    for W in (ragged, too_big):
+    for shape in ((2, 1, 1), (1, 2, 1), (3, 3, 1)):
         with pytest.raises(ValidationError) as e:
-            gl.validate_graphon(W)
+            gl.validate_graphon(gl.StepGraphon((0.5, 0.5), [1], np.ones(shape)))
         assert e.value.code == "bad-shape"
 
 
@@ -54,7 +47,7 @@ def test_validate_names_first_asymmetric_pair():
     w = np.zeros((3, 3, 1))
     w[1, 2] = w[2, 1] = 1.0
     w[0, 2] = 2.0  # (2, 0) stays zero
-    W = gl.StepGraphon.from_arrays((0.2, 0.3, 0.5), [1], w)
+    W = gl.StepGraphon((0.2, 0.3, 0.5), [1], w)
     with pytest.raises(ValidationError) as e:
         gl.validate_graphon(W)
     assert e.value.code == "asymmetric-blocks"
@@ -71,10 +64,10 @@ def test_array_layout_and_exact_block_view():
             b = W.blocks[i][j]
             assert [W.weights[i, j, points.index(k)] for k in b.support] == list(b.weights)
             assert np.count_nonzero(W.weights[i, j]) == len(b.support)
-    V = gl.StepGraphon.from_arrays(W.masses, W.support, W.weights, W.functionals)
+    V = gl.StepGraphon(W.masses, W.support, W.weights, W.functionals)
     assert V.blocks == W.blocks  # rebuilt from the arrays, zero weights dropped
     assert not V.weights.flags.writeable
-    tv = [[gl.tv_norm(b) for b in row] for row in W.blocks]
+    tv = [[tv_norm(b) for b in row] for row in W.blocks]
     assert np.allclose(V.tv_matrix, tv, rtol=1e-15, atol=0)
 
 
@@ -90,11 +83,11 @@ def test_kernels_and_norms_match_per_block_loops():
                 for j in range(W.q):
                     b = W.blocks[i][j]
                     scale = math.fsum(abs(psi(k) * w) for k, w in zip(b.support, b.weights))
-                    assert abs(K[i, j] - gl.pair(psi, b)) <= 4e-16 * scale
+                    assert abs(K[i, j] - pair(psi, b)) <= 4e-16 * scale
             assert np.array_equal(K[0], K[-1])  # twin classes: bit-identical rows
         assert np.array_equal(W.tv_matrix[0], W.tv_matrix[-1])
         for p in (1, 2.5, 7):
-            tv = [[gl.tv_norm(b) for b in row] for row in W.blocks]
+            tv = [[tv_norm(b) for b in row] for row in W.blocks]
             top = max(map(max, tv))
             old = top * math.fsum(
                 W.masses[i] * W.masses[j] * (tv[i][j] / top) ** p
@@ -113,7 +106,7 @@ def test_unknown_functional_id(w2):
 
 def test_kernel_w2(w2):
     # oracle: pair each block by hand
-    expected = [[gl.pair(w2.functionals["unit"], w2.blocks[i][j]) for j in range(2)] for i in range(2)]
+    expected = [[pair(w2.functionals["unit"], w2.blocks[i][j]) for j in range(2)] for i in range(2)]
     assert expected == [[1.0, 2.0], [2.0, 3.0]]
     K = gl.kernel_matrix(w2, "unit")
     assert K.tolist() == expected
@@ -121,9 +114,8 @@ def test_kernel_w2(w2):
 
 
 def test_kernel_disjoint_support_is_zero(w2):
-    W = gl.StepGraphon(
-        w2.masses, w2.blocks, {**w2.functionals, "e5": gl.TestFunctional("e5", (5,), (1.0,))}
-    )
+    e5 = gl.TestFunctional("e5", (5,), (1.0,))
+    W = gl.StepGraphon(w2.masses, w2.support, w2.weights, {**w2.functionals, "e5": e5})
     assert np.all(gl.kernel_matrix(W, "e5") == 0.0)
 
 
@@ -131,7 +123,7 @@ def test_kernel_linear_in_functional(w2):
     psi1 = gl.TestFunctional("a", (1,), (2.0,))
     psi2 = gl.TestFunctional("b", (1, 3), (-1.0, 4.0))
     combo = gl.TestFunctional("c", (1, 3), [0.5 * psi1(k) + 2.0 * psi2(k) for k in (1, 3)])
-    W = gl.StepGraphon(w2.masses, w2.blocks, {"a": psi1, "b": psi2, "c": combo})
+    W = gl.StepGraphon(w2.masses, w2.support, w2.weights, {"a": psi1, "b": psi2, "c": combo})
     lhs = gl.kernel_matrix(W, "c")
     rhs = 0.5 * gl.kernel_matrix(W, "a") + 2.0 * gl.kernel_matrix(W, "b")
     assert np.allclose(lhs, rhs, atol=1e-12)
@@ -170,7 +162,7 @@ def test_p_norm_monotone_in_p():
 
 def test_p_norm_zero_graphon():
     unit = gl.unit_functional()
-    W = gl.StepGraphon((1.0,), ((gl.FiniteMeasure((), ()),),), {unit.id: unit})
+    W = gl.StepGraphon((1.0,), [], np.zeros((1, 1, 0)), {unit.id: unit})
     assert gl.p_norm(W, 3) == 0.0
 
 
@@ -265,6 +257,7 @@ def test_prefix_sums_edge_cases(terms):
 
 def test_carleman_distribution_source():
     # moments of a bounded variable: norms approach the essential sup, divergent
-    seq = gl.moments_of_distribution([0.25, 0.5, 0.25], 120)
+    dist = [0.25, 0.5, 0.25]
+    seq = gl.MomentSequence(tuple(gl.moment(dist, r) for r in range(121)))
     rep = gl.carleman_report(seq, 1, 50)
     assert rep.classification == "divergent"

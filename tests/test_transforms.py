@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 import graphonlab as gl
 from graphonlab import transforms
 from graphonlab.errors import ValidationError
+from graphonlab.measures import measure_combine, point_mass, tv_distance
 
 from conftest import (
     duplicate_class,
     fraction_quotient,
+    graphon_from_blocks,
     graph_suite,
     graphons_close,
     graphons_close_upto_permutation,
@@ -26,7 +28,7 @@ from conftest import (
 
 
 def test_quotient_identity_is_exact(w2):
-    Q = gl.quotient(w2, gl.identity_partition(2))
+    Q = gl.quotient(w2, gl.Partition((0, 1)))
     assert Q.masses == w2.masses
     assert Q.blocks == w2.blocks
 
@@ -37,7 +39,7 @@ def test_quotient_full_merge_is_global_mean(w2):
     assert Q.masses == (1.0,)
     # oracle: mass-weighted mean of the four scalar blocks
     mean = sum(0.25 * x for x in (1.0, 2.0, 2.0, 3.0))
-    assert gl.tv_distance(Q.blocks[0][0], gl.scalar_measure(mean)) <= 1e-14
+    assert tv_distance(Q.blocks[0][0], point_mass(1, mean)) <= 1e-14
 
 
 def test_quotient_requires_surjective_and_matching_size(w2):
@@ -87,7 +89,7 @@ def graphons_with_partitions(draw):
     labels = draw(st.lists(st.integers(0, q - 1), min_size=q, max_size=q))
     first: dict[int, int] = {}
     class_of = tuple(first.setdefault(c, len(first)) for c in labels)
-    return gl.StepGraphon(masses, blocks), gl.Partition(class_of)
+    return graphon_from_blocks(masses, blocks), gl.Partition(class_of)
 
 
 @settings(max_examples=300, deadline=None)
@@ -114,10 +116,10 @@ def test_quotient_cancels_opposite_blocks_exactly(m, class_of):
     # classes 0 and 1 have equal masses and opposite blocks: merged, they cancel
     v = gl.FiniteMeasure((0, 2), (0.7, -1.3))
     minus_v = gl.FiniteMeasure((0, 2), (-0.7, 1.3))
-    u, minus_u = gl.point_mass(1, 0.37), gl.point_mass(1, -0.37)
-    x = gl.point_mass(3, 0.9)
+    u, minus_u = point_mass(1, 0.37), point_mass(1, -0.37)
+    x = point_mass(3, 0.9)
     zero = gl.FiniteMeasure((), ())
-    W = gl.StepGraphon(
+    W = graphon_from_blocks(
         (m, m, 1 - 2 * m), ((u, zero, v), (zero, minus_u, minus_v), (v, minus_v, x))
     )
     Q = gl.quotient(W, gl.Partition(class_of))
@@ -143,7 +145,7 @@ OVERFLOW_MASSES = (0.3954619895429785, 0.5930180594914136, 0.011519950965607978)
     ids=["quotient", "reduce", "anchor"],
 )
 def test_quotient_refuses_overflowing_weights(transform):
-    W = gl.StepGraphon.from_arrays(
+    W = gl.StepGraphon(
         OVERFLOW_MASSES, [1], np.full((3, 3, 1), 1.7976931348623157e308)
     )
     with pytest.raises(ValidationError) as e:
@@ -156,7 +158,7 @@ def test_quotient_names_the_overflowing_merged_block():
     big = 1.7976931348623157e308
     weights = np.array([[big, 1.0, big], [1.0, 2.0, 3.0], [big, 3.0, big]])[:, :, None]
     masses = (0.30331788788358993, 0.33193383162441087, 0.3647482804919992)
-    W = gl.StepGraphon.from_arrays(masses, [1], weights)
+    W = gl.StepGraphon(masses, [1], weights)
     with pytest.raises(ValidationError) as e:
         gl.quotient(W, gl.Partition((1, 0, 1)))
     assert "block (1, 1) merges classes [0, 2] with [0, 2]" in str(e.value)
@@ -173,7 +175,7 @@ def test_twin_partition_groups_identical_rows():
 
 def test_twin_partition_w2_is_discrete(w2):
     # oracle: the two block rows differ in tv distance
-    assert gl.tv_distance(w2.blocks[0][0], w2.blocks[1][0]) > 0
+    assert tv_distance(w2.blocks[0][0], w2.blocks[1][0]) > 0
     assert gl.twin_partition(w2).n_classes == 2
 
 
@@ -189,9 +191,9 @@ def near_twin(W: gl.StepGraphon, rng, delta: float) -> gl.StepGraphon:
     dup = duplicate_class(W, rng, target=0)
     d = dup.q - 1
     blocks = [list(row) for row in dup.blocks]
-    moved = gl.measure_combine([(1.0, blocks[d][1]), (1.0, gl.point_mass(0, delta))])
+    moved = measure_combine([(1.0, blocks[d][1]), (1.0, point_mass(0, delta))])
     blocks[d][1] = blocks[1][d] = moved
-    return gl.StepGraphon(dup.masses, blocks, dup.functionals)
+    return graphon_from_blocks(dup.masses, blocks, dup.functionals)
 
 
 @pytest.mark.parametrize("chunk", [1, transforms.TWIN_CHUNK])
