@@ -3,7 +3,6 @@
 from .density import (
     MCEstimate,
     density,
-    density_dp,
     eliminate,
     marginal,
     mc_density,

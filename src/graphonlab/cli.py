@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import fileio
-from .density import MAX_CONTRACTION, density, density_dp, marginal, mc_density
+from .density import MAX_CONTRACTION, density, marginal, mc_density
 from .density import product_identity_residual
 from .errors import GraphonlabError, ParseError, ValidationError
 from .momentlab import counterexample_report, matched_pair
@@ -26,6 +26,10 @@ from .transforms import (
     twin_partition,
     twin_reduce,
 )
+
+# ``density --dp`` calls through its own name so that bench/tracing.py
+# counts the two flags apart; both are the same bucket elimination
+density_dp = density
 
 
 def fmt(x: float) -> str:

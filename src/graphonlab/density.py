@@ -5,14 +5,15 @@ class assignments:
 
     t(F, W) = sum_{c : V -> [q]}  prod_v pi_{c(v)}  prod_e K_psi[c(u), c(v)]^mult
 
-Every exact quantity here (:func:`density`, :func:`density_dp`,
-:func:`marginal` and both sides of :func:`product_identity_residual`) is
-computed by one engine, :func:`eliminate`: bucket elimination (Dechter,
-1999), whose cost is exponential only in the induced width of the
-elimination order, not in the vertex count. Contractions that would span
-more than :data:`MAX_CONTRACTION` elements are refused before anything is
-allocated. The enumeration of all q^n assignments, the definitional route,
-is kept in the tests as the oracle every route is checked against.
+Every exact quantity here (:func:`density`, :func:`marginal` and both
+sides of :func:`product_identity_residual`) is computed by one engine,
+:func:`eliminate`: bucket elimination (Dechter, 1999) in greedy
+min-degree order, whose cost is exponential only in the induced width of
+the elimination order, not in the vertex count. Contractions that would
+span more than :data:`MAX_CONTRACTION` elements are refused before
+anything is allocated. The enumeration of all q^n assignments, the
+definitional route, is kept in the tests as the oracle every route is
+checked against.
 
 Each bucket is one numpy contraction, so sums run in numpy's order and
 results are not exactly rounded: densities and marginals agree with the
@@ -49,8 +50,9 @@ MAX_CONTRACTION = 1 << 26
 MAX_BUCKET_VERTICES = 52
 
 #: Monte Carlo samples are drawn and evaluated about this many class draws
-#: at a time: ``max(1, MC_CHUNK // n)`` samples of an n-vertex graph, so each
-#: chunk array holds about 0.5 MB whatever the graph
+#: at a time: ``MC_CHUNK // n`` samples of an n-vertex graph, so each chunk
+#: array holds about 0.5 MB whatever the graph; graphs of more vertices are
+#: refused
 MC_CHUNK = 1 << 16
 
 #: a label-to-class pinning for marginal evaluation
@@ -71,21 +73,19 @@ def _kernels(F: DecoratedMultigraph, W: StepGraphon) -> dict[str, np.ndarray]:
     return {psi: kernel_matrix(W, psi) for psi in sorted(F.psi_ids)}
 
 
-def _require_unlabeled(F: DecoratedMultigraph, ignore_labels: bool) -> DecoratedMultigraph:
+def density(F: DecoratedMultigraph, W: StepGraphon, *, ignore_labels: bool = False) -> float:
+    """Homomorphism density t(F, W), by bucket elimination in min-degree order.
+
+    A labeled graph is refused with ``code="labeled-graph"`` unless
+    ``ignore_labels`` is set, which evaluates it as if unlabeled.
+    """
     if F.labels and not ignore_labels:
         raise ValidationError(
             "graph is labeled; drop the labels from the graph file, or pass "
             "ignore_labels=True (density --ignore-labels)",
             code="labeled-graph",
         )
-    if F.labels:
-        return DecoratedMultigraph(F.n_vertices, F.edges, {})
-    return F
-
-
-def density(F: DecoratedMultigraph, W: StepGraphon, *, ignore_labels: bool = False) -> float:
-    """Homomorphism density t(F, W), by bucket elimination in min-degree order."""
-    return density_dp(F, W, ignore_labels=ignore_labels)
+    return float(eliminate(F, W))
 
 
 def marginal(F: DecoratedMultigraph, W: StepGraphon, anchoring: Anchoring) -> float:
@@ -106,13 +106,14 @@ def marginal(F: DecoratedMultigraph, W: StepGraphon, anchoring: Anchoring) -> fl
 
 
 def _min_degree_order(scopes: Sequence[tuple[int, ...]], free: Sequence[int]) -> list[int]:
-    """Greedy min-degree elimination order on the factor-interaction graph."""
+    """Greedy min-degree elimination order on the factor-interaction graph;
+    free vertices in no scope, which :func:`_schedule` would skip, are left out."""
     neighbors: dict[int, set[int]] = defaultdict(set)
     for scope in scopes:
         for x in scope:
             neighbors[x].update(scope)
             neighbors[x].discard(x)
-    remaining = set(free)
+    remaining = set(free) & neighbors.keys()
     order = []
     while remaining:
         v = min(remaining, key=lambda x: (len(neighbors[x]), x))
@@ -233,21 +234,6 @@ def eliminate(
     return result
 
 
-def density_dp(
-    F: DecoratedMultigraph,
-    W: StepGraphon,
-    order: Sequence[int] | None = None,
-    *,
-    ignore_labels: bool = False,
-) -> float:
-    """Density by bucket elimination along ``order``.
-
-    When no order is supplied a greedy min-degree heuristic chooses one.
-    """
-    F = _require_unlabeled(F, ignore_labels)
-    return float(eliminate(F, W, order=order))
-
-
 # -- Monte Carlo ---------------------------------------------------------------
 
 
@@ -300,7 +286,6 @@ def mc_density(
     seed: int,
     *,
     workers: int = 1,
-    ignore_labels: bool = False,
 ) -> MCEstimate:
     """Unbiased sampling estimate of the density.
 
@@ -319,9 +304,11 @@ def mc_density(
     standard error has the same bytes without a second vector.
 
     Raises ``ValidationError(code="too-costly")``, before allocating, when
-    the sample vector would hold more than :data:`MAX_CONTRACTION` values,
-    and ``code="nonpositive-mass"`` for a negative or non-finite mass or a
-    mass vector that does not sum to a positive number.
+    the sample vector would hold more than :data:`MAX_CONTRACTION` values
+    or one sample more than :data:`MC_CHUNK` class draws,
+    ``code="labeled-graph"`` for a labeled graph, and
+    ``code="nonpositive-mass"`` for a negative or non-finite mass or a mass
+    vector that does not sum to a positive number.
     """
     if samples < 1:
         raise ValidationError("need at least one sample", code="bad-samples")
@@ -333,7 +320,16 @@ def mc_density(
             f"the limit is {MAX_CONTRACTION} elements",
             code="too-costly",
         )
-    F = _require_unlabeled(F, ignore_labels)
+    if F.n_vertices > MC_CHUNK:
+        raise ValidationError(
+            f"Monte Carlo would draw {F.n_vertices} classes per sample; "
+            f"the limit is {MC_CHUNK} vertices",
+            code="too-costly",
+        )
+    if F.labels:
+        raise ValidationError(
+            "graph is labeled; drop the labels from the graph file", code="labeled-graph"
+        )
     q = W.q
     masses = np.asarray(W.masses, dtype=float)
     total = masses.sum()
@@ -351,7 +347,7 @@ def mc_density(
 
     shares = [samples // workers + (1 if w < samples % workers else 0) for w in range(workers)]
     streams = np.random.SeedSequence(seed).spawn(workers)
-    rows_per_chunk = max(1, MC_CHUNK // max(1, F.n_vertices))
+    rows_per_chunk = MC_CHUNK // max(1, F.n_vertices)
     vals = np.empty(samples)
     pos = 0
     for w, share in enumerate(shares):

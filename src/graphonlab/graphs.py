@@ -79,20 +79,6 @@ class DecoratedMultigraph:
     def max_degree(self) -> int:
         return max((self.degree(v) for v in range(self.n_vertices)), default=0)
 
-    @property
-    def n_edges(self) -> int:
-        """Edge count with multiplicity."""
-        return sum(m for *_, m in self.edges)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DecoratedMultigraph):
-            return NotImplemented
-        return (
-            self.n_vertices == other.n_vertices
-            and self.edges == other.edges
-            and self.labels == other.labels
-        )
-
 
 # -- constructors -------------------------------------------------------------
 

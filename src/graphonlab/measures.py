@@ -107,10 +107,6 @@ class FiniteMeasure:
     def _table(self) -> dict[int, float]:
         return dict(zip(self.support, self.weights))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.support
-
 
 ZERO_MEASURE = FiniteMeasure((), ())
 
@@ -165,21 +161,21 @@ def tv_distance(mu: FiniteMeasure, nu: FiniteMeasure) -> float:
     return math.fsum(abs(mu(k) - nu(k)) for k in points)
 
 
-def moment(dist: Sequence[float], r: int, *, tol: float = 1e-12) -> float:
+def moment(dist: Sequence[float], r: int) -> float:
     """r-th raw moment ``sum_k k**r * dist[k]`` of a distribution on {0..N}.
 
-    ``dist`` must be entrywise nonnegative and sum to 1 within ``tol``.
+    ``dist`` must be entrywise nonnegative and sum to 1 within 1e-12.
     The order-0 moment is exactly 1 by the ``0**0 == 1`` convention.
     """
     if r < 0 or not isinstance(r, int) or isinstance(r, bool):
         raise ValidationError("moment order must be a nonnegative integer", code="bad-order")
     p = [float(x) for x in dist]
-    if any(x < -tol for x in p):
+    if any(x < -1e-12 for x in p):
         raise ValidationError("distribution has a negative entry", code="bad-distribution")
     total = math.fsum(p)
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > 1e-12:
         raise ValidationError(
-            f"distribution sums to {total!r}, not 1 within {tol}", code="bad-distribution"
+            f"distribution sums to {total!r}, not 1 within 1e-12", code="bad-distribution"
         )
     if r == 0:
         return 1.0

@@ -177,56 +177,28 @@ def standard_suite(D: int) -> tuple[list[DecoratedMultigraph], DecoratedMultigra
     return low, star_graph(D + 1)
 
 
-def counterexample_report(
-    N: int,
-    D: int,
-    seed: int | None = None,
-    graph_suite: list[DecoratedMultigraph] | None = None,
-) -> CounterexampleReport:
-    """Build the matched pair, evaluate the suite on both graphons, report.
+def counterexample_report(N: int, D: int, seed: int | None = None) -> CounterexampleReport:
+    """Build the matched pair, evaluate the standard suite on both graphons, report.
 
     Graphs of maximum degree at most D must come out with equal densities;
-    the designated witness (the first suite graph with a vertex of degree
-    exactly D+1) exhibits the gap. Degrees beyond D+1 are rejected. The
-    report is deterministic: ``seed`` is accepted for the CLI's ``--seed``
-    and does not influence it.
+    the (D+1)-star witness exhibits the gap, which :class:`MatchedPair`
+    guarantees at order D+1. The report is deterministic: ``seed`` is
+    accepted for the CLI's ``--seed`` and does not influence it.
     """
     pair = matched_pair(N, D)
-    if graph_suite is None:
-        low, witness = standard_suite(D)
-        graph_suite = low + [witness]
-
-    witness_graph = None
-    for g in graph_suite:
-        if g.max_degree > D + 1:
-            raise ValidationError(
-                f"suite graph has degree {g.max_degree} > D + 1", code="bad-suite"
-            )
-        if g.max_degree == D + 1 and witness_graph is None:
-            witness_graph = g
-    if witness_graph is None:
-        raise ValidationError("suite has no degree D+1 witness", code="bad-suite")
-    z_moment = math.fsum((k ** (D + 1)) * zk for k, zk in enumerate(pair.null_vector))
-    if z_moment == 0.0:
-        raise ValidationError(
-            "null direction has no order D+1 moment; witness gap would vanish",
-            code="bad-suite",
-        )
-
+    low, witness = standard_suite(D)
     Wp = rank1_graphon(pair.p)
     Wq = rank1_graphon(pair.q)
     records = []
-    for g in graph_suite:
+    for g in low + [witness]:
         dp = density(g, Wp)
         dq = density(g, Wq)
         records.append(GraphRecord(g, g.max_degree, dp, dq, abs(dp - dq)))
 
-    low_gaps = [r.gap for r in records if r.max_degree <= D]
-    witness_gap = next(r.gap for r in records if r.graph is witness_graph)
     return CounterexampleReport(
         pair=pair,
         graphs_tested=tuple(records),
-        max_discrepancy_low_degree=max(low_gaps, default=0.0),
-        witness_graph=witness_graph,
-        witness_gap=witness_gap,
+        max_discrepancy_low_degree=max(r.gap for r in records[:-1]),
+        witness_graph=witness,
+        witness_gap=records[-1].gap,
     )

@@ -167,11 +167,25 @@ def lift_check(
     agree on every F^k with k >= 2, coefficient sums grouped by shared
     nonzero eigenvalue must cancel pairwise, which forces agreement at
     k = 1 as well; the report records whether that is numerically the case.
+
+    Ordering and scheduling the eliminations of one F^k takes time quadratic
+    in its ``n + k - 1`` vertices. Refused as ``too-costly``, before any F^k
+    is built, when the squares of those vertex counts, over k = 1..kmax and
+    both graphons, add up to more than :data:`MAX_CONTRACTION`.
     """
     if kmax < 2:
         raise ValidationError("kmax must be >= 2", code="bad-order")
     if F.labels:
         raise ValidationError("lift check needs an unlabeled graph", code="labeled-graph")
+    n, last = F.n_vertices, F.n_vertices + kmax - 1
+    # twice n**2 + ... + last**2, in closed form
+    pairs = (last * (last + 1) * (2 * last + 1) - (n - 1) * n * (2 * n - 1)) // 3
+    if pairs > MAX_CONTRACTION:
+        raise ValidationError(
+            f"liftcheck to kmax={kmax} orders graphs of {n} to {last} vertices "
+            f"on two graphons, {pairs} vertex pairs; the limit is {MAX_CONTRACTION}",
+            code="too-costly",
+        )
     Fprime = remove_one_edge(F, u, v, psi_id)
 
     results = []

@@ -52,12 +52,6 @@ class Partition:
     def n_classes(self) -> int:
         return max(self.class_of) + 1
 
-    def compose(self, then: "Partition") -> "Partition":
-        """First apply self, then ``then`` (so ``then`` partitions self's classes)."""
-        if len(then.class_of) != self.n_classes:
-            raise ValidationError("partition sizes do not compose", code="bad-partition")
-        return Partition(tuple(then.class_of[c] for c in self.class_of))
-
 
 def quotient(W: StepGraphon, P: Partition) -> StepGraphon:
     """Push the graphon forward along the partition.
@@ -220,21 +214,17 @@ def anchored_graphon(
 
 
 def regularity_check(
-    W: StepGraphon,
-    anchors: Sequence[int],
-    functional_ids: Sequence[str],
-    *,
-    twin_tol: float = TWIN_TOL,
+    W: StepGraphon, anchors: Sequence[int], functional_ids: Sequence[str]
 ) -> bool:
-    """True iff the feature rows separate every pair of non-twin classes."""
-    fm = feature_map(W, anchors, functional_ids)
-    rows = fm.rounded_rows()
-    twins = twin_partition(W, twin_tol)
-    for i in range(W.q):
-        for j in range(i + 1, W.q):
-            if twins.class_of[i] != twins.class_of[j] and rows[i] == rows[j]:
-                return False
-    return True
+    """True iff the feature rows separate every pair of non-twin classes.
+
+    That is, no rounded feature row is shared by two classes of the twin
+    partition: the distinct rows are as many as the distinct (row, twin
+    class) pairs.
+    """
+    rows = feature_map(W, anchors, functional_ids).rounded_rows()
+    twins = twin_partition(W).class_of
+    return len(set(rows)) == len(set(zip(rows, twins)))
 
 
 def sample_anchors(W: StepGraphon, count: int, seed: int) -> list[int]:

@@ -259,6 +259,17 @@ def pairwise_twin_partition(W: gl.StepGraphon, tol: float) -> tuple[int, ...]:
     return tuple(number.setdefault(x, len(number)) for x in label)
 
 
+def pairwise_regularity(W: gl.StepGraphon, anchors, functional_ids) -> bool:
+    """Regularity pair by pair: no two non-twin classes share a rounded feature row."""
+    rows = gl.transforms.feature_map(W, anchors, functional_ids).rounded_rows()
+    twins = gl.twin_partition(W).class_of
+    return not any(
+        twins[i] != twins[j] and rows[i] == rows[j]
+        for i in range(W.q)
+        for j in range(i + 1, W.q)
+    )
+
+
 #: class assignments are enumerated in chunks of at most this many rows
 _CHUNK = 1 << 18
 

@@ -39,6 +39,10 @@ W3_DOC = {
 
 EDGE_DOC = {"n_vertices": 2, "edges": [{"u": 0, "v": 1, "psi": "unit"}]}
 
+#: liftcheck on the double edge, up to the --kmax that follows
+LIFTCHECK = ["liftcheck", "--graph", "double_edge.json", "--u", "0", "--v", "1",
+             "--psi", "unit", "--kmax"]
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -130,13 +134,15 @@ def test_mc_too_costly_exit_one(files, capsys):
         (["pathkernel", "--psi", "unit", "--k", str(10**9)], (10**9 - 1) * 9),
         (["carleman", "--terms", str(10**7)], 10**7 * 9),
         (["carleman", "--terms", str(10**6), "--kmax", "8"], 10**6 * 8 * 9),
+        # F^k has k + 1 vertices; both graphons
+        ([*LIFTCHECK, str(10**4)], 2 * sum(n * n for n in range(2, 10**4 + 2))),
     ],
-    ids=["pathkernel", "carleman", "carleman-kmax"],
+    ids=["pathkernel", "carleman", "carleman-kmax", "liftcheck"],
 )
 def test_size_flags_refused_before_the_work(files, capsys, argv, entries):
     tracemalloc.start()
     try:
-        code = run([argv[0], "--graphon", files["w3.json"], *argv[1:]])
+        code = run([argv[0], "--graphon", files["w3.json"], *(files.get(a, a) for a in argv[1:])])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -152,13 +158,15 @@ def test_size_flags_refused_before_the_work(files, capsys, argv, entries):
     [
         (spectral, ["pathkernel", "--psi", "unit", "--k"], 3, 2 * 9),  # k - 1 products at q=3
         (cli, ["carleman", "--kmax", "2", "--terms"], 4, 4 * 2 * 9),  # terms x kmax x q^2
+        (spectral, LIFTCHECK, 3, 2 * (2**2 + 3**2 + 4**2)),  # squared sizes of F^1..F^3
     ],
-    ids=["pathkernel", "carleman"],
+    ids=["pathkernel", "carleman", "liftcheck"],
 )
 def test_size_flag_limits_are_inclusive(monkeypatch, files, capsys, module, argv, largest, limit):
     monkeypatch.setattr(module, "MAX_CONTRACTION", limit)
-    assert run([argv[0], "--graphon", files["w3.json"], *argv[1:], str(largest)]) == 0
-    assert run([argv[0], "--graphon", files["w3.json"], *argv[1:], str(largest + 1)]) == 1
+    argv = [argv[0], "--graphon", files["w3.json"], *(files.get(a, a) for a in argv[1:])]
+    assert run([*argv, str(largest)]) == 0
+    assert run([*argv, str(largest + 1)]) == 1
     assert "error[too-costly]" in capsys.readouterr().err
 
 

@@ -98,7 +98,7 @@ def test_density_dp_path_matches_brute():
     rng = np.random.default_rng(11)
     W = rand_graphon(rng, 3)
     path = gl.path_graph(5, "e1")
-    assert gl.density_dp(path, W) == pytest.approx(brute_density(path, W), abs=1e-10)
+    assert gl.density(path, W) == pytest.approx(brute_density(path, W), abs=1e-10)
 
 
 def test_density_dp_star_closed_form(w2):
@@ -108,19 +108,20 @@ def test_density_dp_star_closed_form(w2):
     for leaves in (1, 2, 3, 4):
         star = gl.star_graph(leaves)
         oracle = float(np.asarray(w2.masses) @ rows**leaves)
-        assert gl.density_dp(star, w2) == pytest.approx(oracle, rel=1e-12)
         assert gl.density(star, w2) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_density_dp_single_vertex(w2):
-    assert gl.density_dp(gl.DecoratedMultigraph(1), w2) == pytest.approx(1.0, abs=1e-15)
+    assert float(gl.eliminate(gl.DecoratedMultigraph(1), w2, order=[0])) == pytest.approx(
+        1.0, abs=1e-15
+    )
 
 
 def test_density_dp_explicit_and_invalid_order(w2):
     tri = gl.cycle_graph(3)
-    assert gl.density_dp(tri, w2, order=[2, 0, 1]) == pytest.approx(9.5, abs=1e-12)
+    assert float(gl.eliminate(tri, w2, order=[2, 0, 1])) == pytest.approx(9.5, abs=1e-12)
     with pytest.raises(ValidationError) as e:
-        gl.density_dp(tri, w2, order=[0, 1])
+        gl.eliminate(tri, w2, order=[0, 1])
     assert e.value.code == "bad-order"
 
 
@@ -130,7 +131,7 @@ def test_density_dp_equals_density_random():
         W = rand_graphon(rng, int(rng.integers(2, 5)))
         F = rand_graph(rng, max_vertices=8)
         a = enumerate_density(F, W, {})
-        for b in (gl.density(F, W), gl.density_dp(F, W)):
+        for b in (gl.density(F, W), float(gl.eliminate(F, W, order=range(F.n_vertices)))):
             assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
 
@@ -314,7 +315,7 @@ def close_to_exact(got: float, exact: Fraction) -> bool:
 def test_density_matches_fraction_oracle(W, F):
     exact = fraction_density(F, W)
     assert close_to_exact(gl.density(F, W), exact)
-    assert close_to_exact(gl.density_dp(F, W, order=list(range(F.n_vertices))[::-1]), exact)
+    assert close_to_exact(float(gl.eliminate(F, W, order=range(F.n_vertices)[::-1])), exact)
 
 
 @settings(max_examples=150, deadline=None)
@@ -358,15 +359,15 @@ MC_BYTES = [
 ]
 
 
-#: chunk sizes in class draws, on the 4-vertex graph below: 1 and 7 draw one
-#: sample per chunk (fewer draws than vertices, and not a multiple of them),
+#: chunk sizes in class draws, on the 4-vertex graph below: 4 and 7 draw one
+#: sample per chunk (as many draws as vertices, and not a multiple of them),
 #: 2^20 holds every sample of a substream; one-sample chunks loop 70,001 times
 #: in Python, so they run on the first seed only, with 1 and 3 workers
 MC_CHUNK_CASES = [
     (*row, chunk)
     for chunk in (1000, 32768, density_module.MC_CHUNK, 1 << 20)
     for row in MC_BYTES
-] + [(*row, chunk) for chunk in (1, 7) for row in MC_BYTES[:2]]
+] + [(*row, chunk) for chunk in (4, 7) for row in MC_BYTES[:2]]
 
 
 @pytest.mark.parametrize("seed, workers, mean, stderr, chunk", MC_CHUNK_CASES)
@@ -493,6 +494,43 @@ def test_mc_refuses_oversized_sample_count_up_front(w2):
     assert e.value.code == "too-costly"
     assert str(samples) in str(e.value)
     assert peak < 1 << 20  # refused before the sample vector
+
+
+def test_mc_refuses_graphs_beyond_one_chunk_up_front(w2):
+    n = density_module.MC_CHUNK + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as e:
+            gl.mc_density(gl.DecoratedMultigraph(n, ((0, 1, "unit", 1),)), w2, samples=1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert e.value.code == "too-costly"
+    assert str(n) in str(e.value)
+    assert peak < 1 << 20  # refused before the class draws
+
+
+def test_mc_vertex_limit_is_inclusive(monkeypatch, w2):
+    monkeypatch.setattr(density_module, "MC_CHUNK", 8)
+    F = gl.DecoratedMultigraph(8, ((0, 1, "unit", 1),))
+    assert gl.mc_density(F, w2, samples=3, seed=0).samples == 3
+    with pytest.raises(ValidationError) as e:
+        gl.mc_density(gl.DecoratedMultigraph(9, F.edges), w2, samples=3, seed=0)
+    assert e.value.code == "too-costly"
+
+
+def test_isolated_vertices_stay_out_of_the_elimination_order(monkeypatch, w2):
+    orders = []
+    schedule = density_module._schedule
+
+    def recording(scopes, order):
+        orders.append(list(order))
+        return schedule(scopes, order)
+
+    monkeypatch.setattr(density_module, "_schedule", recording)
+    F = gl.DecoratedMultigraph(50, ((3, 7, "unit", 1),))
+    assert gl.density(F, w2) == pytest.approx(2.0, abs=1e-12)
+    assert orders == [[3, 7]]
 
 
 def test_eliminate_refuses_oversized_contraction_up_front():

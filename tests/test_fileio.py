@@ -63,7 +63,7 @@ def test_symmetric_completion_from_lower_triangle():
 def test_missing_blocks_default_to_zero():
     doc = {"masses": [0.5, 0.5], "blocks": [], "functionals": []}
     W = fileio.parse_graphon(doc)
-    assert all(b.is_zero for row in W.blocks for b in row)
+    assert all(b.support == () for row in W.blocks for b in row)
 
 
 def test_duplicate_block_rejected():

@@ -1,5 +1,7 @@
-"""The public names of graphonlab, and the names the benchmark's tracer rebinds."""
+"""The public names of graphonlab, their optional parameters, and the names the
+benchmark's tracer rebinds."""
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -13,12 +15,33 @@ PUBLIC_NAMES = [
     "EigenSystem", "FeatureMap", "FiniteMeasure", "GraphonlabError", "LiftCheckReport",
     "MCEstimate", "MatchedPair", "MomentSequence", "ParseError", "Partition", "StepGraphon",
     "TestFunctional", "ValidationError", "add_path", "anchored_graphon", "carleman_report",
-    "counterexample_report", "cycle_graph", "density", "density_dp", "edge_graph", "eigendecomp",
+    "counterexample_report", "cycle_graph", "density", "edge_graph", "eigendecomp",
     "eliminate", "kernel_matrix", "lift_check", "marginal", "matched_pair", "mc_density", "moment",
     "p_norm", "path_graph", "path_kernel", "product", "product_identity_residual", "quotient",
     "rank1_density", "rank1_graphon", "regularity_check", "relabel", "sample_anchors",
     "star_graph", "twin_partition", "twin_reduce", "unit_functional", "validate_graphon",
 ]
+
+#: the parameters with a default of every public callable that has any; a
+#: new knob is a new entry here
+OPTIONAL_PARAMETERS = {
+    "DecoratedMultigraph": ["edges", "labels"],
+    "GraphonlabError": ["code"],
+    "MomentSequence": ["source"],
+    "ParseError": ["code"],
+    "StepGraphon": ["functionals"],
+    "ValidationError": ["code"],
+    "counterexample_report": ["seed"],
+    "cycle_graph": ["psi_id"],
+    "density": ["ignore_labels"],
+    "edge_graph": ["psi_id", "multiplicity"],
+    "eliminate": ["keep", "order", "pinned"],
+    "mc_density": ["workers"],
+    "path_graph": ["psi_id"],
+    "star_graph": ["psi_id"],
+    "twin_partition": ["tol"],
+    "twin_reduce": ["tol"],
+}
 
 
 def test_public_names_are_pinned():
@@ -26,8 +49,20 @@ def test_public_names_are_pinned():
         n for n, v in vars(graphonlab).items()
         if not n.startswith("_") and type(v).__name__ != "module"
     )
-    assert len(PUBLIC_NAMES) == 49
+    assert len(PUBLIC_NAMES) == 48
     assert names == PUBLIC_NAMES
+
+
+def test_optional_parameters_are_pinned():
+    optional = {}
+    for name in PUBLIC_NAMES:
+        obj = getattr(graphonlab, name)
+        if callable(obj):
+            params = inspect.signature(obj).parameters.values()
+            if found := [p.name for p in params if p.default is not p.empty]:
+                optional[name] = found
+    assert sum(map(len, OPTIONAL_PARAMETERS.values())) == 20
+    assert optional == OPTIONAL_PARAMETERS
 
 
 def test_every_name_the_tracer_rebinds_is_bound(monkeypatch):

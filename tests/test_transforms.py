@@ -13,12 +13,14 @@ from graphonlab.errors import ValidationError
 from graphonlab.measures import measure_combine, point_mass, tv_distance
 
 from conftest import (
+    INDICATORS,
     duplicate_class,
     fraction_quotient,
     graphon_from_blocks,
     graph_suite,
     graphons_close,
     graphons_close_upto_permutation,
+    pairwise_regularity,
     pairwise_twin_partition,
     rand_graphon,
     rand_partition,
@@ -57,7 +59,7 @@ def test_quotient_composition():
         P1 = rand_partition(rng, W.q)
         P2 = rand_partition(rng, P1.n_classes)
         two_step = gl.quotient(gl.quotient(W, P1), P2)
-        one_step = gl.quotient(W, P1.compose(P2))
+        one_step = gl.quotient(W, gl.Partition([P2.class_of[c] for c in P1.class_of]))
         assert graphons_close(two_step, one_step, tol=1e-12)
 
 
@@ -124,9 +126,9 @@ def test_quotient_cancels_opposite_blocks_exactly(m, class_of):
     )
     Q = gl.quotient(W, gl.Partition(class_of))
     merged, single = class_of[0], class_of[2]
-    assert Q.blocks[merged][single].is_zero
-    assert Q.blocks[single][merged].is_zero
-    assert Q.blocks[merged][merged].is_zero
+    assert Q.blocks[merged][single].support == ()
+    assert Q.blocks[single][merged].support == ()
+    assert Q.blocks[merged][merged].support == ()
     assert Q.blocks[single][single] == x
     assert Q.support.tolist() == [3]  # points cancelled everywhere leave the support
 
@@ -308,6 +310,35 @@ def test_regularity_full_information():
 
 def test_regularity_no_functionals_fails(w2):
     assert not gl.regularity_check(w2, [0, 1], [])
+
+
+#: few distinct blocks, so twins and shared feature rows both come up often
+BLOCK_POOL = (
+    gl.FiniteMeasure((), ()),
+    point_mass(1, 1.0),
+    point_mass(2, -0.5),
+    gl.FiniteMeasure((1, 2), (1.0, -0.5)),
+)
+
+
+@st.composite
+def anchored_graphons(draw):
+    """A graphon on 1..6 classes built from :data:`BLOCK_POOL`, anchors and functional ids."""
+    q = draw(st.integers(1, 6))
+    cells = {(i, j): draw(st.sampled_from(BLOCK_POOL)) for i in range(q) for j in range(i, q)}
+    blocks = [[cells[min(i, j), max(i, j)] for j in range(q)] for i in range(q)]
+    functionals = {f.id: f for f in INDICATORS[:3]}
+    W = graphon_from_blocks([1 / q] * q, blocks, functionals)
+    anchors = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=q))
+    psis = draw(st.lists(st.sampled_from(sorted(functionals)), unique=True))
+    return W, anchors, psis
+
+
+@settings(max_examples=300, deadline=None)
+@given(anchored_graphons())
+def test_regularity_matches_pairwise_oracle(case):
+    W, anchors, psis = case
+    assert gl.regularity_check(W, anchors, psis) == pairwise_regularity(W, anchors, psis)
 
 
 def test_regularity_random_anchor_frequency():
