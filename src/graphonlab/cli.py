@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 
 from . import fileio
@@ -79,19 +78,6 @@ def _check_decorations(F, W) -> None:
             )
 
 
-def _workers() -> int:
-    raw = os.environ.get("GRAPHONLAB_WORKERS", "1")
-    try:
-        w = int(raw)
-    except ValueError:
-        raise ValidationError(
-            f"GRAPHONLAB_WORKERS={raw!r} is not an integer", code="bad-flag"
-        ) from None
-    if w < 1:
-        raise ValidationError("GRAPHONLAB_WORKERS must be >= 1", code="bad-flag")
-    return w
-
-
 # -- subcommand handlers (each returns the full output text) --------------------
 
 
@@ -117,7 +103,7 @@ def _cmd_mc(args) -> str:
     W = fileio.load_graphon(args.graphon)
     F = fileio.load_graph(args.graph)
     _check_decorations(F, W)
-    est = mc_density(F, W, args.samples, args.seed, workers=_workers())
+    est = mc_density(F, W, args.samples, args.seed)
     return fileio.dump_json(
         {
             "mean": est.mean,
@@ -437,9 +423,6 @@ def run(argv: list[str]) -> int:
     except ParseError as e:
         print(f"error[{e.code}]: {e}", file=sys.stderr)
         return 2
-    except ValidationError as e:
-        print(f"error[{e.code}]: {e}", file=sys.stderr)
-        return 1
     except GraphonlabError as e:
         print(f"error[{e.code}]: {e}", file=sys.stderr)
         return 1

@@ -8,10 +8,11 @@ class assignments:
 Every exact quantity here (:func:`density`, :func:`marginal` and both
 sides of :func:`product_identity_residual`) is computed by one engine,
 :func:`eliminate`: bucket elimination (Dechter, 1999) in greedy
-min-degree order, whose cost is exponential only in the induced width of
-the elimination order, not in the vertex count. Contractions that would
-span more than :data:`MAX_CONTRACTION` elements are refused before
-anything is allocated. The enumeration of all q^n assignments, the
+min-degree order, planned in one pass over the edge scopes, whose cost is
+exponential only in the induced width of the elimination order, not in
+the vertex count; a vertex on no edge is never visited. Contractions
+that would span more than :data:`MAX_CONTRACTION` elements are refused
+before anything is allocated. The enumeration of all q^n assignments, the
 definitional route, is kept in the tests as the oracle every route is
 checked against.
 
@@ -23,10 +24,10 @@ zero by enumeration, ``liftcheck``'s direct densities) can move in the
 last unit in the last place. Multiplicities are evaluated as integer
 powers of kernel entries, never by expanding parallel edges.
 
-:func:`mc_density` samples the same sum: each vertex's class is drawn by
-inverse CDF over ``pi / sum(pi)`` through a lookup table, and the classes
-are exactly those ``numpy.random.Generator.choice`` draws from the same
-generator.
+:func:`mc_density` samples the same sum from one stream seeded by the
+caller: each vertex's class is drawn by inverse CDF over ``pi / sum(pi)``
+through a lookup table, and the classes are exactly those
+``numpy.random.Generator.choice`` draws from the same generator.
 """
 from __future__ import annotations
 
@@ -105,45 +106,35 @@ def marginal(F: DecoratedMultigraph, W: StepGraphon, anchoring: Anchoring) -> fl
 # -- bucket elimination --------------------------------------------------------
 
 
-def _min_degree_order(scopes: Sequence[tuple[int, ...]], free: Sequence[int]) -> list[int]:
-    """Greedy min-degree elimination order on the factor-interaction graph;
-    free vertices in no scope, which :func:`_schedule` would skip, are left out."""
-    neighbors: dict[int, set[int]] = defaultdict(set)
-    for scope in scopes:
-        for x in scope:
-            neighbors[x].update(scope)
-            neighbors[x].discard(x)
-    remaining = set(free) & neighbors.keys()
-    order = []
-    while remaining:
-        v = min(remaining, key=lambda x: (len(neighbors[x]), x))
-        nbrs = neighbors[v] - {v}
-        for a in nbrs:
-            neighbors[a] |= nbrs - {a}
-            neighbors[a].discard(v)
-        remaining.discard(v)
-        order.append(v)
-    return order
+def _plan(scopes: Sequence[tuple[int, ...]], keep: Sequence[int]):
+    """The steps of a greedy min-degree elimination, on the factor scopes alone.
 
-
-def _schedule(scopes: Sequence[tuple[int, ...]], order: Sequence[int]):
-    """The buckets of an elimination, computed on the factor scopes alone.
-
-    Factors are numbered in creation order: one per scope, then one per
-    step. Each step is ``(v, bucket, left)``: the vertex summed out, the
-    ``(number, scope)`` of the live factors that mention it, and the scope
-    of the factor it leaves (the bucket's vertices in first-seen order,
-    without ``v``). Returns the steps and the factors live at the end.
+    Every vertex in a scope and not in ``keep`` is summed out; a vertex's
+    neighbours are the other vertices of the live factors that mention it,
+    and the vertex with fewest goes next, the smallest on ties. Factors are
+    numbered in creation order: one per scope, then one per step. Each step
+    is ``(v, bucket, left)``: the vertex summed out, the ``(number, scope)``
+    of the live factors that mention it, and the scope of the factor it
+    leaves (the bucket's vertices in first-seen order, without ``v``).
+    Returns the steps and the factors live at the end.
     """
     live = dict(enumerate(scopes))
+    around: dict[int, set[int]] = defaultdict(set)  # each vertex and its neighbours
+    for scope in scopes:
+        for x in scope:
+            around[x].update(scope)
+    free = around.keys() - set(keep)
     steps = []
-    for v in order:
+    while free:
+        v = min(free, key=lambda x: (len(around[x]), x))
+        free.discard(v)
         bucket = [(i, s) for i, s in live.items() if v in s]
-        if not bucket:
-            continue  # isolated vertex integrates to sum(pi) == 1
         for i, _ in bucket:
             del live[i]
         left = tuple(x for x in dict.fromkeys(x for _, s in bucket for x in s) if x != v)
+        for x in left:
+            around[x].update(left)
+            around[x].discard(v)
         live[len(scopes) + len(steps)] = left
         steps.append((v, bucket, left))
     return steps, live
@@ -165,7 +156,6 @@ def eliminate(
     F: DecoratedMultigraph,
     W: StepGraphon,
     keep: Sequence[int] = (),
-    order: Sequence[int] | None = None,
     *,
     pinned: Mapping[int, int] | None = None,
 ) -> np.ndarray:
@@ -174,7 +164,9 @@ def eliminate(
     Each eliminated vertex is contracted against the mass vector; kept
     vertices index the axes of the result in the order given. Vertices in
     ``pinned`` are fixed to the given classes and carry no mass factor.
-    With ``keep=()`` this is the full density as a 0-d array.
+    With ``keep=()`` this is the full density as a 0-d array. The order is
+    greedy min-degree, planned by :func:`_plan` from the edges alone: a
+    free vertex on no edge integrates to ``sum(pi) == 1`` and costs nothing.
 
     Raises ``ValidationError(code="too-costly")``, before allocating, when
     a bucket (or the result) would span more than :data:`MAX_CONTRACTION`
@@ -190,17 +182,7 @@ def eliminate(
             )
         pinned[v] = int(cls)
     scopes = [tuple(x for x in (u, v) if x not in pinned) for u, v, _, _ in F.edges]
-    free = [v for v in range(F.n_vertices) if v not in keep and v not in pinned]
-    if order is None:
-        order = _min_degree_order(scopes, free)
-    else:
-        order = list(order)
-        if sorted(order) != sorted(free):
-            raise ValidationError(
-                "elimination order must be a permutation of the free vertices",
-                code="bad-order",
-            )
-    steps, live = _schedule(scopes, order)
+    steps, live = _plan(scopes, keep)
     width = max([len(keep)] + [len(left) + 1 for _, _, left in steps])
     if q**width > MAX_CONTRACTION or width > MAX_BUCKET_VERTICES:
         raise ValidationError(
@@ -284,17 +266,14 @@ def mc_density(
     W: StepGraphon,
     samples: int,
     seed: int,
-    *,
-    workers: int = 1,
 ) -> MCEstimate:
     """Unbiased sampling estimate of the density.
 
     Each sample draws one class per vertex from the mass distribution
     ``pi / sum(pi)``, by inverse CDF, and evaluates the edge product; the
-    classes are those ``Generator.choice`` would draw. Sample blocks are
-    drawn from independent substreams spawned off the seed, one per worker,
-    and reduced in worker order, one after another, so the estimate is a
-    pure function of (seed, workers). Each substream is drawn in chunks of
+    classes are those ``Generator.choice`` would draw. All samples come from
+    one stream, the first child of ``SeedSequence(seed)``, so the estimate
+    is a pure function of (inputs, seed). The stream is drawn in chunks of
     about :data:`MC_CHUNK` class draws; the generator fills them in sample
     order, so the samples do not depend on the chunk size.
 
@@ -306,14 +285,15 @@ def mc_density(
     Raises ``ValidationError(code="too-costly")``, before allocating, when
     the sample vector would hold more than :data:`MAX_CONTRACTION` values
     or one sample more than :data:`MC_CHUNK` class draws,
-    ``code="labeled-graph"`` for a labeled graph, and
+    ``code="bad-seed"`` for a negative seed, which ``SeedSequence`` cannot
+    take, ``code="labeled-graph"`` for a labeled graph, and
     ``code="nonpositive-mass"`` for a negative or non-finite mass or a mass
     vector that does not sum to a positive number.
     """
     if samples < 1:
         raise ValidationError("need at least one sample", code="bad-samples")
-    if workers < 1:
-        raise ValidationError("need at least one worker", code="bad-workers")
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}", code="bad-seed")
     if samples > MAX_CONTRACTION:
         raise ValidationError(
             f"Monte Carlo would hold {samples} sample values; "
@@ -345,24 +325,16 @@ def mc_density(
     sampler = _ClassSampler(masses / total)
     flat = {psi: K.ravel() for psi, K in _kernels(F, W).items()}
 
-    shares = [samples // workers + (1 if w < samples % workers else 0) for w in range(workers)]
-    streams = np.random.SeedSequence(seed).spawn(workers)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     rows_per_chunk = MC_CHUNK // max(1, F.n_vertices)
     vals = np.empty(samples)
-    pos = 0
-    for w, share in enumerate(shares):
-        if share == 0:
-            continue
-        rng = np.random.default_rng(streams[w])
-        for start in range(0, share, rows_per_chunk):
-            rows = min(rows_per_chunk, share - start)
-            cls = sampler.draw(rng, rows, F.n_vertices)
-            out = vals[pos : pos + rows]
-            out.fill(1.0)
-            for u, v, psi, mult in F.edges:
-                entries = flat[psi][cls[u] * q + cls[v]]
-                out *= entries if mult == 1 else entries**mult
-            pos += rows
+    for start in range(0, samples, rows_per_chunk):
+        out = vals[start : start + rows_per_chunk]
+        cls = sampler.draw(rng, out.size, F.n_vertices)
+        out.fill(1.0)
+        for u, v, psi, mult in F.edges:
+            entries = flat[psi][cls[u] * q + cls[v]]
+            out *= entries if mult == 1 else entries**mult
     mean = np.mean(vals)
     stderr = 0.0
     if samples > 1:  # np.std(vals, ddof=1), step for step, without a second vector

@@ -168,7 +168,7 @@ def lift_check(
     nonzero eigenvalue must cancel pairwise, which forces agreement at
     k = 1 as well; the report records whether that is numerically the case.
 
-    Ordering and scheduling the eliminations of one F^k takes time quadratic
+    Planning the elimination of one F^k, in one pass, takes time quadratic
     in its ``n + k - 1`` vertices. Refused as ``too-costly``, before any F^k
     is built, when the squares of those vertex counts, over k = 1..kmax and
     both graphons, add up to more than :data:`MAX_CONTRACTION`.

@@ -3,8 +3,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 import pytest
@@ -345,3 +346,53 @@ def fraction_density(
             term *= kernels[psi_id][c[u]][c[v]] ** mult
         total += term
     return total
+
+
+def min_degree_order(scopes: Sequence[tuple[int, ...]], free: Sequence[int]) -> list[int]:
+    """Greedy min-degree elimination order on the factor-interaction graph.
+
+    Neighbour sets are built from the scopes and updated by fill-in; free
+    vertices in no scope are left out.
+    """
+    neighbors: dict[int, set[int]] = defaultdict(set)
+    for scope in scopes:
+        for x in scope:
+            neighbors[x].update(scope)
+            neighbors[x].discard(x)
+    remaining = set(free) & neighbors.keys()
+    order = []
+    while remaining:
+        v = min(remaining, key=lambda x: (len(neighbors[x]), x))
+        nbrs = neighbors[v] - {v}
+        for a in nbrs:
+            neighbors[a] |= nbrs - {a}
+            neighbors[a].discard(v)
+        remaining.discard(v)
+        order.append(v)
+    return order
+
+
+def schedule(scopes: Sequence[tuple[int, ...]], order: Sequence[int]):
+    """The buckets of an elimination in a given order, simulated on the scopes.
+
+    Returns the steps ``(v, bucket, left)`` and the factors live at the end,
+    numbered as ``density._plan`` numbers them.
+    """
+    live = dict(enumerate(scopes))
+    steps = []
+    for v in order:
+        bucket = [(i, s) for i, s in live.items() if v in s]
+        if not bucket:
+            continue
+        for i, _ in bucket:
+            del live[i]
+        left = tuple(x for x in dict.fromkeys(x for _, s in bucket for x in s) if x != v)
+        live[len(scopes) + len(steps)] = left
+        steps.append((v, bucket, left))
+    return steps, live
+
+
+def two_pass_plan(scopes: Sequence[tuple[int, ...]], keep: Sequence[int]):
+    """The oracle for ``density._plan``: order on neighbour sets, then schedule."""
+    free = {x for scope in scopes for x in scope}.difference(keep)
+    return schedule(scopes, min_degree_order(scopes, sorted(free)))

@@ -337,6 +337,15 @@ def test_mc_deterministic_bytes(files, capsys):
     assert abs(doc["mean"] - 2.0) <= 5 * doc["stderr"]
 
 
+def test_mc_negative_seed_refused(files, capsys):
+    argv = ["mc", "--graphon", files["w2.json"], "--graph", files["edge.json"],
+            "--samples", "5000", "--seed", "-1"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert "error[bad-seed]" in captured.err and "-1" in captured.err
+    assert captured.out == ""
+
+
 def test_mc_labeled_graph_refused(files, capsys):
     argv = ["mc", "--graphon", files["w2.json"], "--graph", files["labeled_edge.json"],
             "--samples", "5000", "--seed", "3"]
@@ -501,15 +510,6 @@ def test_out_flag_writes_file(files, tmp_path, capsys):
     ) == 0
     assert out_of(capsys) == ""
     assert target.read_text() == "2.000000000000\n"
-
-
-def test_workers_env_deterministic(files, capsys, monkeypatch):
-    monkeypatch.setenv("GRAPHONLAB_WORKERS", "2")
-    argv = ["mc", "--graphon", files["w2.json"], "--graph", files["edge.json"], "--samples", "4000", "--seed", "11"]
-    assert run(argv) == 0
-    first = out_of(capsys)
-    assert run(argv) == 0
-    assert out_of(capsys) == first
 
 
 def test_repeated_runs_byte_identical(files, capsys):

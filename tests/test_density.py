@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 import graphonlab as gl
 from graphonlab.errors import ValidationError
 
-from conftest import enumerate_density, fraction_density, rand_graph, rand_graphon, scalar_graphon
+from conftest import (
+    enumerate_density,
+    fraction_density,
+    rand_graph,
+    rand_graphon,
+    scalar_graphon,
+    two_pass_plan,
+)
 
 # the package binds the name ``density`` to the function
 density_module = importlib.import_module("graphonlab.density")
@@ -112,17 +119,26 @@ def test_density_dp_star_closed_form(w2):
 
 
 def test_density_dp_single_vertex(w2):
-    assert float(gl.eliminate(gl.DecoratedMultigraph(1), w2, order=[0])) == pytest.approx(
-        1.0, abs=1e-15
-    )
+    assert float(gl.eliminate(gl.DecoratedMultigraph(1), w2)) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_density_dp_explicit_and_invalid_order(w2):
-    tri = gl.cycle_graph(3)
-    assert float(gl.eliminate(tri, w2, order=[2, 0, 1])) == pytest.approx(9.5, abs=1e-12)
-    with pytest.raises(ValidationError) as e:
-        gl.eliminate(tri, w2, order=[0, 1])
-    assert e.value.code == "bad-order"
+def test_density_dp_wide_buckets_match_fraction_oracle():
+    # the first vertex summed out of each graph meets three or more
+    # factors, pinned hub or not
+    def complete(n):
+        return tuple((u, v, "unit", 1) for u, v in itertools.combinations(range(n), 2))
+
+    rim = tuple((i, i % 4 + 1, "e1", 2) for i in range(1, 5))
+    spokes = tuple((0, i, "unit", i % 2 + 1) for i in range(1, 5))
+    wheel = gl.DecoratedMultigraph(5, rim + spokes, {0: 1})
+    K4, K5 = (gl.DecoratedMultigraph(n, complete(n)) for n in (4, 5))
+    W = rand_graphon(np.random.default_rng(21), 3)
+    for F, pinned in [(K4, {}), (K5, {}), (wheel, {})] + [(wheel, {0: c}) for c in range(W.q)]:
+        scopes = [tuple(x for x in (u, v) if x not in pinned) for u, v, _, _ in F.edges]
+        steps, _ = density_module._plan(scopes, ())
+        assert len(steps[0][1]) >= 3
+        got = gl.marginal(F, W, {1: pinned[0]}) if pinned else gl.density(F, W, ignore_labels=True)
+        assert close_to_exact(got, fraction_density(F, W, pinned))
 
 
 def test_density_dp_equals_density_random():
@@ -131,8 +147,7 @@ def test_density_dp_equals_density_random():
         W = rand_graphon(rng, int(rng.integers(2, 5)))
         F = rand_graph(rng, max_vertices=8)
         a = enumerate_density(F, W, {})
-        for b in (gl.density(F, W), float(gl.eliminate(F, W, order=range(F.n_vertices)))):
-            assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
+        assert abs(a - gl.density(F, W)) <= 1e-10 * max(1.0, abs(a))
 
 
 def test_multiplicative_over_disjoint_union():
@@ -182,10 +197,14 @@ def test_mc_deterministic(w2):
     assert c != a
 
 
-def test_mc_workers_deterministic(w2):
-    a = gl.mc_density(gl.edge_graph(), w2, samples=999, seed=5, workers=3)
-    b = gl.mc_density(gl.edge_graph(), w2, samples=999, seed=5, workers=3)
-    assert a == b
+def test_mc_negative_seed_refused(monkeypatch, w2):
+    def no_draw(*args):
+        raise AssertionError("drew classes for a refused seed")
+
+    monkeypatch.setattr(density_module._ClassSampler, "draw", no_draw)
+    with pytest.raises(ValidationError) as e:
+        gl.mc_density(gl.edge_graph(), w2, samples=10, seed=-1)
+    assert e.value.code == "bad-seed"
 
 
 def test_mc_statistical_coverage():
@@ -315,7 +334,6 @@ def close_to_exact(got: float, exact: Fraction) -> bool:
 def test_density_matches_fraction_oracle(W, F):
     exact = fraction_density(F, W)
     assert close_to_exact(gl.density(F, W), exact)
-    assert close_to_exact(float(gl.eliminate(F, W, order=range(F.n_vertices)[::-1])), exact)
 
 
 @settings(max_examples=150, deadline=None)
@@ -346,38 +364,37 @@ def test_product_identity_matches_fraction_oracle(W, n_labels, data):
 
 # -- Monte Carlo output bytes and the cost guard ---------------------------------
 
-#: (seed, workers, mean, stderr) of ``mc_density`` on the graphon and graph
-#: below with 70,001 samples, as drawn with each substream in one piece; the
-#: chunked draw must reproduce them at any chunk size
+#: (seed, mean, stderr) of ``mc_density`` on the graphon and graph below
+#: with 70,001 samples, as drawn with the stream in one piece; the chunked
+#: draw must reproduce them at any chunk size
 MC_BYTES = [
-    (0, 1, "0x1.f1d8b3f14c6a3p+4", "0x1.c613d823d0216p-1"),
-    (0, 3, "0x1.ee4fb44283e1dp+4", "0x1.c8ee9c8c54644p-1"),
-    (1, 1, "0x1.f15f3f11f7a01p+4", "0x1.ce21c7625320dp-1"),
-    (1, 3, "0x1.f440542c29bc1p+4", "0x1.c9f5891e7e7d5p-1"),
-    (7, 1, "0x1.01f0c5591902cp+5", "0x1.cff0853c59902p-1"),
-    (7, 3, "0x1.03049693d76f8p+5", "0x1.d23c022cd2a1cp-1"),
+    (0, "0x1.f1d8b3f14c6a3p+4", "0x1.c613d823d0216p-1"),
+    (1, "0x1.f15f3f11f7a01p+4", "0x1.ce21c7625320dp-1"),
+    (7, "0x1.01f0c5591902cp+5", "0x1.cff0853c59902p-1"),
 ]
 
 
 #: chunk sizes in class draws, on the 4-vertex graph below: 4 and 7 draw one
 #: sample per chunk (as many draws as vertices, and not a multiple of them),
-#: 2^20 holds every sample of a substream; one-sample chunks loop 70,001 times
-#: in Python, so they run on the first seed only, with 1 and 3 workers
+#: 2^20 holds every sample; one-sample chunks loop 70,001 times in Python,
+#: so they run on the first seed only. The ids keep the form
+#: ``seed-1-mean-stderr-chunk`` of the rows that once also pinned three
+#: substreams, where the 1 counted them.
 MC_CHUNK_CASES = [
-    (*row, chunk)
-    for chunk in (1000, 32768, density_module.MC_CHUNK, 1 << 20)
-    for row in MC_BYTES
-] + [(*row, chunk) for chunk in (4, 7) for row in MC_BYTES[:2]]
+    pytest.param(seed, mean, stderr, chunk, id=f"{seed}-1-{mean}-{stderr}-{chunk}")
+    for chunk in (1000, 32768, density_module.MC_CHUNK, 1 << 20, 4, 7)
+    for seed, mean, stderr in (MC_BYTES if chunk > 7 else MC_BYTES[:1])
+]
 
 
-@pytest.mark.parametrize("seed, workers, mean, stderr, chunk", MC_CHUNK_CASES)
-def test_mc_output_bytes_pinned(monkeypatch, chunk, seed, workers, mean, stderr):
+@pytest.mark.parametrize("seed, mean, stderr, chunk", MC_CHUNK_CASES)
+def test_mc_output_bytes_pinned(monkeypatch, chunk, seed, mean, stderr):
     monkeypatch.setattr(density_module, "MC_CHUNK", chunk)
     W = scalar_graphon((0.2, 0.3, 0.5), [[1.0, -2.0, 0.5], [-2.0, 3.0, 1.5], [0.5, 1.5, -0.25]])
     F = gl.DecoratedMultigraph(
         4, ((0, 1, "unit", 1), (1, 2, "unit", 2), (2, 0, "unit", 1), (2, 3, "unit", 3))
     )
-    est = gl.mc_density(F, W, samples=70_001, seed=seed, workers=workers)
+    est = gl.mc_density(F, W, samples=70_001, seed=seed)
     assert (est.mean.hex(), est.stderr.hex()) == (mean, stderr)
 
 
@@ -521,16 +538,44 @@ def test_mc_vertex_limit_is_inclusive(monkeypatch, w2):
 
 def test_isolated_vertices_stay_out_of_the_elimination_order(monkeypatch, w2):
     orders = []
-    schedule = density_module._schedule
+    plan = density_module._plan
 
-    def recording(scopes, order):
-        orders.append(list(order))
-        return schedule(scopes, order)
+    def recording(scopes, keep):
+        steps, live = plan(scopes, keep)
+        orders.append([v for v, _, _ in steps])
+        return steps, live
 
-    monkeypatch.setattr(density_module, "_schedule", recording)
+    monkeypatch.setattr(density_module, "_plan", recording)
     F = gl.DecoratedMultigraph(50, ((3, 7, "unit", 1),))
     assert gl.density(F, w2) == pytest.approx(2.0, abs=1e-12)
     assert orders == [[3, 7]]
+
+
+def test_declared_vertex_count_costs_no_memory(w2):
+    F = gl.DecoratedMultigraph(10**9, ((3, 7, "unit", 1),), {7: 1})
+    tracemalloc.start()
+    try:
+        t = gl.density(F, w2, ignore_labels=True)
+        m = gl.marginal(F, w2, {1: 1})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t == pytest.approx(2.0, abs=1e-12)
+    assert m == pytest.approx(2.5, abs=1e-12)  # row 1 of the kernel against pi
+    assert peak < 1 << 20
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_plan_matches_two_pass_oracle(data):
+    n = data.draw(st.integers(1, 9))
+    vertex = st.integers(0, n - 1)
+    pairs = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])
+    edges = data.draw(st.lists(pairs, max_size=3 * n))
+    pinned = data.draw(st.sets(vertex))
+    keep = data.draw(st.lists(vertex.filter(lambda x: x not in pinned), unique=True))
+    scopes = [tuple(x for x in (u, v) if x not in pinned) for u, v in edges]
+    assert density_module._plan(scopes, keep) == two_pass_plan(scopes, keep)
 
 
 def test_eliminate_refuses_oversized_contraction_up_front():

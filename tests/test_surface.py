@@ -1,13 +1,15 @@
-"""The public names of graphonlab, their optional parameters, and the names the
-benchmark's tracer rebinds."""
+"""The public names of graphonlab, their optional parameters, the environment
+variables it reads, and the names the benchmark's tracer rebinds."""
 import importlib
 import inspect
+import re
 import sys
 from pathlib import Path
 
 import graphonlab
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+SRC = Path(graphonlab.__file__).resolve().parent
 
 #: every name ``import graphonlab`` exports; a change here changes the API
 PUBLIC_NAMES = [
@@ -35,8 +37,7 @@ OPTIONAL_PARAMETERS = {
     "cycle_graph": ["psi_id"],
     "density": ["ignore_labels"],
     "edge_graph": ["psi_id", "multiplicity"],
-    "eliminate": ["keep", "order", "pinned"],
-    "mc_density": ["workers"],
+    "eliminate": ["keep", "pinned"],
     "path_graph": ["psi_id"],
     "star_graph": ["psi_id"],
     "twin_partition": ["tol"],
@@ -61,8 +62,21 @@ def test_optional_parameters_are_pinned():
             params = inspect.signature(obj).parameters.values()
             if found := [p.name for p in params if p.default is not p.empty]:
                 optional[name] = found
-    assert sum(map(len, OPTIONAL_PARAMETERS.values())) == 20
+    assert sum(map(len, OPTIONAL_PARAMETERS.values())) == 18
     assert optional == OPTIONAL_PARAMETERS
+
+
+#: the environment variables the package reads; outputs are a function of the
+#: inputs and seeds alone, so a new knob is a new entry here
+ENVIRONMENT_VARIABLES: list[str] = []
+
+
+def test_environment_variables_are_pinned():
+    names = []
+    for path in sorted(SRC.rglob("*.py")):
+        for read in re.finditer(r"(?:os\.environ|getenv)\W*(?:get\W*)?(\w*)", path.read_text()):
+            names.append(read[1] or f"an unnamed read in {path.name}")
+    assert sorted(names) == ENVIRONMENT_VARIABLES
 
 
 def test_every_name_the_tracer_rebinds_is_bound(monkeypatch):
