@@ -70,6 +70,17 @@ class MCEstimate:
     seed: int
 
 
+def require_finite(value, what: str):
+    """``value``, refused as ``overflow`` when any entry of it is inf or NaN.
+
+    The callers compute ``value`` with numpy's overflow and invalid-value
+    warnings off: the refusal reports it instead.
+    """
+    if not np.isfinite(value).all():
+        raise ValidationError(f"{what} is not finite: it overflows a double", code="overflow")
+    return value
+
+
 def _kernels(F: DecoratedMultigraph, W: StepGraphon) -> dict[str, np.ndarray]:
     return {psi: kernel_matrix(W, psi) for psi in sorted(F.psi_ids)}
 
@@ -78,7 +89,8 @@ def density(F: DecoratedMultigraph, W: StepGraphon, *, ignore_labels: bool = Fal
     """Homomorphism density t(F, W), by bucket elimination in min-degree order.
 
     A labeled graph is refused with ``code="labeled-graph"`` unless
-    ``ignore_labels`` is set, which evaluates it as if unlabeled.
+    ``ignore_labels`` is set, which evaluates it as if unlabeled; a density
+    beyond the double range with ``code="overflow"``.
     """
     if F.labels and not ignore_labels:
         raise ValidationError(
@@ -86,21 +98,24 @@ def density(F: DecoratedMultigraph, W: StepGraphon, *, ignore_labels: bool = Fal
             "ignore_labels=True (density --ignore-labels)",
             code="labeled-graph",
         )
-    return float(eliminate(F, W))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return require_finite(float(eliminate(F, W)), "the density t(F, W)")
 
 
 def marginal(F: DecoratedMultigraph, W: StepGraphon, anchoring: Anchoring) -> float:
     """Density with labeled vertices pinned to classes by ``anchoring``.
 
     Pinned vertices carry no mass factor; only the free vertices are
-    integrated. The marginal of an unlabeled graph is its density.
+    integrated. The marginal of an unlabeled graph is its density. A
+    marginal beyond the double range is refused with ``code="overflow"``.
     """
     fixed: dict[int, int] = {}
     for v, label in F.labels.items():
         if label not in anchoring:
             raise ValidationError(f"no anchor for label {label}", code="missing-anchor")
         fixed[v] = anchoring[label]
-    return float(eliminate(F, W, pinned=fixed))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return require_finite(float(eliminate(F, W, pinned=fixed)), "the marginal")
 
 
 # -- bucket elimination --------------------------------------------------------
@@ -288,7 +303,8 @@ def mc_density(
     ``code="bad-seed"`` for a negative seed, which ``SeedSequence`` cannot
     take, ``code="labeled-graph"`` for a labeled graph, and
     ``code="nonpositive-mass"`` for a negative or non-finite mass or a mass
-    vector that does not sum to a positive number.
+    vector that does not sum to a positive number, and ``code="overflow"``
+    for a mean or standard error beyond the double range.
     """
     if samples < 1:
         raise ValidationError("need at least one sample", code="bad-samples")
@@ -328,19 +344,21 @@ def mc_density(
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     rows_per_chunk = MC_CHUNK // max(1, F.n_vertices)
     vals = np.empty(samples)
-    for start in range(0, samples, rows_per_chunk):
-        out = vals[start : start + rows_per_chunk]
-        cls = sampler.draw(rng, out.size, F.n_vertices)
-        out.fill(1.0)
-        for u, v, psi, mult in F.edges:
-            entries = flat[psi][cls[u] * q + cls[v]]
-            out *= entries if mult == 1 else entries**mult
-    mean = np.mean(vals)
-    stderr = 0.0
-    if samples > 1:  # np.std(vals, ddof=1), step for step, without a second vector
-        vals -= mean
-        np.square(vals, out=vals)
-        stderr = math.sqrt(np.add.reduce(vals) / (samples - 1)) / math.sqrt(samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, samples, rows_per_chunk):
+            out = vals[start : start + rows_per_chunk]
+            cls = sampler.draw(rng, out.size, F.n_vertices)
+            out.fill(1.0)
+            for u, v, psi, mult in F.edges:
+                entries = flat[psi][cls[u] * q + cls[v]]
+                out *= entries if mult == 1 else entries**mult
+        mean = require_finite(np.mean(vals), "the Monte Carlo mean")
+        stderr = 0.0
+        if samples > 1:  # np.std(vals, ddof=1), step for step, without a second vector
+            vals -= mean
+            np.square(vals, out=vals)
+            stderr = math.sqrt(np.add.reduce(vals) / (samples - 1)) / math.sqrt(samples)
+    require_finite(stderr, "the Monte Carlo standard error")
     return MCEstimate(float(mean), stderr, samples, seed)
 
 
@@ -357,7 +375,8 @@ def product_identity_residual(
     product of the two marginals. Both sides are contractions: the product
     is eliminated completely, each factor down to a tensor over its labeled
     vertices in label order. The two agree up to rounding; the returned
-    value is the absolute difference.
+    value is the absolute difference. A side beyond the double range is
+    refused with ``code="overflow"``.
     """
     if F1.label_set != F2.label_set:
         raise ValidationError(
@@ -365,11 +384,16 @@ def product_identity_residual(
             code="label-mismatch",
         )
     labels = sorted(F1.label_set)
-    lhs = float(eliminate(product(F1, F2), W))
-    T1 = eliminate(F1, W, keep=[F1.vertex_of_label(l) for l in labels])
-    T2 = eliminate(F2, W, keep=[F2.vertex_of_label(l) for l in labels])
-    weight = np.ones(())
-    for _ in labels:
-        weight = np.multiply.outer(weight, np.asarray(W.masses))
-    rhs = math.fsum((weight * T1 * T2).ravel())
-    return abs(lhs - rhs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = require_finite(float(eliminate(product(F1, F2), W)), "the product density")
+        T1 = eliminate(F1, W, keep=[F1.vertex_of_label(l) for l in labels])
+        T2 = eliminate(F2, W, keep=[F2.vertex_of_label(l) for l in labels])
+        weight = np.ones(())
+        for _ in labels:
+            weight = np.multiply.outer(weight, np.asarray(W.masses))
+        terms = (weight * T1 * T2).ravel()
+    try:
+        rhs = math.fsum(terms)
+    except (OverflowError, ValueError):  # a sum beyond the doubles, or inf - inf
+        rhs = math.inf
+    return abs(lhs - require_finite(rhs, "the pinned sum of marginal products"))

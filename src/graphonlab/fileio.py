@@ -16,6 +16,17 @@ semantic trouble. ``parse(serialize(x))`` reproduces ``x`` (for a
 graphon: equal masses, blocks and functionals) and serialization is
 canonical.
 
+The ``load_*`` functions read a file as bytes and decode it with orjson;
+when orjson refuses the bytes, or the parse refuses what it returned,
+the file is read again with :mod:`json` and that document is parsed, so
+every refusal is the one the :mod:`json` route gives. The two decoders
+agree on every document orjson accepts, except that orjson returns an
+integer outside [-2^63, 2^64) as the correctly rounded float: a float
+field reads the same value either way, and an integer field refuses it,
+which sends the file to :mod:`json`. orjson alone refuses ``NaN`` and
+``Infinity`` literals, lone surrogate escapes and numbers beyond the
+double range, which :mod:`json` reads.
+
 :func:`dump_json` writes every output document. Its bytes are those of
 ``json.dumps(doc, indent=2)``: numbers are written with ``repr``, NaN and
 infinities as ``NaN``/``Infinity``/``-Infinity``, strings ASCII-escaped.
@@ -30,9 +41,10 @@ import math
 from itertools import chain, compress, islice
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
+import orjson
 
 from .density import MAX_CONTRACTION
 from .errors import ParseError, ValidationError
@@ -307,20 +319,39 @@ def _load_json(path: str) -> Any:
         raise ParseError(f"{path} is not valid JSON: {e}") from None
 
 
+def _decode(path: str) -> Any:
+    with open(path, "rb") as fh:
+        return orjson.loads(fh.read())  # the bytes are released before the parse
+
+
+def _load(path: str, parse: Callable[[Any], Any]) -> Any:
+    """``parse`` of the document at ``path``, decoded by orjson.
+
+    A file orjson cannot read or decode, or whose document ``parse``
+    refuses, is read again by :func:`_load_json` and parsed from there, so
+    every refusal is that route's.
+    """
+    try:
+        return parse(_decode(path))
+    except (OSError, orjson.JSONDecodeError, ParseError, ValidationError):
+        pass  # leaving the handler drops the refused document before the re-read
+    return parse(_load_json(path))
+
+
 def load_graphon(path: str) -> StepGraphon:
-    return parse_graphon(_load_json(path))
+    return _load(path, parse_graphon)
 
 
 def load_graph(path: str) -> DecoratedMultigraph:
-    return parse_graph(_load_json(path))
+    return _load(path, parse_graph)
 
 
 def load_partition(path: str) -> Partition:
-    return parse_partition(_load_json(path))
+    return _load(path, parse_partition)
 
 
 def load_moments(path: str) -> MomentSequence:
-    return parse_moments(_load_json(path))
+    return _load(path, parse_moments)
 
 
 def dump_json(doc: Any) -> str:

@@ -9,6 +9,7 @@ product.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -125,24 +126,26 @@ def product(F1: DecoratedMultigraph, F2: DecoratedMultigraph) -> DecoratedMultig
     """Disjoint union with identically labeled vertices merged.
 
     Labels and decorations are kept; multiplicities add when the same
-    decoration joins the same merged pair.
+    decoration joins the same merged pair. F1 keeps its numbering; an
+    unmerged vertex v of F2 becomes ``F1.n_vertices + v`` less the number
+    of merged vertices below v. Only the labeled vertices and the edge
+    ends are renumbered, so a declared vertex count costs no memory.
     """
     label_to_v1 = {l: v for v, l in F1.labels.items()}
-    mapping: dict[int, int] = {}
-    next_vertex = F1.n_vertices
-    for v in range(F2.n_vertices):
-        l = F2.labels.get(v)
-        if l is not None and l in label_to_v1:
-            mapping[v] = label_to_v1[l]
-        else:
-            mapping[v] = next_vertex
-            next_vertex += 1
+    merged = {v: label_to_v1[l] for v, l in F2.labels.items() if l in label_to_v1}
+    below = sorted(merged)
+
+    def place(v: int) -> int:
+        if v in merged:
+            return merged[v]
+        return F1.n_vertices + v - bisect_left(below, v)
+
     edges = list(F1.edges)
-    edges.extend((mapping[u], mapping[v], psi, m) for u, v, psi, m in F2.edges)
+    edges.extend((place(u), place(v), psi, m) for u, v, psi, m in F2.edges)
     labels = dict(F1.labels)
     for v, l in F2.labels.items():
-        labels[mapping[v]] = l
-    return DecoratedMultigraph(next_vertex, tuple(edges), labels)
+        labels[place(v)] = l
+    return DecoratedMultigraph(F1.n_vertices + F2.n_vertices - len(merged), tuple(edges), labels)
 
 
 def add_path(

@@ -165,7 +165,9 @@ def moment(dist: Sequence[float], r: int) -> float:
     """r-th raw moment ``sum_k k**r * dist[k]`` of a distribution on {0..N}.
 
     ``dist`` must be entrywise nonnegative and sum to 1 within 1e-12.
-    The order-0 moment is exactly 1 by the ``0**0 == 1`` convention.
+    The order-0 moment is exactly 1 by the ``0**0 == 1`` convention. A
+    power ``k**r`` or a sum beyond the double range is refused as
+    ``overflow``.
     """
     if r < 0 or not isinstance(r, int) or isinstance(r, bool):
         raise ValidationError("moment order must be a nonnegative integer", code="bad-order")
@@ -179,7 +181,13 @@ def moment(dist: Sequence[float], r: int) -> float:
         )
     if r == 0:
         return 1.0
-    return math.fsum((k**r) * x for k, x in enumerate(p))
+    try:
+        return math.fsum((k**r) * x for k, x in enumerate(p))
+    except OverflowError:
+        raise ValidationError(
+            f"the moment of order {r} on {{0..{len(p) - 1}}} is beyond the double range",
+            code="overflow",
+        ) from None
 
 
 @dataclass(frozen=True)

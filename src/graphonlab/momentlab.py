@@ -32,6 +32,10 @@ from .measures import point_mass  # noqa: F401
 MOMENT_MATCH_TOL = 1e-10
 WITNESS_GAP_MIN = 1e-8
 
+#: the largest order of a finite-difference stencil whose binomial
+#: coefficients are doubles: C(1030, 515) is beyond the double range
+MAX_STENCIL_ORDER = 1029
+
 
 @dataclass
 class MatchedPair:
@@ -75,7 +79,17 @@ class MatchedPair:
 
 def _difference_stencil(order: int, length: int) -> tuple[float, ...]:
     """Alternating binomial coefficients of the order-th finite difference,
-    placed at positions 0..order and zero-padded to ``length``."""
+    placed at positions 0..order and zero-padded to ``length``.
+
+    An order above :data:`MAX_STENCIL_ORDER` is refused as ``bad-order``.
+    """
+    if order > MAX_STENCIL_ORDER:
+        raise ValidationError(
+            f"the stencil of order {order} (matched order {order - 1}) has binomial "
+            f"coefficients beyond the double range; the largest matched order whose "
+            f"stencil fits in a double is {MAX_STENCIL_ORDER - 1}",
+            code="bad-order",
+        )
     z = [0.0] * length
     for i in range(order + 1):
         z[i] = float((-1) ** i * math.comb(order, i))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .density import MAX_CONTRACTION, eliminate
+from .density import MAX_CONTRACTION, eliminate, require_finite
 from .graphs import DecoratedMultigraph, add_path, remove_one_edge
 from .stepgraphon import StepGraphon, kernel_matrix
 
@@ -66,7 +66,8 @@ def path_kernel(W: StepGraphon, psi_id: str, k: int) -> np.ndarray:
 
     Computed as ``K (Pi K)^(k-1)``; ``k == 1`` returns the kernel itself.
     Refused as ``too-costly`` when the k - 1 products would make more than
-    :data:`MAX_CONTRACTION` entries in all.
+    :data:`MAX_CONTRACTION` entries in all, and as ``overflow`` when an
+    entry is beyond the double range.
     """
     if k < 1:
         raise ValidationError("path length must be >= 1", code="bad-order")
@@ -77,12 +78,13 @@ def path_kernel(W: StepGraphon, psi_id: str, k: int) -> np.ndarray:
             f"{entries} entries; the limit is {MAX_CONTRACTION} elements",
             code="too-costly",
         )
-    K = kernel_matrix(W, psi_id)
     pi = np.asarray(W.masses)
-    P = K.copy()
-    for _ in range(k - 1):
-        P = P @ (pi[:, None] * K)
-    return P
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = kernel_matrix(W, psi_id)
+        P = K.copy()
+        for _ in range(k - 1):
+            P = P @ (pi[:, None] * K)
+    return require_finite(P, f"the path kernel of length {k}")
 
 
 @dataclass

@@ -43,7 +43,8 @@ class Partition:
         if not self.class_of:
             raise ValidationError("partition of zero classes", code="bad-partition")
         n = max(self.class_of) + 1
-        if min(self.class_of) < 0 or set(self.class_of) != set(range(n)):
+        # n distinct values in 0..n-1 are all of them; range(n) is never built
+        if min(self.class_of) < 0 or len(set(self.class_of)) != n:
             raise ValidationError(
                 "partition map must be surjective onto 0..n-1", code="non-surjective"
             )

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections import defaultdict
 from fractions import Fraction
@@ -396,3 +397,35 @@ def two_pass_plan(scopes: Sequence[tuple[int, ...]], keep: Sequence[int]):
     """The oracle for ``density._plan``: order on neighbour sets, then schedule."""
     free = {x for scope in scopes for x in scope}.difference(keep)
     return schedule(scopes, min_degree_order(scopes, sorted(free)))
+
+
+def vertex_by_vertex_product(F1: gl.DecoratedMultigraph, F2: gl.DecoratedMultigraph):
+    """The oracle for ``graphs.product``: every vertex of F2 placed in turn."""
+    label_to_v1 = {l: v for v, l in F1.labels.items()}
+    mapping: dict[int, int] = {}
+    next_vertex = F1.n_vertices
+    for v in range(F2.n_vertices):
+        l = F2.labels.get(v)
+        if l is not None and l in label_to_v1:
+            mapping[v] = label_to_v1[l]
+        else:
+            mapping[v] = next_vertex
+            next_vertex += 1
+    edges = list(F1.edges)
+    edges.extend((mapping[u], mapping[v], psi, m) for u, v, psi, m in F2.edges)
+    labels = dict(F1.labels)
+    for v, l in F2.labels.items():
+        labels[mapping[v]] = l
+    return gl.DecoratedMultigraph(next_vertex, tuple(edges), labels)
+
+
+def json_load(path, parse):
+    """The oracle for ``fileio.load_*``: ``parse`` of the file as ``json.load`` reads it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as e:
+        raise ParseError(f"cannot read {path}: {e}") from None
+    except ValueError as e:
+        raise ParseError(f"{path} is not valid JSON: {e}") from None
+    return parse(doc)

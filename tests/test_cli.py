@@ -244,6 +244,62 @@ def test_overflowing_quotient_exit_one(tmp_path, argv):
     assert "Warning" not in err and err.count("\n") == 1
 
 
+def path_doc(n: int, labels: dict | None = None) -> dict:
+    edges = [{"u": i, "v": i + 1, "psi": "unit"} for i in range(n - 1)]
+    return {"n_vertices": n, "edges": edges, "labels": labels or {}}
+
+
+#: two multiplicity-400 edges on either side of a labeled middle vertex
+HEAVY_DOC = {
+    "n_vertices": 3,
+    "labels": {"1": 1},
+    "edges": [{"u": 0, "v": 1, "psi": "unit", "multiplicity": 400},
+              {"u": 1, "v": 2, "psi": "unit", "multiplicity": 400}],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, quantity",
+    [
+        (["density", "--graph", "path.json"], "the density t(F, W)"),
+        (["marginal", "--graph", "labeled_path.json", "--anchors", "1:0"], "the marginal"),
+        (["mc", "--graph", "path.json", "--samples", "100", "--seed", "1"],
+         "the Monte Carlo mean"),
+        (["productcheck", "--graph1", "heavy.json", "--graph2", "heavy.json"],
+         "the product density"),
+        (["pathkernel", "--psi", "unit", "--k", "1000"], "the path kernel of length 1000"),
+    ],
+    ids=["density", "marginal", "mc", "productcheck", "pathkernel"],
+)
+def test_non_finite_results_refused_exit_one(tmp_path, argv, quantity):
+    # on w2 these overflowed to inf, or inf - inf, and printed it with exit 0
+    (tmp_path / "w2.json").write_text(json.dumps(W2_DOC))
+    (tmp_path / "path.json").write_text(json.dumps(path_doc(1100)))
+    (tmp_path / "labeled_path.json").write_text(json.dumps(path_doc(1100, {"0": 1})))
+    (tmp_path / "heavy.json").write_text(json.dumps(HEAVY_DOC))
+    argv = [arg if not arg.endswith(".json") else str(tmp_path / arg) for arg in argv]
+    code, out, err = fresh_process([argv[0], "--graphon", str(tmp_path / "w2.json"), *argv[1:]])
+    assert (code, out) == (1, "")
+    assert err == f"error[overflow]: {quantity} is not finite: it overflows a double\n"
+
+
+def test_momentpair_stencil_beyond_the_doubles_refused(capsys):
+    # C(1091, i) overflowed float() with an uncoded traceback
+    code, out, err = in_process(["momentpair", "--support", "1100", "--order", "1090"], capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error[bad-order]: the stencil of order 1091 (matched order 1090) has binomial "
+        "coefficients beyond the double range; the largest matched order whose stencil "
+        "fits in a double is 1028\n"
+    )
+
+
+def test_momentpair_moment_beyond_the_doubles_refused(capsys):
+    code, out, err = in_process(["momentpair", "--support", "1100", "--order", "1028"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error[overflow]: the moment of order 102 on {0..1100} is beyond the double range\n"
+
+
 def in_process(argv: list[str], capsys) -> tuple[int, str, str]:
     try:
         code = run(argv)

@@ -207,6 +207,50 @@ def test_mc_negative_seed_refused(monkeypatch, w2):
     assert e.value.code == "bad-seed"
 
 
+def overflow_refused(fn) -> str:
+    """The message of the ``overflow`` refusal ``fn()`` raises; a warning fails the test."""
+    with pytest.raises(ValidationError) as e:
+        fn()
+    assert e.value.code == "overflow"
+    return str(e.value)
+
+
+def test_non_finite_results_refused(w2):
+    path = gl.path_graph(1099)  # 1,100 vertices
+    heavy = gl.DecoratedMultigraph(3, ((0, 1, "unit", 400), (1, 2, "unit", 400)), {1: 1})
+    assert overflow_refused(lambda: gl.density(path, w2)).startswith("the density t(F, W) ")
+    labeled = gl.relabel(path, 0, 1)
+    assert overflow_refused(lambda: gl.marginal(labeled, w2, {1: 0})).startswith("the marginal ")
+    assert overflow_refused(lambda: gl.mc_density(path, w2, 50, 1)).startswith(
+        "the Monte Carlo mean "
+    )
+    assert overflow_refused(lambda: gl.product_identity_residual(heavy, heavy, w2)).startswith(
+        "the product density "
+    )
+    assert overflow_refused(lambda: gl.path_kernel(w2, "unit", 1000)).startswith(
+        "the path kernel of length 1000 "
+    )
+
+
+def test_mc_standard_error_beyond_the_doubles_refused():
+    # a finite mean, about 2.5e199, whose squared deviations overflow
+    W = scalar_graphon((0.5, 0.5), [[1e200, 0.0], [0.0, 0.0]])
+    message = overflow_refused(lambda: gl.mc_density(gl.edge_graph(), W, 1000, 3))
+    assert message == "the Monte Carlo standard error is not finite: it overflows a double"
+
+
+def test_product_identity_pinned_sum_beyond_the_doubles_refused(monkeypatch, w2):
+    # four finite pinned terms of 5.6e307 whose sum is beyond the doubles,
+    # against a finite product density
+    def contraction(F, W, keep=(), *, pinned=None):
+        return np.full((W.q,) * len(keep), 1.5e154) if keep else np.ones(())
+
+    monkeypatch.setattr(density_module, "eliminate", contraction)
+    F = gl.DecoratedMultigraph(2, ((0, 1, "unit", 1),), {0: 1, 1: 2})
+    message = overflow_refused(lambda: gl.product_identity_residual(F, F, w2))
+    assert message == "the pinned sum of marginal products is not finite: it overflows a double"
+
+
 def test_mc_statistical_coverage():
     # spec property: within 4 standard errors in at least 99% of seeds
     rng = np.random.default_rng(15)

@@ -12,7 +12,7 @@ import graphonlab as gl
 from graphonlab import fileio
 from graphonlab.errors import ParseError, ValidationError
 
-from conftest import parse_block_records, rand_graphon, scalar_graphon
+from conftest import json_load, parse_block_records, rand_graphon, scalar_graphon
 
 import numpy as np
 
@@ -380,6 +380,176 @@ def test_parse_graphon_matches_the_record_by_record_oracle(doc):
         assert value.support.tolist() == support.tolist()
         assert value.weights.shape == weights.shape
         assert value.weights.tobytes() == weights.tobytes()
+
+
+# -- the decoder: orjson first, the json route for what it refuses -----------------
+
+#: number literals the two decoders read differently, or could: literals
+#: only json reads, integers at and beyond 64 bits, doubles at the edges
+EDGE_NUMBERS = [
+    b"NaN", b"Infinity", b"-Infinity", b"-0", b"-0.0", b"0", b"1.0", b"1e0",
+    b"9223372036854775807", b"9223372036854775808", b"-9223372036854775808",
+    b"-9223372036854775809", b"18446744073709551615", b"18446744073709551616",
+    b"1" + b"0" * 30, b"-1" + b"0" * 30, b"1" + b"0" * 400, b"1e400", b"-1e400",
+    b"1.7976931348623157e308", b"1.7976931348623159e308", b"5e-324", b"1e-320",
+    b"2.4703282292062328e-324", b"2.2250738585072011e-308", b"1e-400",
+]
+NUMBERS = st.one_of(
+    st.integers(-2, 5).map(lambda n: b"%d" % n),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: repr(x).encode()),
+)
+#: string literals: plain, a lone surrogate escape, a surrogate pair, a byte that is not UTF-8
+EDGE_STRINGS = [b'"\\ud800"', b'"\\ud83d\\ude00"', b'"x\xff"', b'"symbolic"', b'"1"']
+SPACE = st.sampled_from([b"", b" ", b"\n", b"\r\n", b"\t", b"\r\n  "])
+
+
+def _edge(draw, token: bytes, edges: list, p: float = 0.05) -> bytes:
+    """``token``, or with probability ``p`` one of ``edges``."""
+    return draw(st.sampled_from(edges)) if draw(st.integers(1, 1000)) <= 1000 * p else token
+
+
+def _array(draw, items) -> bytes:
+    sp = draw(SPACE)
+    return b"[" + sp + (b"," + sp).join(items) + sp + b"]"
+
+
+def _object(draw, fields: list) -> bytes:
+    """``fields`` as an object, sometimes with one key given twice (the later one counts)."""
+    if fields and draw(st.integers(0, 3)) == 0:
+        key, _ = draw(st.sampled_from(fields))
+        fields.insert(draw(st.integers(0, len(fields))), (key, draw(NUMBERS)))
+    sp = draw(SPACE)
+    return b"{" + sp + (b"," + sp).join(b'"%s":%s%s' % (k, sp, v) for k, v in fields) + sp + b"}"
+
+
+@st.composite
+def graphon_texts(draw):
+    q = draw(st.sampled_from([1, 2, 4]))
+    mass = draw(st.sampled_from({1: [b"1", b"1.0", b"1e0"], 2: [b"0.5"], 4: [b"0.25", b"2.5e-1"]}[q]))
+    blocks = []
+    for i in range(q):
+        for j in range(i, q):
+            if draw(st.booleans()):
+                points = sorted(draw(st.sets(st.integers(0, 6), max_size=3)))
+                weights = draw(st.lists(NUMBERS.filter(lambda x: x not in (b"0", b"0.0", b"-0.0")),
+                                        min_size=len(points), max_size=len(points)))
+                i, j = (j, i) if draw(st.booleans()) else (i, j)
+                blocks.append(_object(draw, [
+                    (b"i", _edge(draw, b"%d" % i, EDGE_NUMBERS, 0.02)),
+                    (b"j", _edge(draw, b"%d" % j, EDGE_NUMBERS, 0.02)),
+                    (b"support", _array(draw, [_edge(draw, b"%d" % k, EDGE_NUMBERS, 0.02)
+                                               for k in points])),
+                    (b"weights", _array(draw, [_edge(draw, w, EDGE_NUMBERS) for w in weights])),
+                ]))
+    masses = [_edge(draw, mass, EDGE_NUMBERS, 0.02) for _ in range(q)]
+    fields = [(b"masses", _array(draw, masses)), (b"blocks", _array(draw, blocks))]
+    if draw(st.booleans()):
+        unit = _object(draw, [
+            (b"id", _edge(draw, b'"unit"', EDGE_STRINGS)), (b"support", b"[1]"),
+            (b"values", _array(draw, [_edge(draw, draw(NUMBERS), EDGE_NUMBERS)])),
+        ])
+        fields.append((b"functionals", _array(draw, [unit])))
+    return _object(draw, fields)
+
+
+@st.composite
+def graph_texts(draw):
+    def index():
+        return _edge(draw, b"%d" % draw(st.integers(0, 3)), EDGE_NUMBERS, 0.03)
+
+    edges = []
+    for _ in range(draw(st.integers(0, 3))):
+        fields = [(b"u", index()), (b"v", index()), (b"psi", _edge(draw, b'"unit"', EDGE_STRINGS))]
+        if draw(st.booleans()):
+            fields.append((b"multiplicity", index()))
+        edges.append(_object(draw, fields))
+    labels = [(_edge(draw, b'"%d"' % v, EDGE_STRINGS)[1:-1], index())
+              for v in draw(st.sets(st.integers(0, 3), max_size=2))]
+    return _object(draw, [
+        (b"n_vertices", _edge(draw, b"4", EDGE_NUMBERS)),
+        (b"labels", _object(draw, labels)),
+        (b"edges", _array(draw, edges)),
+    ])
+
+
+@st.composite
+def partition_texts(draw):
+    classes = [b"%d" % c for c in draw(st.permutations(range(draw(st.integers(1, 4)))))]
+    return _object(draw, [(b"class_of", _array(draw, [_edge(draw, c, EDGE_NUMBERS) for c in classes]))])
+
+
+@st.composite
+def moments_texts(draw):
+    moments = [b"1"] + [_edge(draw, draw(NUMBERS), EDGE_NUMBERS, 0.1)
+                        for _ in range(draw(st.integers(0, 4)))]
+    fields = [(b"moments", _array(draw, moments))]
+    if draw(st.booleans()):
+        fields.append((b"source", draw(st.sampled_from([b'"symbolic"', b'"distribution"', *EDGE_STRINGS]))))
+    return _object(draw, fields)
+
+
+DOCUMENTS = {
+    "graphon": (graphon_texts(), fileio.load_graphon, fileio.parse_graphon),
+    "graph": (graph_texts(), fileio.load_graph, fileio.parse_graph),
+    "partition": (partition_texts(), fileio.load_partition, fileio.parse_partition),
+    "moments": (moments_texts(), fileio.load_moments, fileio.parse_moments),
+}
+
+
+def _loaded(load):
+    """What ``load()`` returns, as bytes and reprs, or the refusal it raises."""
+    try:
+        x = load()
+    except (ParseError, ValidationError) as e:
+        return "error", (type(e), str(e), e.code)
+    if isinstance(x, gl.StepGraphon):
+        return "ok", (repr(x.masses), x.support.tobytes(), x.weights.shape,
+                      x.weights.tobytes(), repr(sorted(x.functionals.items())))
+    return "ok", repr(x)
+
+
+@pytest.fixture(scope="module")
+def document_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("decoder") / "doc.json")
+
+
+def _same_as_json_load(path: str, kind: str, body: bytes) -> None:
+    _, load, parse = DOCUMENTS[kind]
+    with open(path, "wb") as fh:
+        fh.write(body)
+    assert _loaded(lambda: load(path)) == _loaded(lambda: json_load(path, parse))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(DOCUMENTS)), st.data())
+def test_load_matches_the_json_load_oracle(document_path, kind, data):
+    body = data.draw(SPACE) + data.draw(DOCUMENTS[kind][0]) + data.draw(SPACE)
+    if data.draw(st.integers(0, 9)) == 0:
+        body = b"\xef\xbb\xbf" + body  # a UTF-8 byte order mark
+    _same_as_json_load(document_path, kind, body)
+
+
+@pytest.mark.parametrize(
+    "kind, body",
+    [
+        ("moments", b'{"moments": [1, NaN, Infinity, -0], "source": "symbolic"}'),
+        ("moments", b'{"moments": [1, 1e400]}'),
+        ("graph", b'{"n_vertices": 18446744073709551616, "edges": [{"u": 0, "v": 1, '
+                  b'"psi": "unit", "multiplicity": 1000000000000000000000000000000}]}'),
+        ("graph", b'{"n_vertices": 2, "edges": [{"u": 0, "v": 1, "psi": "\\ud800"}]}'),
+        ("graph", b'{"n_vertices": 2, "labels": {"0": 1, "0": 2}, "edges": []}'),
+        ("partition", b'{"class_of": [0, 18446744073709551615]}'),
+        ("graphon", b'\xef\xbb\xbf{"masses": [1], "blocks": []}'),
+        ("graphon", b'{"masses": [1],\r\n "blocks": [{"i": 0, "j": 0, "support": [1], '
+                    b'"weights": [1000000000000000000000000000000]}]}'),
+        ("graphon", b'{"masses": [1], "blocks": [{"i": 0, "j": 0, "support": [1, 2], '
+                    b'"weights": [5e-324, -1000000000000000000000000000000]}]}'),
+    ],
+    ids=["nan-infinity", "1e400", "big-integers", "lone-surrogate", "duplicate-key", "uint64", "bom",
+         "crlf-1e30", "subnormal"],
+)
+def test_edge_documents_load_as_json_reads_them(document_path, kind, body):
+    _same_as_json_load(document_path, kind, body)
 
 
 # -- the writer -------------------------------------------------------------------

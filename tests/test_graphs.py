@@ -1,11 +1,15 @@
 """Multigraph algebra: normal form, products, labels, paths, degrees."""
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphonlab as gl
 from graphonlab.errors import ValidationError
 
-from conftest import rand_graph
+from conftest import rand_graph, vertex_by_vertex_product
 
 
 def labeled_edge(label: int = 1, psi: str = "unit") -> gl.DecoratedMultigraph:
@@ -85,6 +89,40 @@ def test_product_associative_up_to_isomorphism():
             rand_graph(rng, max_vertices=4, n_labels=int(rng.integers(0, 3))) for _ in range(3)
         )
         assert gl.product(gl.product(F1, F2), F3) == gl.product(F1, gl.product(F2, F3))
+
+
+@st.composite
+def labeled_graphs(draw):
+    """Up to 8 vertices, some of them on no edge, with labels drawn from 1..4."""
+    n = draw(st.integers(0, 8))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pairs, max_size=8)) if n > 1 else []
+    vertices = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=4)) if n else []
+    labels = draw(st.permutations(range(1, 5)))
+    return gl.DecoratedMultigraph(
+        n, tuple((u, v, "unit", 1) for u, v in edges), dict(zip(vertices, labels))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(labeled_graphs(), labeled_graphs())
+def test_product_matches_the_vertex_by_vertex_oracle(F1, F2):
+    assert gl.product(F1, F2) == vertex_by_vertex_product(F1, F2)
+
+
+def test_product_declared_vertex_count_costs_no_memory():
+    F1 = gl.DecoratedMultigraph(2, ((0, 1, "unit", 1),), {0: 1})
+    F2 = gl.DecoratedMultigraph(200_000, ((0, 199_999, "unit", 1),), {199_999: 1})
+    tracemalloc.start()
+    try:
+        G = gl.product(F1, F2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G == vertex_by_vertex_product(F1, F2)
+    assert G.edges == ((0, 1, "unit", 1), (0, 2, "unit", 1))
+    assert G.n_vertices == 200_001
+    assert peak < 1 << 20
 
 
 def test_unlabel_and_relabel_roundtrip():

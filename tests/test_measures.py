@@ -117,6 +117,14 @@ def test_moment_rejects_bad_distributions():
         gl.moment([0.5, 0.4], 1)
 
 
+def test_moment_beyond_the_doubles_refused():
+    assert gl.moment([0.5, 0.0, 0.5], 1023) == 2.0**1022
+    with pytest.raises(ValidationError) as e:
+        gl.moment([0.5, 0.0, 0.5], 1024)  # 2**1024 has no double
+    assert e.value.code == "overflow"
+    assert str(e.value) == "the moment of order 1024 on {0..2} is beyond the double range"
+
+
 def test_measure_validation():
     with pytest.raises(ValidationError):
         gl.FiniteMeasure((2, 1), (1.0, 1.0))  # decreasing support

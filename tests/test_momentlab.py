@@ -7,7 +7,7 @@ import pytest
 import graphonlab as gl
 from graphonlab.errors import ValidationError
 from graphonlab.measures import point_mass, tv_distance, tv_norm
-from graphonlab.momentlab import standard_suite
+from graphonlab.momentlab import MAX_STENCIL_ORDER, _difference_stencil, standard_suite
 
 from conftest import block_arrays, rand_graph
 
@@ -77,6 +77,19 @@ def test_matched_pair_validation_rejects_bad_pairs():
         gl.MatchedPair(2, 0, (0.5, 0.5), (0.5, 0.5), 0.0, (0.0, 0.0))  # p == q
     with pytest.raises(ValidationError):
         gl.MatchedPair(2, 1, (0.2, 0.8), (0.8, 0.2), 0.3, (1.0, -1.0))  # moment 1 differs
+
+
+def test_stencil_order_limit_is_the_largest_that_fits_a_double():
+    top = MAX_STENCIL_ORDER
+    assert float(math.comb(top, top // 2)) < math.inf
+    with pytest.raises(OverflowError):
+        float(math.comb(top + 1, (top + 1) // 2))
+    z = _difference_stencil(top, top + 1)
+    assert max(map(abs, z)) == float(math.comb(top, top // 2))
+    with pytest.raises(ValidationError) as e:
+        _difference_stencil(top + 1, top + 2)
+    assert e.value.code == "bad-order"
+    assert str(e.value).endswith(f"fits in a double is {top - 1}")
 
 
 def test_rank1_graphon_point_mass_at_one():

@@ -1,5 +1,7 @@
 """The public names of graphonlab, their optional parameters, the environment
-variables it reads, and the names the benchmark's tracer rebinds."""
+variables it reads, its runtime dependencies, and the names the benchmark's
+tracer rebinds."""
+import ast
 import importlib
 import inspect
 import re
@@ -77,6 +79,17 @@ def test_environment_variables_are_pinned():
         for read in re.finditer(r"(?:os\.environ|getenv)\W*(?:get\W*)?(\w*)", path.read_text()):
             names.append(read[1] or f"an unnamed read in {path.name}")
     assert sorted(names) == ENVIRONMENT_VARIABLES
+
+
+#: the packages an install pulls in; a third one is a new entry here
+DEPENDENCIES = ["numpy>=1.24", "orjson>=3.8"]
+
+
+def test_runtime_dependencies_are_pinned():
+    # tomllib is Python 3.11+; the project's one dependencies line is a Python list literal
+    text = (SRC.parent.parent / "pyproject.toml").read_text()
+    lines = re.findall(r"^dependencies = (.*)$", text, re.M)
+    assert [ast.literal_eval(line) for line in lines] == [DEPENDENCIES]
 
 
 def test_every_name_the_tracer_rebinds_is_bound(monkeypatch):

@@ -1,5 +1,6 @@
 """Quotients, twins, anchored graphons and regularity."""
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -369,3 +370,17 @@ def test_sample_anchors_frequencies():
     for cls, p in ((0, 0.3), (1, 0.7)):
         freq = draws.count(cls) / n
         assert abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / n)
+
+
+@pytest.mark.parametrize("class_of", [(0, 10**12), (0, 2, 2), (1,), (-1, 0)])
+def test_partition_surjectivity_costs_no_memory_per_class_index(class_of):
+    # the check once built range(max + 1): 10^12 ints for a two-entry file
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as e:
+            gl.Partition(class_of)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert e.value.code == "non-surjective"
+    assert peak < 1 << 20
