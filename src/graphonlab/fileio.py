@@ -30,6 +30,11 @@ double range, which :mod:`json` reads.
 :func:`dump_json` writes every output document. Its bytes are those of
 ``json.dumps(doc, indent=2)``: numbers are written with ``repr``, NaN and
 infinities as ``NaN``/``Infinity``/``-Infinity``, strings ASCII-escaped.
+Lists of finite floats, graphon weights among them, are formatted by
+orjson a few thousand at a time: orjson and ``repr`` both write the
+shortest digits that read back as the same double, and they differ only
+in spelling where ``repr`` writes an exponent (``0 < |x| < 1e-4`` and
+``|x| >= 1e16``), so those values are written by ``repr``.
 A :class:`StepGraphon` inside a document is written straight from its
 arrays as the document :func:`serialize_graphon` builds, without building
 one dict per block; :func:`serialize_graphon` is the tests' oracle for it.
@@ -41,7 +46,7 @@ import math
 from itertools import chain, compress, islice
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 import orjson
@@ -367,6 +372,31 @@ def dump_json(doc: Any) -> str:
     return "".join(out)
 
 
+#: values per orjson call in :func:`_float_reprs`; one chunk's strings are alive at a time
+_CHUNK = 4096
+
+
+def _float_reprs(values: np.ndarray) -> Iterator[str]:
+    """``float.__repr__`` of each value of a finite float64 array, in order.
+
+    orjson writes a chunk of values in one call. It and ``repr`` both write
+    the shortest digits that read back as the same double; they spell a
+    number differently only where ``repr`` writes an exponent, at
+    ``0 < |x| < 1e-4`` and ``|x| >= 1e16``, so those entries are written by
+    ``repr``. They are found once for the whole array: per-chunk arrays
+    would fragment the heap between the caller's long-lived strings.
+    """
+    size = np.abs(values)
+    exponent = np.flatnonzero(((size > 0.0) & (size < 1e-4)) | (size >= 1e16))
+    del size
+    for start in range(0, len(values), _CHUNK):
+        texts = orjson.dumps(values[start : start + _CHUNK].tolist())[1:-1].decode().split(",")
+        lo, hi = np.searchsorted(exponent, (start, start + _CHUNK)).tolist()
+        for n in exponent[lo:hi].tolist():
+            texts[n - start] = float.__repr__(float(values[n]))
+        yield from texts
+
+
 def _float(x: float) -> str:
     if x != x:
         return "NaN"
@@ -407,8 +437,8 @@ def _write_list(items: list | tuple, level: int, out: list[str]) -> None:
         return
     inner = "\n" + "  " * (level + 1)
     kinds = set(map(type, items))
-    if kinds == {float} and np.isfinite(items).all():
-        out.append("[" + inner + ("," + inner).join(map(float.__repr__, items)))
+    if kinds == {float} and np.isfinite(values := np.array(items)).all():
+        out.append("[" + inner + ("," + inner).join(_float_reprs(values)))
     elif kinds == {int}:
         out.append("[" + inner + ("," + inner).join(map(int.__repr__, items)))
     else:
@@ -436,9 +466,16 @@ def _write_dict(doc: dict, level: int, out: list[str]) -> None:
 def _write_graphon(W: StepGraphon, level: int, out: list[str]) -> None:
     """``serialize_graphon(W)`` at ``level``, with the blocks written from the arrays.
 
-    One ``repr`` pass runs over the nonzero weights of the upper triangle
-    in row-major block order; each block record takes its slice of it, so
-    only one block's strings are held at a time.
+    One pass of :func:`_float_reprs` runs over the nonzero weights of the
+    upper triangle in row-major block order, orjson writing a chunk of
+    :data:`_CHUNK` of them at a time and ``repr`` the ones in exponent form;
+    each block record takes its slice of the pass, so only one chunk's
+    strings are held at a time. Non-finite weights are written one by one,
+    as :mod:`json` writes them. The records are joined into one string per
+    chunk of weights: one string per record, kept until the document is
+    joined, would split the heap space that each chunk's buffers free, and
+    the next chunk would take new space (1.5-2 MB of peak RSS on the
+    transform-twins benchmark).
     """
     inner = "\n" + "  " * (level + 1)
     out.append("{" + inner + '"masses": ')
@@ -447,7 +484,7 @@ def _write_graphon(W: StepGraphon, level: int, out: list[str]) -> None:
     upper = W.weights[upper_i, upper_j]
     rows, cols = np.nonzero(upper)
     values = upper[rows, cols]
-    weights = map(float.__repr__ if np.isfinite(values).all() else _float, values.tolist())
+    weights = _float_reprs(values) if np.isfinite(values).all() else map(_float, values.tolist())
     points = iter(np.array(list(map(int.__repr__, W.support.tolist())), dtype=object)[cols].tolist())
     counts = np.bincount(rows, minlength=len(upper_i)).tolist()
     record = "\n" + "  " * (level + 2)  # a block's braces
@@ -455,17 +492,22 @@ def _write_graphon(W: StepGraphon, level: int, out: list[str]) -> None:
     item = "\n" + "  " * (level + 4)  # its support points and weights
     sep, close = "," + item, field + "]"
     lead = "," + inner + '"blocks": [' + record
+    group, weight_count = [], 0  # records joined into one string per chunk of weights
     for i, j, n in zip(upper_i.tolist(), upper_j.tolist(), counts):
         head = f'{lead}{{{field}"i": {i},{field}"j": {j},{field}"support": '
         if n:
-            out.append(
+            group.append(
                 f"{head}[{item}{sep.join(islice(points, n))}{close},"
                 f'{field}"weights": [{item}{sep.join(islice(weights, n))}{close}{record}}}'
             )
         else:
-            out.append(f'{head}[],{field}"weights": []{record}}}')
+            group.append(f'{head}[],{field}"weights": []{record}}}')
         lead = "," + record
-    out.append(inner + "]")
+        weight_count += n
+        if weight_count >= _CHUNK:
+            out.append("".join(group))
+            group, weight_count = [], 0
+    out.append("".join(group) + inner + "]")
     out.append("," + inner + '"functionals": ')
     _write_list(_functional_records(W), level + 1, out)
     out.append("\n" + "  " * level + "}")

@@ -173,7 +173,9 @@ def lift_check(
     Planning the elimination of one F^k, in one pass, takes time quadratic
     in its ``n + k - 1`` vertices. Refused as ``too-costly``, before any F^k
     is built, when the squares of those vertex counts, over k = 1..kmax and
-    both graphons, add up to more than :data:`MAX_CONTRACTION`.
+    both graphons, add up to more than :data:`MAX_CONTRACTION`, and as
+    ``overflow`` when a direct density or a spectral sum is beyond the
+    double range.
     """
     if kmax < 2:
         raise ValidationError("kmax must be >= 2", code="bad-order")
@@ -191,14 +193,17 @@ def lift_check(
     Fprime = remove_one_edge(F, u, v, psi_id)
 
     results = []
-    for W in (W1, W2):
-        vals, coefs = _spectral_coefficients(W, Fprime, u, v, psi_id)
+    for name, W in (("W1", W1), ("W2", W2)):
         direct = []
         spectral = []
-        for k in range(1, kmax + 1):
-            Fk = add_path(Fprime, u, v, k, psi_id)
-            direct.append(float(eliminate(Fk, W)))
-            spectral.append(float(np.sum(coefs * vals**k)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals, coefs = _spectral_coefficients(W, Fprime, u, v, psi_id)
+            for k in range(1, kmax + 1):
+                Fk = add_path(Fprime, u, v, k, psi_id)
+                t = float(eliminate(Fk, W))
+                direct.append(require_finite(t, f"the direct density t(F^{k}, {name})"))
+                s = float(np.sum(coefs * vals**k))
+                spectral.append(require_finite(s, f"the spectral sum for t(F^{k}, {name})"))
         results.append((vals, coefs, tuple(direct), tuple(spectral)))
 
     (vals1, coefs1, direct1, spectral1), (vals2, coefs2, direct2, spectral2) = results

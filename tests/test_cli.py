@@ -268,8 +268,10 @@ HEAVY_DOC = {
         (["productcheck", "--graph1", "heavy.json", "--graph2", "heavy.json"],
          "the product density"),
         (["pathkernel", "--psi", "unit", "--k", "1000"], "the path kernel of length 1000"),
+        (["liftcheck", "--graph", "path.json", "--u", "0", "--v", "1", "--psi", "unit",
+          "--kmax", "2"], "the direct density t(F^1, W1)"),
     ],
-    ids=["density", "marginal", "mc", "productcheck", "pathkernel"],
+    ids=["density", "marginal", "mc", "productcheck", "pathkernel", "liftcheck"],
 )
 def test_non_finite_results_refused_exit_one(tmp_path, argv, quantity):
     # on w2 these overflowed to inf, or inf - inf, and printed it with exit 0

@@ -611,6 +611,48 @@ def test_dump_json_refuses_non_str_keys(key):
         fileio.dump_json({key: 1})
 
 
+def float_bits(bits) -> np.ndarray:
+    return np.asarray(bits, dtype=np.uint64).view(np.float64)
+
+
+def test_float_reprs_match_repr():
+    # orjson and repr agree wherever repr writes no exponent; this fails if
+    # an orjson release changes how it spells a double
+    rng = np.random.default_rng(71)
+    n = 100_000
+    # exponent fields 2^-14 .. 2^54 span 1e-4 and 1e16 with random mantissas
+    near = (rng.integers(1009, 1078, n, dtype=np.uint64) << np.uint64(52)) | rng.integers(
+        0, 1 << 52, n, dtype=np.uint64
+    )
+    decades = [float(f"1e{k}") for k in range(-5, 18)]
+    values = np.concatenate([
+        float_bits(rng.integers(0, 1 << 64, n, dtype=np.uint64)),
+        float_bits(near),
+        decades,
+        [math.nextafter(x, side) for x in decades for side in (0.0, math.inf)],
+        SWITCH_POINTS,
+        [5e-324, 0.0, 1e-310, math.nextafter(2.2250738585072014e-308, 0.0), 2.2250738585072014e-308, MAX],
+    ])
+    values = np.concatenate([values, -values])
+    values = values[np.isfinite(values)]
+    assert list(fileio._float_reprs(values)) == list(map(float.__repr__, values.tolist()))
+    assert list(fileio._float_reprs(np.zeros(0))) == []
+
+
+def chunk_crossing_graphon() -> gl.StepGraphon:
+    """Over two formatter chunks of weights, exponent-form weights next to each boundary."""
+    q = 8
+    upper_i, upper_j = np.triu_indices(q)
+    S = 2 * fileio._CHUNK // len(upper_i) + 1
+    flat = np.random.default_rng(53).uniform(0.5, 1.0, len(upper_i) * S)
+    flat[::3] *= -1.0
+    for edge in (fileio._CHUNK, 2 * fileio._CHUNK):
+        flat[edge - 3 : edge + 3] = [0.25, 1e-5, -math.nextafter(1e-4, 0.0), 1e16, -3.5e-300, 0.0001]
+    weights = np.zeros((q, q, S))
+    weights[upper_i, upper_j] = weights[upper_j, upper_i] = flat.reshape(len(upper_i), S)
+    return gl.StepGraphon((0.125,) * q, np.arange(1, S + 1), weights)
+
+
 def graphon_cases():
     rng = np.random.default_rng(52)
     unit = gl.unit_functional()
@@ -627,6 +669,7 @@ def graphon_cases():
         ),
         "infinite-weight": gl.StepGraphon((1.0,), [1], [[[math.inf]]]),
         **{f"random-q{q}": rand_graphon(rng, q) for q in (1, 2, 5, 9)},
+        "chunk-crossing": chunk_crossing_graphon(),
     }
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import graphonlab as gl
+from graphonlab import spectral as spectral_module
 from graphonlab.errors import ValidationError
 
 from conftest import duplicate_class, rand_graph, rand_graphon, scalar_graphon
@@ -163,6 +164,18 @@ def test_lift_check_errors(w2):
     labeled = gl.relabel(base_double_edge_graph(), 0, 1)
     with pytest.raises(ValidationError):
         gl.lift_check(labeled, w2, w2, 0, 1, "unit", 4)
+
+
+def test_lift_check_spectral_sum_beyond_the_doubles_refused(monkeypatch, w2):
+    # pinned marginals of 1e308 against finite direct densities
+    def contraction(F, W, keep=(), *, pinned=None):
+        return np.full((W.q,) * len(keep), 1e308) if keep else np.ones(())
+
+    monkeypatch.setattr(spectral_module, "eliminate", contraction)
+    with pytest.raises(ValidationError) as e:
+        gl.lift_check(base_double_edge_graph(), w2, w2, 0, 1, "unit", 2)
+    assert e.value.code == "overflow"
+    assert str(e.value) == "the spectral sum for t(F^1, W1) is not finite: it overflows a double"
 
 
 def test_lift_check_random_instances():
