@@ -383,8 +383,9 @@ def _float_reprs(values: np.ndarray) -> Iterator[str]:
     the shortest digits that read back as the same double; they spell a
     number differently only where ``repr`` writes an exponent, at
     ``0 < |x| < 1e-4`` and ``|x| >= 1e16``, so those entries are written by
-    ``repr``. They are found once for the whole array: per-chunk arrays
-    would fragment the heap between the caller's long-lived strings.
+    ``repr``. They are found once for the whole array: per-chunk arrays,
+    freed between the caller's long-lived strings, left the heap more
+    fragmented (about 1 MB more peak RSS on the transform-twins benchmark).
     """
     size = np.abs(values)
     exponent = np.flatnonzero(((size > 0.0) & (size < 1e-4)) | (size >= 1e16))
@@ -467,15 +468,13 @@ def _write_graphon(W: StepGraphon, level: int, out: list[str]) -> None:
     """``serialize_graphon(W)`` at ``level``, with the blocks written from the arrays.
 
     One pass of :func:`_float_reprs` runs over the nonzero weights of the
-    upper triangle in row-major block order, orjson writing a chunk of
-    :data:`_CHUNK` of them at a time and ``repr`` the ones in exponent form;
-    each block record takes its slice of the pass, so only one chunk's
-    strings are held at a time. Non-finite weights are written one by one,
-    as :mod:`json` writes them. The records are joined into one string per
-    chunk of weights: one string per record, kept until the document is
-    joined, would split the heap space that each chunk's buffers free, and
-    the next chunk would take new space (1.5-2 MB of peak RSS on the
-    transform-twins benchmark).
+    upper triangle in row-major block order; each block record takes its
+    slice of it, so only one chunk's strings are held at a time. Non-finite
+    weights are written one by one, as :mod:`json` writes them. Records are
+    joined into one string per chunk of weights, so the strings kept until
+    the document is joined do not split the heap space each chunk's
+    buffers free (one string per record cost about 1.5 MB more peak RSS on
+    the transform-twins benchmark).
     """
     inner = "\n" + "  " * (level + 1)
     out.append("{" + inner + '"masses": ')
