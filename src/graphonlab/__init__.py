@@ -11,7 +11,6 @@ from .density import (
 from .errors import GraphonlabError, ParseError, ValidationError
 from .graphs import (
     DecoratedMultigraph,
-    add_path,
     cycle_graph,
     edge_graph,
     path_graph,

@@ -46,6 +46,10 @@ from .stepgraphon import StepGraphon, kernel_matrix
 #: q to the power of the vertices the bucket joins
 MAX_CONTRACTION = 1 << 26
 
+# elements a size bound charges for each float a command prints: the float
+# object, its list slot and its JSON text took 120-170 bytes in full runs
+_PRINTED_VALUE = 32
+
 #: numpy's einsum names at most this many axes, so a bucket joins at most
 #: this many vertices whatever q is
 MAX_BUCKET_VERTICES = 52

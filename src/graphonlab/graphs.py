@@ -148,26 +148,6 @@ def product(F1: DecoratedMultigraph, F2: DecoratedMultigraph) -> DecoratedMultig
     return DecoratedMultigraph(F1.n_vertices + F2.n_vertices - len(merged), tuple(edges), labels)
 
 
-def add_path(
-    F: DecoratedMultigraph, u: int, v: int, k: int, psi_id: str
-) -> DecoratedMultigraph:
-    """Insert a fresh path of ``k`` psi-decorated edges between ``u`` and ``v``.
-
-    ``k - 1`` new unlabeled vertices are appended; ``k == 1`` adds a single
-    parallel edge.
-    """
-    if u == v:
-        raise ValidationError("path endpoints must differ", code="bad-graph")
-    if not (0 <= u < F.n_vertices and 0 <= v < F.n_vertices):
-        raise ValidationError("path endpoint out of range", code="bad-graph")
-    if k < 1:
-        raise ValidationError("path length must be >= 1", code="bad-graph")
-    chain = [u] + list(range(F.n_vertices, F.n_vertices + k - 1)) + [v]
-    edges = list(F.edges)
-    edges.extend((chain[i], chain[i + 1], psi_id, 1) for i in range(k))
-    return DecoratedMultigraph(F.n_vertices + k - 1, tuple(edges), dict(F.labels))
-
-
 def remove_one_edge(F: DecoratedMultigraph, u: int, v: int, psi_id: str) -> DecoratedMultigraph:
     """Decrement the multiplicity of one (u, v, psi) bond, dropping it at zero."""
     key = (min(u, v), max(u, v), psi_id)

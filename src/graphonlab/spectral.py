@@ -7,7 +7,8 @@ multigraph with a designated parallel bond be written as a power series
 ``sum_n a_n lambda_n^k`` in the path length k. Matching those series
 between two graphons, grouped by shared eigenvalue, is the finite
 verification that equal simple-graph densities force equal multigraph
-densities.
+densities. The lifting check also sums each density without eigenvectors,
+from the bond's pinned marginal and the path kernels ``K (Pi K)^(k-1)``.
 """
 from __future__ import annotations
 
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .density import MAX_CONTRACTION, eliminate, require_finite
-from .graphs import DecoratedMultigraph, add_path, remove_one_edge
+from .density import _PRINTED_VALUE, MAX_CONTRACTION, eliminate, require_finite
+from .graphs import DecoratedMultigraph, remove_one_edge
 from .stepgraphon import StepGraphon, kernel_matrix
 
 #: eigenvalues at most this large in magnitude are treated as exact zeros
@@ -60,6 +61,18 @@ def eigendecomp(W: StepGraphon, psi_id: str) -> EigenSystem:
     return EigenSystem(psi_id, tuple(float(v) for v in vals), vecs)
 
 
+def _path_kernels(W: StepGraphon, psi_id: str, k: int):
+    """Path kernels of lengths 1 to k, one product apart. Unbounded: callers
+    check ``k`` first and iterate with numpy's overflow warnings off."""
+    K = kernel_matrix(W, psi_id)
+    step = np.asarray(W.masses)[:, None] * K
+    P = K
+    yield P
+    for _ in range(k - 1):
+        P = P @ step
+        yield P
+
+
 def path_kernel(W: StepGraphon, psi_id: str, k: int) -> np.ndarray:
     """Matrix of fully pinned path marginals: entry (i, j) is the marginal
     of the k-edge psi-path with its endpoints pinned to classes i and j.
@@ -78,12 +91,9 @@ def path_kernel(W: StepGraphon, psi_id: str, k: int) -> np.ndarray:
             f"{entries} entries; the limit is {MAX_CONTRACTION} elements",
             code="too-costly",
         )
-    pi = np.asarray(W.masses)
     with np.errstate(over="ignore", invalid="ignore"):
-        K = kernel_matrix(W, psi_id)
-        P = K.copy()
-        for _ in range(k - 1):
-            P = P @ (pi[:, None] * K)
+        for P in _path_kernels(W, psi_id, k):
+            pass
     return require_finite(P, f"the path kernel of length {k}")
 
 
@@ -121,7 +131,7 @@ def _close(a: float, b: float, tol: float = AGREE_TOL) -> bool:
 
 
 def _spectral_coefficients(
-    W: StepGraphon, Fprime: DecoratedMultigraph, u: int, v: int, psi_id: str
+    W: StepGraphon, T: np.ndarray, psi_id: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and coefficients a_n such that t(F^k) = sum a_n lambda_n^k.
 
@@ -131,7 +141,6 @@ def _spectral_coefficients(
     """
     es = eigendecomp(W, psi_id)
     s = np.sqrt(np.asarray(W.masses))
-    T = eliminate(Fprime, W, keep=(u, v))
     Tm = s[:, None] * T * s[None, :]
     a = np.einsum("in,ij,jn->n", es.basis, Tm, es.basis)
     return np.asarray(es.eigenvalues), a
@@ -170,10 +179,15 @@ def lift_check(
     nonzero eigenvalue must cancel pairwise, which forces agreement at
     k = 1 as well; the report records whether that is numerically the case.
 
-    Planning the elimination of one F^k, in one pass, takes time quadratic
-    in its ``n + k - 1`` vertices. Refused as ``too-costly``, before any F^k
-    is built, when the squares of those vertex counts, over k = 1..kmax and
-    both graphons, add up to more than :data:`MAX_CONTRACTION`, and as
+    The direct density needs no eigenvectors, so it checks the eigen-sum
+    independently: with T the marginal of F' pinned at (u, v) and P_k the
+    path kernel of length k, ``t(F^k) = sum_ij pi_i pi_j T[i,j] P_k[i,j]``
+    (the operator form of path densities; Lovasz, *Large Networks and
+    Graph Limits*, 2012). F' is eliminated once per graphon and each P_k
+    is one q x q product from the last. Refused as ``too-costly``, before
+    anything is eliminated or decomposed, when the ``kmax * (q1^2 + q2^2)``
+    product entries and the ``4 * kmax`` printed values, charged
+    ``_PRINTED_VALUE`` each, exceed :data:`MAX_CONTRACTION` elements, and as
     ``overflow`` when a direct density or a spectral sum is beyond the
     double range.
     """
@@ -181,13 +195,11 @@ def lift_check(
         raise ValidationError("kmax must be >= 2", code="bad-order")
     if F.labels:
         raise ValidationError("lift check needs an unlabeled graph", code="labeled-graph")
-    n, last = F.n_vertices, F.n_vertices + kmax - 1
-    # twice n**2 + ... + last**2, in closed form
-    pairs = (last * (last + 1) * (2 * last + 1) - (n - 1) * n * (2 * n - 1)) // 3
-    if pairs > MAX_CONTRACTION:
+    elements = kmax * (W1.q**2 + W2.q**2 + 4 * _PRINTED_VALUE)
+    if elements > MAX_CONTRACTION:
         raise ValidationError(
-            f"liftcheck to kmax={kmax} orders graphs of {n} to {last} vertices "
-            f"on two graphons, {pairs} vertex pairs; the limit is {MAX_CONTRACTION}",
+            f"liftcheck to kmax={kmax} on q={W1.q} and q={W2.q} takes {elements} "
+            f"elements of path kernels and printed values; the limit is {MAX_CONTRACTION}",
             code="too-costly",
         )
     Fprime = remove_one_edge(F, u, v, psi_id)
@@ -196,11 +208,13 @@ def lift_check(
     for name, W in (("W1", W1), ("W2", W2)):
         direct = []
         spectral = []
+        pi = np.asarray(W.masses)
         with np.errstate(over="ignore", invalid="ignore"):
-            vals, coefs = _spectral_coefficients(W, Fprime, u, v, psi_id)
-            for k in range(1, kmax + 1):
-                Fk = add_path(Fprime, u, v, k, psi_id)
-                t = float(eliminate(Fk, W))
+            T = eliminate(Fprime, W, keep=(u, v))
+            vals, coefs = _spectral_coefficients(W, T, psi_id)
+            weighted = pi[:, None] * T * pi[None, :]
+            for k, P in enumerate(_path_kernels(W, psi_id, kmax), start=1):
+                t = float(np.sum(weighted * P))
                 direct.append(require_finite(t, f"the direct density t(F^{k}, {name})"))
                 s = float(np.sum(coefs * vals**k))
                 spectral.append(require_finite(s, f"the spectral sum for t(F^{k}, {name})"))

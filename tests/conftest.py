@@ -419,6 +419,27 @@ def vertex_by_vertex_product(F1: gl.DecoratedMultigraph, F2: gl.DecoratedMultigr
     return gl.DecoratedMultigraph(next_vertex, tuple(edges), labels)
 
 
+def add_path(
+    F: gl.DecoratedMultigraph, u: int, v: int, k: int, psi_id: str
+) -> gl.DecoratedMultigraph:
+    """F with a fresh path of ``k`` psi-edges from ``u`` to ``v``: the graph
+    F^k that ``lift_check``'s direct densities stand for.
+
+    ``k - 1`` new unlabeled vertices are appended; ``k == 1`` adds a single
+    parallel edge.
+    """
+    if u == v:
+        raise ValidationError("path endpoints must differ", code="bad-graph")
+    if not (0 <= u < F.n_vertices and 0 <= v < F.n_vertices):
+        raise ValidationError("path endpoint out of range", code="bad-graph")
+    if k < 1:
+        raise ValidationError("path length must be >= 1", code="bad-graph")
+    chain = [u] + list(range(F.n_vertices, F.n_vertices + k - 1)) + [v]
+    edges = list(F.edges)
+    edges.extend((chain[i], chain[i + 1], psi_id, 1) for i in range(k))
+    return gl.DecoratedMultigraph(F.n_vertices + k - 1, tuple(edges), dict(F.labels))
+
+
 def json_load(path, parse):
     """The oracle for ``fileio.load_*``: ``parse`` of the file as ``json.load`` reads it."""
     try:

@@ -24,6 +24,12 @@ W2_DOC = {
     "functionals": [{"id": "unit", "support": [1], "values": [1.0]}],
 }
 
+W1_DOC = {
+    "masses": [1.0],
+    "blocks": [{"i": 0, "j": 0, "support": [1], "weights": [0.5]}],
+    "functionals": [{"id": "unit", "support": [1], "values": [1.0]}],
+}
+
 W3_DOC = {
     "masses": [0.2, 0.3, 0.5],
     "blocks": [
@@ -54,6 +60,7 @@ def files(tmp_path):
         paths[name] = str(p)
         return str(p)
 
+    write("w1.json", W1_DOC)
     write("w2.json", W2_DOC)
     write("w3.json", W3_DOC)
     write("edge.json", EDGE_DOC)
@@ -129,20 +136,22 @@ def test_mc_too_costly_exit_one(files, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, entries",
+    "graphon, argv, entries",
     [
-        (["pathkernel", "--psi", "unit", "--k", str(10**9)], (10**9 - 1) * 9),
-        (["carleman", "--terms", str(10**7)], 10**7 * 9),
-        (["carleman", "--terms", str(10**6), "--kmax", "8"], 10**6 * 8 * 9),
-        # F^k has k + 1 vertices; both graphons
-        ([*LIFTCHECK, str(10**4)], 2 * sum(n * n for n in range(2, 10**4 + 2))),
+        ("w3.json", ["pathkernel", "--psi", "unit", "--k", str(10**9)], (10**9 - 1) * 9),
+        # q^2 block norms plus 32 for the printed partial sum, per term and order
+        ("w3.json", ["carleman", "--terms", str(10**7)], 10**7 * (9 + 32)),
+        ("w3.json", ["carleman", "--terms", str(10**6), "--kmax", "8"], 10**6 * 8 * (9 + 32)),
+        ("w1.json", ["carleman", "--terms", str(2**25)], 2**25 * (1 + 32)),
+        # q1^2 + q2^2 path kernel entries plus 4 printed values of 32, per k
+        ("w3.json", [*LIFTCHECK, str(10**6)], 10**6 * (9 + 9 + 4 * 32)),
     ],
-    ids=["pathkernel", "carleman", "carleman-kmax", "liftcheck"],
+    ids=["pathkernel", "carleman", "carleman-kmax", "carleman-q1", "liftcheck"],
 )
-def test_size_flags_refused_before_the_work(files, capsys, argv, entries):
+def test_size_flags_refused_before_the_work(files, capsys, graphon, argv, entries):
     tracemalloc.start()
     try:
-        code = run([argv[0], "--graphon", files["w3.json"], *(files.get(a, a) for a in argv[1:])])
+        code = run([argv[0], "--graphon", files[graphon], *(files.get(a, a) for a in argv[1:])])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -157,8 +166,8 @@ def test_size_flags_refused_before_the_work(files, capsys, argv, entries):
     "module, argv, largest, limit",
     [
         (spectral, ["pathkernel", "--psi", "unit", "--k"], 3, 2 * 9),  # k - 1 products at q=3
-        (cli, ["carleman", "--kmax", "2", "--terms"], 4, 4 * 2 * 9),  # terms x kmax x q^2
-        (spectral, LIFTCHECK, 3, 2 * (2**2 + 3**2 + 4**2)),  # squared sizes of F^1..F^3
+        (cli, ["carleman", "--kmax", "2", "--terms"], 4, 4 * 2 * (9 + 32)),  # terms x kmax x (q^2 + 32)
+        (spectral, LIFTCHECK, 3, 3 * (9 + 9 + 4 * 32)),  # kmax x (q1^2 + q2^2 + 4 x 32)
     ],
     ids=["pathkernel", "carleman", "liftcheck"],
 )

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import graphonlab as gl
 from graphonlab.errors import ValidationError
 
-from conftest import rand_graph, vertex_by_vertex_product
+from conftest import add_path, rand_graph, vertex_by_vertex_product
 
 
 def labeled_edge(label: int = 1, psi: str = "unit") -> gl.DecoratedMultigraph:
@@ -152,17 +152,17 @@ def test_fstar_preserved_by_product():
 
 def test_add_path_examples():
     e = gl.edge_graph("a")
-    double = gl.add_path(e, 0, 1, 1, "a")
+    double = add_path(e, 0, 1, 1, "a")
     assert double.edges == ((0, 1, "a", 2),)
-    two = gl.add_path(e, 0, 1, 2, "a")
+    two = add_path(e, 0, 1, 2, "a")
     assert two.n_vertices == 3
     assert two.degree(2) == 2
     k = 4
-    G = gl.add_path(e, 0, 1, k, "a")
+    G = add_path(e, 0, 1, k, "a")
     assert G.n_vertices == e.n_vertices + k - 1
     assert sum(m for *_, m in G.edges) == sum(m for *_, m in e.edges) + k
     with pytest.raises(ValidationError):
-        gl.add_path(e, 0, 0, 2, "a")
+        add_path(e, 0, 0, 2, "a")
 
 
 def test_remove_one_edge():

@@ -8,7 +8,14 @@ import graphonlab as gl
 from graphonlab import spectral as spectral_module
 from graphonlab.errors import ValidationError
 
-from conftest import duplicate_class, rand_graph, rand_graphon, scalar_graphon
+from conftest import (
+    add_path,
+    duplicate_class,
+    fraction_density,
+    rand_graph,
+    rand_graphon,
+    scalar_graphon,
+)
 
 
 def test_eigendecomp_w2(w2):
@@ -167,15 +174,87 @@ def test_lift_check_errors(w2):
 
 
 def test_lift_check_spectral_sum_beyond_the_doubles_refused(monkeypatch, w2):
-    # pinned marginals of 1e308 against finite direct densities
-    def contraction(F, W, keep=(), *, pinned=None):
-        return np.full((W.q,) * len(keep), 1e308) if keep else np.ones(())
+    # an eigenvalue of 1e200 against finite direct densities: lambda^2 overflows
+    def eigensystem(W, psi_id):
+        return spectral_module.EigenSystem(psi_id, (1e200, 1.0), np.eye(W.q))
 
-    monkeypatch.setattr(spectral_module, "eliminate", contraction)
+    monkeypatch.setattr(spectral_module, "eigendecomp", eigensystem)
     with pytest.raises(ValidationError) as e:
         gl.lift_check(base_double_edge_graph(), w2, w2, 0, 1, "unit", 2)
     assert e.value.code == "overflow"
-    assert str(e.value) == "the spectral sum for t(F^1, W1) is not finite: it overflows a double"
+    assert str(e.value) == "the spectral sum for t(F^2, W1) is not finite: it overflows a double"
+
+
+def test_lift_check_eliminates_once_per_graphon(monkeypatch, w2):
+    calls = []
+
+    def counted(F, W, keep=(), *, pinned=None):
+        calls.append(F.n_vertices)
+        return gl.eliminate(F, W, keep, pinned=pinned)
+
+    monkeypatch.setattr(spectral_module, "eliminate", counted)
+    for kmax in (2, 20, 200):
+        calls.clear()
+        gl.lift_check(base_double_edge_graph(), w2, w2, 0, 1, "unit", kmax)
+        assert calls == [2, 2]
+
+
+def cancelling_graphon() -> gl.StepGraphon:
+    """Three classes whose kernel rows nearly sum to zero against the masses
+    (exactly, but for 0.667 in place of 0.666), each entry the difference of
+    two weights near 1: a vertex of degree one sums to at most 2.5e-4."""
+    f = gl.TestFunctional("f", (1, 2), (1.0, 1.0))
+    K = np.array([[0.667, -0.774, 0.261], [-0.774, 0.186, 0.321], [0.261, 0.321, -0.444]])
+    weights = np.stack([K + 0.75, np.full((3, 3), -0.75)], axis=-1)
+    return gl.StepGraphon((0.25, 0.35, 0.4), [1, 2], weights, {"f": f})
+
+
+def lift_cases():
+    """(F, W1, W2, u, v, psi) instances of the lifting check."""
+    rng = np.random.default_rng(36)
+    W2a, W3a, W3b = rand_graphon(rng, 2), rand_graphon(rng, 3), rand_graphon(rng, 3)
+    C4 = ((0, 1, "e1", 2), (1, 2, "e1", 1), (2, 3, "e1", 1), (0, 3, "e1", 1))
+    return {
+        "multiplicity-3-bond": (gl.DecoratedMultigraph(2, ((0, 1, "e1", 3),)),
+                                W3a, W3b, 0, 1, "e1"),
+        "u-above-v": (gl.DecoratedMultigraph(4, C4), W3a, W3b, 1, 0, "e1"),
+        "ends-with-other-edges": (
+            gl.DecoratedMultigraph(
+                4, ((0, 1, "e1", 2), (0, 2, "e2", 1), (1, 2, "e0", 1), (1, 3, "e1", 1))
+            ),
+            W3b, W3a, 1, 0, "e1",
+        ),
+        "different-q": (gl.DecoratedMultigraph(3, ((0, 2, "unit", 2), (1, 2, "e2", 1))),
+                        W2a, W3b, 2, 0, "unit"),
+        "cancelling": (gl.DecoratedMultigraph(3, ((0, 1, "f", 2), (1, 2, "f", 1))),
+                       cancelling_graphon(), cancelling_graphon(), 0, 1, "f"),
+    }
+
+
+def absolute(W: gl.StepGraphon, F: gl.DecoratedMultigraph) -> gl.StepGraphon:
+    """A graphon whose kernels are the absolute values of W's kernels on the
+    decorations of F: its densities are the sums of the absolute values of
+    the terms of W's, the scale that rounding errors are relative to."""
+    psis = sorted(F.psi_ids)
+    functionals = {psi: gl.TestFunctional(psi, (s,), (1.0,)) for s, psi in enumerate(psis, 1)}
+    weights = np.stack([np.abs(gl.kernel_matrix(W, psi)) for psi in psis], axis=-1)
+    return gl.StepGraphon(W.masses, range(1, len(psis) + 1), weights, functionals)
+
+
+@pytest.mark.parametrize("case", list(lift_cases()))
+def test_lift_check_direct_densities_match_per_k_elimination(case):
+    F, W1, W2, u, v, psi = lift_cases()[case]
+    kmax = 20
+    rep = gl.lift_check(F, W1, W2, u, v, psi, kmax)
+    Fprime = gl.graphs.remove_one_edge(F, u, v, psi)
+    for W, direct in ((W1, rep.direct_a), (W2, rep.direct_b)):
+        for k in range(1, kmax + 1):
+            Fk = add_path(Fprime, u, v, k, psi)
+            scale = float(gl.eliminate(Fk, absolute(W, F)))
+            assert abs(direct[k - 1] - float(gl.eliminate(Fk, W))) <= 1e-12 * scale
+            if k <= 4:
+                assert abs(direct[k - 1] - float(fraction_density(Fk, W))) <= 1e-12 * scale
+    assert rep.max_discrepancy <= 1e-8
 
 
 def test_lift_check_random_instances():

@@ -18,7 +18,7 @@ PUBLIC_NAMES = [
     "CarlemanReport", "CounterexampleReport", "DEFAULT_FUNCTIONAL_ID", "DecoratedMultigraph",
     "EigenSystem", "FeatureMap", "FiniteMeasure", "GraphonlabError", "LiftCheckReport",
     "MCEstimate", "MatchedPair", "MomentSequence", "ParseError", "Partition", "StepGraphon",
-    "TestFunctional", "ValidationError", "add_path", "anchored_graphon", "carleman_report",
+    "TestFunctional", "ValidationError", "anchored_graphon", "carleman_report",
     "counterexample_report", "cycle_graph", "density", "edge_graph", "eigendecomp",
     "eliminate", "kernel_matrix", "lift_check", "marginal", "matched_pair", "mc_density", "moment",
     "p_norm", "path_graph", "path_kernel", "product", "product_identity_residual", "quotient",
@@ -52,7 +52,7 @@ def test_public_names_are_pinned():
         n for n, v in vars(graphonlab).items()
         if not n.startswith("_") and type(v).__name__ != "module"
     )
-    assert len(PUBLIC_NAMES) == 48
+    assert len(PUBLIC_NAMES) == 47
     assert names == PUBLIC_NAMES
 
 
