@@ -12,7 +12,7 @@ import math
 import sys
 
 from . import fileio
-from .density import _PRINTED_VALUE, MAX_CONTRACTION, density, marginal, mc_density
+from .density import density, marginal, mc_density, require_affordable
 from .density import product_identity_residual
 from .errors import GraphonlabError, ParseError, ValidationError
 from .momentlab import counterexample_report, matched_pair
@@ -143,13 +143,9 @@ def _cmd_carleman(args) -> str:
         raise ValidationError("carleman --kmax must be >= 1", code="bad-order")
     if args.graphon:
         # one p-norm over the q x q blocks and one printed sum per term and order
-        entries = args.terms * (args.kmax or 1) * (source.q**2 + _PRINTED_VALUE)
-        if entries > MAX_CONTRACTION:
-            raise ValidationError(
-                f"carleman: {args.terms} terms at {args.kmax or 1} orders over q={source.q} take "
-                f"{entries} elements of norms and printed sums; the limit is {MAX_CONTRACTION}",
-                code="too-costly",
-            )
+        sums = args.terms * (args.kmax or 1)
+        what = f"carleman with {args.terms} terms at {args.kmax or 1} orders over q={source.q}"
+        require_affordable(what, sums * source.q**2, printed=sums)
     if args.kmax is not None:
         docs = [_carleman_doc(source, k, args.terms) for k in range(1, args.kmax + 1)]
         return fileio.dump_json(docs)

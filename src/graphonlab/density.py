@@ -74,6 +74,18 @@ class MCEstimate:
     seed: int
 
 
+def require_affordable(what: str, elements: int, printed: int = 0) -> None:
+    """Refuse as ``too-costly`` the job ``what`` when its ``elements`` plus
+    :data:`_PRINTED_VALUE` for each of its ``printed`` floats exceed
+    :data:`MAX_CONTRACTION`. Callers charge a job before they allocate it."""
+    total = elements + printed * _PRINTED_VALUE
+    if total > MAX_CONTRACTION:
+        raise ValidationError(
+            f"{what} would take {total} elements; the limit is {MAX_CONTRACTION}",
+            code="too-costly",
+        )
+
+
 def require_finite(value, what: str):
     """``value``, refused as ``overflow`` when any entry of it is inf or NaN.
 
@@ -203,10 +215,10 @@ def eliminate(
     scopes = [tuple(x for x in (u, v) if x not in pinned) for u, v, _, _ in F.edges]
     steps, live = _plan(scopes, keep)
     width = max([len(keep)] + [len(left) + 1 for _, _, left in steps])
-    if q**width > MAX_CONTRACTION or width > MAX_BUCKET_VERTICES:
+    require_affordable(f"elimination at q={q} over {width} vertices", q**width)
+    if width > MAX_BUCKET_VERTICES:
         raise ValidationError(
-            f"elimination would span {q**width} elements (q={q} over {width} vertices); "
-            f"the limits are {MAX_CONTRACTION} elements and {MAX_BUCKET_VERTICES} vertices",
+            f"elimination would join {width} vertices; the limit is {MAX_BUCKET_VERTICES}",
             code="too-costly",
         )
 
@@ -314,12 +326,7 @@ def mc_density(
         raise ValidationError("need at least one sample", code="bad-samples")
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}", code="bad-seed")
-    if samples > MAX_CONTRACTION:
-        raise ValidationError(
-            f"Monte Carlo would hold {samples} sample values; "
-            f"the limit is {MAX_CONTRACTION} elements",
-            code="too-costly",
-        )
+    require_affordable("the Monte Carlo sample vector", samples)
     if F.n_vertices > MC_CHUNK:
         raise ValidationError(
             f"Monte Carlo would draw {F.n_vertices} classes per sample; "

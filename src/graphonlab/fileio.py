@@ -51,7 +51,7 @@ from typing import Any, Callable, Iterator
 import numpy as np
 import orjson
 
-from .density import MAX_CONTRACTION
+from .density import require_affordable
 from .errors import ParseError, ValidationError
 from .graphs import DecoratedMultigraph
 from .measures import MomentSequence, TestFunctional, check_measure
@@ -111,9 +111,8 @@ def _block_records_bulk(records: list, q: int) -> tuple[np.ndarray, np.ndarray] 
     Applies every check of :func:`_raise_first_block_error` to whole
     columns of the document. Returns None as soon as some record fails
     one, or is of a shape it does not vouch for; the locator then finds
-    the first error in document order. Blocks that would hold more than
-    :data:`MAX_CONTRACTION` weights are refused as ``too-costly`` before
-    they are allocated.
+    the first error in document order. Dense blocks beyond the size budget
+    are refused by :func:`require_affordable` before they are allocated.
     """
     n = len(records)
     if not set(map(type, records)) <= {dict}:
@@ -158,12 +157,8 @@ def _block_records_bulk(records: list, q: int) -> tuple[np.ndarray, np.ndarray] 
         return None
     support = np.sort(pts)
     support = support[np.diff(support, prepend=-1) != 0]
-    if q * q * len(support) > MAX_CONTRACTION:
-        raise ValidationError(
-            f"graphon.blocks: the dense blocks would hold {q * q * len(support)} weights "
-            f"(q={q}, {len(support)} support points); the limit is {MAX_CONTRACTION} elements",
-            code="too-costly",
-        )
+    what = f"graphon.blocks: the dense blocks at q={q} over {len(support)} support points"
+    require_affordable(what, q * q * len(support))
     column = np.searchsorted(support, pts)
     weights = np.zeros((q * q, len(support)))
     weights[np.repeat(lo * q + hi, lengths), column] = vals

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import density
+from .density import density, require_affordable
 from .errors import ValidationError
 from .graphs import (
     DecoratedMultigraph,
@@ -102,7 +102,8 @@ def matched_pair(N: int, D: int) -> MatchedPair:
     The annihilating direction is the (D+1)-th finite-difference stencil at
     positions 0..D+1 (zero-padded), which kills every moment of order at
     most D; around the uniform vector the largest admissible step in that
-    direction is taken on both sides.
+    direction is taken on both sides. Refused as ``too-costly``, before the
+    stencil is built, beyond the size budget of :func:`require_affordable`.
     """
     if N < D + 1:
         raise ValidationError(
@@ -111,6 +112,10 @@ def matched_pair(N: int, D: int) -> MatchedPair:
         )
     if D < 0:
         raise ValidationError("order must be >= 0", code="bad-order")
+    # the stencil, the moment checks (both vectors at orders 0..D+1) and the
+    # three printed vectors
+    what = f"a pair on {{0..{N}}} matched to order {D}"
+    require_affordable(what, (N + 1) * (1 + 2 * (D + 2)), printed=3 * (N + 1))
     z = _difference_stencil(D + 1, N + 1)
     u = 1.0 / (N + 1)
     eps = min(u / abs(zk) for zk in z if zk != 0.0)
@@ -197,10 +202,13 @@ def counterexample_report(N: int, D: int, seed: int | None = None) -> Counterexa
     Graphs of maximum degree at most D must come out with equal densities;
     the (D+1)-star witness exhibits the gap, which :class:`MatchedPair`
     guarantees at order D+1. The report is deterministic: ``seed`` is
-    accepted for the CLI's ``--seed`` and does not influence it.
+    accepted for the CLI's ``--seed`` and does not influence it. The q x q
+    weights of the two graphons, q <= N + 1, are charged to the size budget
+    of :func:`require_affordable` before either is built.
     """
     pair = matched_pair(N, D)
     low, witness = standard_suite(D)
+    require_affordable(f"the two rank-1 graphons on {{0..{N}}}", 2 * (N + 1) ** 2)
     Wp = rank1_graphon(pair.p)
     Wq = rank1_graphon(pair.q)
     records = []

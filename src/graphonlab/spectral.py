@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .density import _PRINTED_VALUE, MAX_CONTRACTION, eliminate, require_finite
+from .density import eliminate, require_affordable, require_finite
 from .graphs import DecoratedMultigraph, remove_one_edge
 from .stepgraphon import StepGraphon, kernel_matrix
 
@@ -78,19 +78,14 @@ def path_kernel(W: StepGraphon, psi_id: str, k: int) -> np.ndarray:
     of the k-edge psi-path with its endpoints pinned to classes i and j.
 
     Computed as ``K (Pi K)^(k-1)``; ``k == 1`` returns the kernel itself.
-    Refused as ``too-costly`` when the k - 1 products would make more than
-    :data:`MAX_CONTRACTION` entries in all, and as ``overflow`` when an
-    entry is beyond the double range.
+    Refused as ``too-costly`` when the ``(k - 1) * q^2`` entries of the
+    products exceed the size budget of :func:`require_affordable`, and as
+    ``overflow`` when an entry is beyond the double range.
     """
     if k < 1:
         raise ValidationError("path length must be >= 1", code="bad-order")
-    entries = (k - 1) * W.q**2
-    if entries > MAX_CONTRACTION:
-        raise ValidationError(
-            f"path kernel of length {k} takes {k - 1} products of {W.q} x {W.q} matrices, "
-            f"{entries} entries; the limit is {MAX_CONTRACTION} elements",
-            code="too-costly",
-        )
+    what = f"path kernel of length {k} ({k - 1} products of {W.q} x {W.q} matrices)"
+    require_affordable(what, (k - 1) * W.q**2)
     with np.errstate(over="ignore", invalid="ignore"):
         for P in _path_kernels(W, psi_id, k):
             pass
@@ -186,22 +181,16 @@ def lift_check(
     Graph Limits*, 2012). F' is eliminated once per graphon and each P_k
     is one q x q product from the last. Refused as ``too-costly``, before
     anything is eliminated or decomposed, when the ``kmax * (q1^2 + q2^2)``
-    product entries and the ``4 * kmax`` printed values, charged
-    ``_PRINTED_VALUE`` each, exceed :data:`MAX_CONTRACTION` elements, and as
-    ``overflow`` when a direct density or a spectral sum is beyond the
-    double range.
+    product entries and the ``4 * kmax`` printed values exceed the size
+    budget of :func:`require_affordable`, and as ``overflow`` when a direct
+    density or a spectral sum is beyond the double range.
     """
     if kmax < 2:
         raise ValidationError("kmax must be >= 2", code="bad-order")
     if F.labels:
         raise ValidationError("lift check needs an unlabeled graph", code="labeled-graph")
-    elements = kmax * (W1.q**2 + W2.q**2 + 4 * _PRINTED_VALUE)
-    if elements > MAX_CONTRACTION:
-        raise ValidationError(
-            f"liftcheck to kmax={kmax} on q={W1.q} and q={W2.q} takes {elements} "
-            f"elements of path kernels and printed values; the limit is {MAX_CONTRACTION}",
-            code="too-costly",
-        )
+    what = f"liftcheck to kmax={kmax} on q={W1.q} and q={W2.q}"
+    require_affordable(what, kmax * (W1.q**2 + W2.q**2), printed=4 * kmax)
     Fprime = remove_one_edge(F, u, v, psi_id)
 
     results = []

@@ -1,6 +1,7 @@
 """CLI surface: formats, exit codes, determinism."""
 import copy
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import tracemalloc
 import pytest
 
 import graphonlab
-from graphonlab import cli, fileio, spectral
+from graphonlab import fileio
 from graphonlab.cli import run
 
 W2_DOC = {
@@ -46,8 +47,8 @@ W3_DOC = {
 EDGE_DOC = {"n_vertices": 2, "edges": [{"u": 0, "v": 1, "psi": "unit"}]}
 
 #: liftcheck on the double edge, up to the --kmax that follows
-LIFTCHECK = ["liftcheck", "--graph", "double_edge.json", "--u", "0", "--v", "1",
-             "--psi", "unit", "--kmax"]
+LIFTCHECK = ["liftcheck", "--graphon", "w3.json", "--graph", "double_edge.json",
+             "--u", "0", "--v", "1", "--psi", "unit", "--kmax"]
 
 
 @pytest.fixture
@@ -136,22 +137,29 @@ def test_mc_too_costly_exit_one(files, capsys):
 
 
 @pytest.mark.parametrize(
-    "graphon, argv, entries",
+    "argv, entries",
     [
-        ("w3.json", ["pathkernel", "--psi", "unit", "--k", str(10**9)], (10**9 - 1) * 9),
+        (["pathkernel", "--graphon", "w3.json", "--psi", "unit", "--k", str(10**9)],
+         (10**9 - 1) * 9),
         # q^2 block norms plus 32 for the printed partial sum, per term and order
-        ("w3.json", ["carleman", "--terms", str(10**7)], 10**7 * (9 + 32)),
-        ("w3.json", ["carleman", "--terms", str(10**6), "--kmax", "8"], 10**6 * 8 * (9 + 32)),
-        ("w1.json", ["carleman", "--terms", str(2**25)], 2**25 * (1 + 32)),
+        (["carleman", "--graphon", "w3.json", "--terms", str(10**7)], 10**7 * (9 + 32)),
+        (["carleman", "--graphon", "w3.json", "--terms", str(10**6), "--kmax", "8"],
+         10**6 * 8 * (9 + 32)),
+        (["carleman", "--graphon", "w1.json", "--terms", str(2**25)], 2**25 * (1 + 32)),
         # q1^2 + q2^2 path kernel entries plus 4 printed values of 32, per k
-        ("w3.json", [*LIFTCHECK, str(10**6)], 10**6 * (9 + 9 + 4 * 32)),
+        ([*LIFTCHECK, str(10**6)], 10**6 * (9 + 9 + 4 * 32)),
+        # stencil and moment checks, (N + 1) * (1 + 2 * (D + 2)), plus 3 (N + 1) printed values
+        (["momentpair", "--support", "2000000", "--order", "1"], 2000001 * (7 + 3 * 32)),
+        # the (N + 1)^2 weights of each rank-1 graphon
+        (["counterexample", "--support", "5792", "--order", "1"], 2 * 5793**2),
     ],
-    ids=["pathkernel", "carleman", "carleman-kmax", "carleman-q1", "liftcheck"],
+    ids=["pathkernel", "carleman", "carleman-kmax", "carleman-q1", "liftcheck", "momentpair",
+         "counterexample"],
 )
-def test_size_flags_refused_before_the_work(files, capsys, graphon, argv, entries):
+def test_size_flags_refused_before_the_work(files, capsys, argv, entries):
     tracemalloc.start()
     try:
-        code = run([argv[0], "--graphon", files[graphon], *(files.get(a, a) for a in argv[1:])])
+        code = run([files.get(a, a) for a in argv])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -162,20 +170,54 @@ def test_size_flags_refused_before_the_work(files, capsys, graphon, argv, entrie
     assert peak < 1 << 20
 
 
+def clique(n: int) -> dict:
+    return {"n_vertices": n, "edges": [
+        {"u": u, "v": v, "psi": "unit"} for u in range(n) for v in range(u + 1, n)
+    ]}
+
+
+def spread(S: int) -> dict:
+    """W3 with its (0, 0) block on the support points 1..S, so S in all."""
+    doc = copy.deepcopy(W3_DOC)
+    doc["blocks"][0].update(support=list(range(1, S + 1)), weights=[1.0] * S)
+    return doc
+
+
+def sized(files, argv: list, n: int) -> list[str]:
+    """``argv`` with ``"N"`` read as ``n``, a document builder as the file of
+    its document at ``n``, and a fixture name as its path."""
+    out = []
+    for a in argv:
+        if callable(a):
+            path = os.path.join(files["tmp"], f"{a.__name__}{n}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(a(n), fh)
+            a = path
+        out.append(str(n) if a == "N" else files.get(a, a))
+    return out
+
+
 @pytest.mark.parametrize(
-    "module, argv, largest, limit",
+    "argv, largest, limit",
     [
-        (spectral, ["pathkernel", "--psi", "unit", "--k"], 3, 2 * 9),  # k - 1 products at q=3
-        (cli, ["carleman", "--kmax", "2", "--terms"], 4, 4 * 2 * (9 + 32)),  # terms x kmax x (q^2 + 32)
-        (spectral, LIFTCHECK, 3, 3 * (9 + 9 + 4 * 32)),  # kmax x (q1^2 + q2^2 + 4 x 32)
+        (["pathkernel", "--graphon", "w3.json", "--psi", "unit", "--k", "N"], 3, 2 * 9),
+        (["carleman", "--graphon", "w3.json", "--kmax", "2", "--terms", "N"], 4, 4 * 2 * (9 + 32)),
+        ([*LIFTCHECK, "N"], 3, 3 * (9 + 9 + 4 * 32)),  # kmax x (q1^2 + q2^2 + 4 x 32)
+        (["validate", "--graphon", spread], 16, 3 * 3 * 16),  # q x q x S dense weights
+        (["density", "--graphon", "w3.json", "--graph", clique], 4, 3**4),  # a bucket of K_n
+        (["mc", "--graphon", "w3.json", "--graph", "edge.json", "--seed", "1", "--samples", "N"],
+         1000, 1000),
+        (["momentpair", "--order", "1", "--support", "N"], 5, 6 * (7 + 3 * 32)),
+        # both rank-1 graphons, above the pair's 62 * (7 + 3 * 32) = 6,386
+        (["counterexample", "--order", "1", "--support", "N"], 60, 2 * 61**2),
     ],
-    ids=["pathkernel", "carleman", "liftcheck"],
+    ids=["pathkernel", "carleman", "liftcheck", "graphon-blocks", "density", "mc", "momentpair",
+         "counterexample"],
 )
-def test_size_flag_limits_are_inclusive(monkeypatch, files, capsys, module, argv, largest, limit):
-    monkeypatch.setattr(module, "MAX_CONTRACTION", limit)
-    argv = [argv[0], "--graphon", files["w3.json"], *(files.get(a, a) for a in argv[1:])]
-    assert run([*argv, str(largest)]) == 0
-    assert run([*argv, str(largest + 1)]) == 1
+def test_size_flag_limits_are_inclusive(monkeypatch, files, capsys, argv, largest, limit):
+    monkeypatch.setattr(importlib.import_module("graphonlab.density"), "MAX_CONTRACTION", limit)
+    assert run(sized(files, argv, largest)) == 0
+    assert run(sized(files, argv, largest + 1)) == 1
     assert "error[too-costly]" in capsys.readouterr().err
 
 

@@ -1,5 +1,6 @@
 """Document formats: round trips, symmetric completion, diagnostics, the writer."""
 import copy
+import importlib
 import json
 import math
 import tracemalloc
@@ -259,7 +260,7 @@ def test_dense_blocks_refused_before_allocating():
 
 
 def test_dense_block_limit_is_inclusive(monkeypatch):
-    monkeypatch.setattr(fileio, "MAX_CONTRACTION", 64)
+    monkeypatch.setattr(importlib.import_module("graphonlab.density"), "MAX_CONTRACTION", 64)
     doc = copy.deepcopy(W2_DOC)
     doc["blocks"][0].update(support=list(range(1, 9)), weights=[1.0] * 8)
     doc["blocks"][2].update(support=list(range(9, 17)), weights=[1.0] * 8)
@@ -267,7 +268,7 @@ def test_dense_block_limit_is_inclusive(monkeypatch):
     doc["blocks"][1]["support"] = [17]
     with pytest.raises(ValidationError) as e:
         fileio.parse_graphon(doc)
-    assert e.value.code == "too-costly" and "68 weights" in str(e.value)
+    assert e.value.code == "too-costly" and " 68 " in str(e.value)
 
 
 # -- one parse path, checked against the record-by-record oracle -------------------

@@ -104,3 +104,26 @@ def test_every_name_the_tracer_rebinds_is_bound(monkeypatch):
     assert ("momentlab", "point_mass") in keys
     for module, name in keys:
         assert callable(getattr(importlib.import_module(f"graphonlab.{module}"), name))
+
+
+#: the size policy's names; only density.py may use them in code (docstrings
+#: may mention them) or raise the code they guard
+SIZE_POLICY = {"MAX_CONTRACTION", "_PRINTED_VALUE"}
+
+
+def test_one_module_holds_the_size_policy():
+    users, refusers = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (
+                node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias)
+                else None
+            )
+            if name in SIZE_POLICY:
+                users.append(path.name)
+            if isinstance(node, ast.Constant) and node.value == "too-costly":
+                refusers.append(path.name)
+    assert set(users) == {"density.py"}
+    assert set(refusers) == {"density.py"}
