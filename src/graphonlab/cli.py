@@ -424,7 +424,8 @@ def run(argv: list[str]) -> int:
         return 1
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+            fh.write("\n")  # not text + "\n", which copies the whole output once more
     else:
         print(text)
     return 0

@@ -30,20 +30,21 @@ double range, which :mod:`json` reads.
 :func:`dump_json` writes every output document. Its bytes are those of
 ``json.dumps(doc, indent=2)``: numbers are written with ``repr``, NaN and
 infinities as ``NaN``/``Infinity``/``-Infinity``, strings ASCII-escaped.
-Lists of finite floats, graphon weights among them, are formatted by
-orjson a few thousand at a time: orjson and ``repr`` both write the
-shortest digits that read back as the same double, and they differ only
-in spelling where ``repr`` writes an exponent (``0 < |x| < 1e-4`` and
-``|x| >= 1e16``), so those values are written by ``repr``.
-A :class:`StepGraphon` inside a document is written straight from its
-arrays as the document :func:`serialize_graphon` builds, without building
-one dict per block; :func:`serialize_graphon` is the tests' oracle for it.
+Lists of finite floats are formatted by orjson a few thousand at a time:
+orjson and ``repr`` both write the shortest digits that read back as the
+same double, and they differ only in spelling where ``repr`` writes an
+exponent (``0 < |x| < 1e-4`` and ``|x| >= 1e16``), so those values are
+written by ``repr``. A :class:`StepGraphon` inside a document is written
+from its arrays as the document :func:`serialize_graphon` builds: orjson
+writes its block records, indented, a chunk of records at a time, and the
+weights it would spell differently are spliced in afterwards;
+:func:`serialize_graphon` is the tests' oracle for it.
 """
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain, compress, islice
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 from typing import Any, Callable, Iterator
@@ -118,32 +119,34 @@ def _block_records_bulk(records: list, q: int) -> tuple[np.ndarray, np.ndarray] 
     if not set(map(type, records)) <= {dict}:
         return None
     try:
-        ij = list(map(itemgetter("i", "j"), records))
+        rows = list(map(itemgetter("i"), records))
+        cols = list(map(itemgetter("j"), records))
         sups = list(map(itemgetter("support"), records))
         wts = list(map(itemgetter("weights"), records))
     except KeyError:
         return None
     if not set(map(type, chain(sups, wts))) <= {list}:
         return None
-    lengths = list(map(len, sups))
-    if lengths != list(map(len, wts)):
+    lengths = np.fromiter(map(len, sups), np.int64, n)
+    if not np.array_equal(lengths, np.fromiter(map(len, wts), np.int64, n)):
         return None
     if not (
-        set(map(type, chain.from_iterable(ij))) <= {int}
+        set(map(type, chain(rows, cols))) <= {int}
         and set(map(type, chain.from_iterable(sups))) <= {int}
         and set(map(type, chain.from_iterable(wts))) <= {int, float}
     ):
         return None
-    total = sum(lengths)
+    total = int(lengths.sum())
     try:
-        idx = np.array(ij, dtype=np.int64).reshape(n, 2)
+        i = np.fromiter(rows, np.int64, n)
+        j = np.fromiter(cols, np.int64, n)
         pts = np.fromiter(chain.from_iterable(sups), np.int64, total)
         vals = np.fromiter(chain.from_iterable(wts), np.float64, total)
     except OverflowError:
         return None
-    lo, hi = idx.min(axis=1), idx.max(axis=1)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
     rising = np.diff(pts) > 0
-    starts = np.cumsum(lengths, dtype=np.int64)[:-1]
+    starts = np.cumsum(lengths)[:-1]
     rising[starts[(starts > 0) & (starts < total)] - 1] = True  # pairs across two records
     if not (
         (lo >= 0).all()
@@ -367,7 +370,8 @@ def dump_json(doc: Any) -> str:
     return "".join(out)
 
 
-#: values per orjson call in :func:`_float_reprs`; one chunk's strings are alive at a time
+#: values per orjson call in :func:`_float_reprs`, and weights plus records per
+#: call in :func:`_write_graphon`; one chunk's objects are alive at a time
 _CHUNK = 4096
 
 
@@ -462,46 +466,60 @@ def _write_dict(doc: dict, level: int, out: list[str]) -> None:
 def _write_graphon(W: StepGraphon, level: int, out: list[str]) -> None:
     """``serialize_graphon(W)`` at ``level``, with the blocks written from the arrays.
 
-    One pass of :func:`_float_reprs` runs over the nonzero weights of the
-    upper triangle in row-major block order; each block record takes its
-    slice of it, so only one chunk's strings are held at a time. Non-finite
-    weights are written one by one, as :mod:`json` writes them. Records are
-    joined into one string per chunk of weights, so the strings kept until
-    the document is joined do not split the heap space each chunk's
-    buffers free (one string per record cost about 1.5 MB more peak RSS on
-    the transform-twins benchmark).
+    orjson writes the block records with ``OPT_INDENT_2``, one call per
+    chunk of records that holds about ``_CHUNK`` weights and records, so
+    only one chunk's record objects are alive at a time. The records are
+    passed nested in ``level + 1`` lists, so that orjson indents them as
+    deep as the blocks list sits, and the text between the first record's
+    line break and the last record's brace is kept. The weights orjson
+    spells unlike :mod:`json` (``0 < |x| < 1e-4``, ``|x| >= 1e16`` and
+    the non-finite ones) are found by one mask over the whole array. They
+    reach orjson as NaN, which it writes ``null``, a word no other value of
+    a block record can be, and each ``null`` is replaced by
+    :func:`_float` of its weight.
     """
     inner = "\n" + "  " * (level + 1)
     out.append("{" + inner + '"masses": ')
     _write_list(W.masses, level + 1, out)
+    out.append("," + inner + '"blocks": ')
     upper_i, upper_j = np.triu_indices(W.q)
     upper = W.weights[upper_i, upper_j]
     rows, cols = np.nonzero(upper)
     values = upper[rows, cols]
-    weights = _float_reprs(values) if np.isfinite(values).all() else map(_float, values.tolist())
-    points = iter(np.array(list(map(int.__repr__, W.support.tolist())), dtype=object)[cols].tolist())
-    counts = np.bincount(rows, minlength=len(upper_i)).tolist()
-    record = "\n" + "  " * (level + 2)  # a block's braces
-    field = "\n" + "  " * (level + 3)  # its keys
-    item = "\n" + "  " * (level + 4)  # its support points and weights
-    sep, close = "," + item, field + "]"
-    lead = "," + inner + '"blocks": [' + record
-    group, weight_count = [], 0  # records joined into one string per chunk of weights
-    for i, j, n in zip(upper_i.tolist(), upper_j.tolist(), counts):
-        head = f'{lead}{{{field}"i": {i},{field}"j": {j},{field}"support": '
-        if n:
-            group.append(
-                f"{head}[{item}{sep.join(islice(points, n))}{close},"
-                f'{field}"weights": [{item}{sep.join(islice(weights, n))}{close}{record}}}'
+    points = W.support[cols]
+    size = np.abs(values)
+    respelled = ~((size >= 1e-4) & (size < 1e16))  # NaN fails both tests
+    del upper, cols, size
+    starts = np.searchsorted(rows, np.arange(len(upper_i) + 1))  # record k: starts[k]:starts[k+1]
+    cost = starts + np.arange(len(starts))  # weights and records before record k
+    cuts = np.unique(np.append(np.searchsorted(cost, np.arange(0, cost[-1], _CHUNK)), len(upper_i)))
+    sep = "["
+    for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        lo, hi = starts[a], starts[b]
+        special = respelled[lo:hi]
+        weights, respell = values[lo:hi], special.any()
+        if respell:
+            weights = weights.copy()
+            weights[special] = np.nan
+        offsets = (starts[a : b + 1] - lo).tolist()
+        pts, wts = points[lo:hi].tolist(), weights.tolist()
+        records = [
+            {"i": i, "j": j, "support": pts[x:y], "weights": wts[x:y]}
+            for i, j, x, y in zip(upper_i[a:b].tolist(), upper_j[a:b].tolist(), offsets, offsets[1:])
+        ]
+        for _ in range(level + 1):
+            records = [records]
+        text = orjson.dumps(records, option=orjson.OPT_INDENT_2)
+        del records, pts, wts
+        text = text[text.rindex(b"\n", 0, text.index(b"{")) : text.rindex(b"}") + 1].decode()
+        if respell:
+            pieces = text.split("null")
+            text = pieces[0] + "".join(
+                map(str.__add__, map(_float, values[lo:hi][special].tolist()), pieces[1:])
             )
-        else:
-            group.append(f'{head}[],{field}"weights": []{record}}}')
-        lead = "," + record
-        weight_count += n
-        if weight_count >= _CHUNK:
-            out.append("".join(group))
-            group, weight_count = [], 0
-    out.append("".join(group) + inner + "]")
+        out.append(sep + text)
+        sep = ","
+    out.append(inner + "]" if sep == "," else "[]")
     out.append("," + inner + '"functionals": ')
     _write_list(_functional_records(W), level + 1, out)
     out.append("\n" + "  " * level + "}")

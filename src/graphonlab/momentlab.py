@@ -142,7 +142,8 @@ def rank1_graphon(dist) -> StepGraphon:
     if not points:
         raise ValidationError("distribution has empty support", code="empty-support")
     masses = tuple(dist[k] for k in points)
-    weights = np.outer(points, points).astype(np.float64)[:, :, None]
+    values = np.array(points, dtype=np.float64)
+    weights = np.outer(values, values)[:, :, None]  # products below 2^53 are exact
     support = [1] if weights.any() else []
     unit = unit_functional()
     return StepGraphon(masses, support, weights[:, :, : len(support)], {unit.id: unit})

@@ -28,6 +28,9 @@ TWIN_TOL = 1e-9
 #: differences (512 KB)
 TWIN_CHUNK = 1 << 16
 
+#: the smallest positive double: the most a product that underflows can lose
+_SUBNORMAL = np.finfo(float).smallest_subnormal
+
 #: feature rows are rounded to this many decimals before exact comparison
 FEATURE_DECIMALS = 12
 
@@ -115,6 +118,15 @@ def twin_partition(W: StepGraphon, tol: float = TWIN_TOL) -> Partition:
         raise ValidationError("twin tolerance must be >= 0", code="bad-tolerance")
     q = W.q
     w = W.weights
+    first, second = _candidate_pairs(w.reshape(q, -1), tol)
+    close = np.zeros(len(first), bool)
+    step = max(1, TWIN_CHUNK // max(1, w[0].size))
+    for k in range(0, len(first), step):
+        with np.errstate(over="ignore"):  # rows that far apart are no twins below tol = inf
+            diff = w[first[k : k + step]] - w[second[k : k + step]]
+            np.abs(diff, out=diff)
+            close[k : k + step] = diff.sum(axis=-1).max(axis=-1) <= tol
+
     parent = list(range(q))
 
     def find(x: int) -> int:
@@ -123,26 +135,41 @@ def twin_partition(W: StepGraphon, tol: float = TWIN_TOL) -> Partition:
             x = parent[x]
         return x
 
-    step = max(1, TWIN_CHUNK // max(1, w.size))
-    for i0 in range(0, q, step):
-        i1 = min(q, i0 + step)
-        diff = w[i0:i1, None] - w[None, i0:]  # rows i0..i1 against rows i0..q
-        np.abs(diff, out=diff)
-        close = diff.sum(axis=-1).max(axis=-1) <= tol
-        close &= np.arange(q - i0)[None, :] > np.arange(i1 - i0)[:, None]
-        for a, b in zip(*np.nonzero(close)):
-            ri, rj = find(i0 + int(a)), find(i0 + int(b))
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
+    for a, b in zip(first[close].tolist(), second[close].tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)  # a root is its class's smallest member
+    roots = np.array([find(i) for i in range(q)])
+    return Partition(tuple(np.unique(roots, return_inverse=True)[1].tolist()))
 
-    roots: dict[int, int] = {}
-    class_of = []
-    for i in range(q):
-        r = find(i)
-        if r not in roots:
-            roots[r] = len(roots)
-        class_of.append(roots[r])
-    return Partition(tuple(class_of))
+
+def _candidate_pairs(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``i < j`` that contain every pair of rows within ``tol``.
+
+    Each row is projected on ``r = cos(0, 1, 2, ...)``. Every ``|r_k| <= 1``,
+    so rows at distance ``d`` (the largest of the ``q`` block tv distances)
+    project at most ``q * d`` apart, and only rows whose projections lie
+    within ``q * tol`` plus a slack can be within ``tol``. The slack covers
+    the rounding of the dot products (``n u`` times the largest absolute
+    row sum for ``n`` terms and unit roundoff ``u``), of the row distances
+    and of the window's bounds, with a margin of more than 2. Every pair is
+    a candidate when a projection or the bound is not finite.
+    """
+    q, n = rows.shape
+    with np.errstate(over="ignore", invalid="ignore"):  # all pairs then
+        p = rows @ np.cos(np.arange(n))
+        size = np.abs(rows).sum(axis=1).max() + q * tol
+        reach = q * tol + (4 * n + 16) * (np.finfo(float).eps * size + _SUBNORMAL)
+        if not (np.isfinite(p).all() and np.isfinite(reach)):
+            return np.triu_indices(q, 1)
+        order = np.argsort(p, kind="stable")
+        p = p[order]
+        end = np.searchsorted(p, p + reach, side="right")  # an overflow to inf only widens
+    count = end - np.arange(1, q + 1)
+    first = np.repeat(np.arange(q), count)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)
+    low, high = order[first], order[second]
+    return np.minimum(low, high), np.maximum(low, high)
 
 
 def twin_reduce(W: StepGraphon, tol: float = TWIN_TOL) -> StepGraphon:

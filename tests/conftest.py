@@ -261,6 +261,48 @@ def pairwise_twin_partition(W: gl.StepGraphon, tol: float) -> tuple[int, ...]:
     return tuple(number.setdefault(x, len(number)) for x in label)
 
 
+def all_pairs_twin_partition(W: gl.StepGraphon, tol: float = gl.transforms.TWIN_TOL) -> gl.Partition:
+    """``twin_partition`` by comparing every pair of rows, in chunks of rows.
+
+    Row distances are computed with the same operations as the library's
+    exact test (difference, absolute value, sum over points, max over
+    blocks), so the two agree bit for bit on every pair.
+    """
+    if not tol >= 0:
+        raise ValidationError("twin tolerance must be >= 0", code="bad-tolerance")
+    q = W.q
+    w = W.weights
+    parent = list(range(q))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    step = max(1, gl.transforms.TWIN_CHUNK // max(1, w.size))
+    for i0 in range(0, q, step):
+        i1 = min(q, i0 + step)
+        with np.errstate(over="ignore"):
+            diff = w[i0:i1, None] - w[None, i0:]  # rows i0..i1 against rows i0..q
+            np.abs(diff, out=diff)
+            close = diff.sum(axis=-1).max(axis=-1) <= tol
+        close &= np.arange(q - i0)[None, :] > np.arange(i1 - i0)[:, None]
+        for a, b in zip(*np.nonzero(close)):
+            ri, rj = find(i0 + int(a)), find(i0 + int(b))
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+
+    roots: dict[int, int] = {}
+    class_of = []
+    for i in range(q):
+        r = find(i)
+        if r not in roots:
+            roots[r] = len(roots)
+        class_of.append(roots[r])
+    return gl.Partition(tuple(class_of))
+
+
 def pairwise_regularity(W: gl.StepGraphon, anchors, functional_ids) -> bool:
     """Regularity pair by pair: no two non-twin classes share a rounded feature row."""
     rows = gl.transforms.feature_map(W, anchors, functional_ids).rounded_rows()

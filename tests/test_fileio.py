@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -638,6 +639,9 @@ def test_float_reprs_match_repr():
     values = values[np.isfinite(values)]
     assert list(fileio._float_reprs(values)) == list(map(float.__repr__, values.tolist()))
     assert list(fileio._float_reprs(np.zeros(0))) == []
+    # the graphon writer's orjson call, on the same values as the weights of one block
+    W = gl.StepGraphon((1.0,), np.arange(len(values)), values[None, None, :])
+    assert fileio.dump_json(W) == json.dumps(fileio.serialize_graphon(W), indent=2)
 
 
 def chunk_crossing_graphon() -> gl.StepGraphon:
@@ -671,7 +675,31 @@ def graphon_cases():
         "infinite-weight": gl.StepGraphon((1.0,), [1], [[[math.inf]]]),
         **{f"random-q{q}": rand_graphon(rng, q) for q in (1, 2, 5, 9)},
         "chunk-crossing": chunk_crossing_graphon(),
+        "empty-records-over-chunks": gl.StepGraphon((0.01,) * 100, np.zeros(0, int), np.zeros((100, 100, 0))),
     }
+
+
+@st.composite
+def float_graphons(draw):
+    """A graphon of 1..5 classes over 0..3 points, weights from :data:`FLOATS`; many are 0."""
+    q, S = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    weights = np.zeros((q, q, S))
+    upper_i, upper_j = np.triu_indices(q)
+    cells = draw(st.lists(st.one_of(st.just(0.0), FLOATS), min_size=len(upper_i) * S,
+                          max_size=len(upper_i) * S))
+    weights[upper_i, upper_j] = weights[upper_j, upper_i] = np.reshape(cells, (len(upper_i), S))
+    support = sorted(draw(st.sets(st.integers(0, 2**63 - 1), min_size=S, max_size=S)))
+    return gl.StepGraphon([1 / q] * q, support, weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_graphons(), st.integers(0, 3), st.booleans(), st.sampled_from([1, 2, 5, fileio._CHUNK]))
+def test_dump_json_writes_random_graphons_as_json_dumps(W, level, in_dict, chunk):
+    doc, expected = W, fileio.serialize_graphon(W)
+    for _ in range(level):  # W nested ``level`` deep
+        doc, expected = ({"g": doc}, {"g": expected}) if in_dict else ([doc], [expected])
+    with mock.patch.object(fileio, "_CHUNK", chunk):  # small chunks: records split many ways
+        assert fileio.dump_json(doc) == json.dumps(expected, indent=2)
 
 
 @pytest.mark.parametrize("name", list(graphon_cases()))

@@ -15,6 +15,7 @@ from graphonlab.measures import measure_combine, point_mass, tv_distance
 
 from conftest import (
     INDICATORS,
+    all_pairs_twin_partition,
     duplicate_class,
     fraction_quotient,
     graphon_from_blocks,
@@ -224,6 +225,60 @@ def test_twin_partition_edge_tolerances():
     assert pairwise_twin_partition(W, math.inf) == (0,) * 5
     exact = duplicate_class(W, rng, target=2)
     assert gl.twin_partition(exact, 0.0).class_of == (0, 1, 2, 3, 4, 2)
+
+
+MAX = 1.7976931348623157e308
+#: block weights: a few values shared by many blocks, so exact twins are common,
+#: values whose differences or projections overflow, and arbitrary fractions
+TWIN_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 0.1, 1e300, -1e300, MAX, -MAX, math.nextafter(MAX, 0.0), 5e-324]),
+    st.floats(-1e3, 1e3),
+)
+#: moves of a row relative to the tolerance: below, at and above it by a few ulps
+NEAR = (0.5, 1.0 - 2**-40, 1.0, 1.0 + 2**-40, 2.0)
+
+
+@st.composite
+def near_twin_graphons(draw):
+    """``(W, tol)``: 1..40 classes copied from a few base classes, some rows then moved.
+
+    A move adds ``delta`` to one block weight of a class and to its mirror,
+    so the moved class lies about ``delta`` from its copies; ``delta`` sits
+    on both sides of ``tol``.
+    """
+    tol = draw(st.sampled_from([0.0, 1e-9, 1e-3, math.inf]))
+    q, S = draw(st.integers(1, 40)), draw(st.integers(0, 3))
+    n_base = draw(st.integers(1, min(q, 6)))
+    cells = draw(st.lists(TWIN_WEIGHTS, min_size=n_base * n_base * S, max_size=n_base * n_base * S))
+    base = np.array(cells, dtype=float).reshape(n_base, n_base, S)
+    base = np.where(np.triu(np.ones((n_base, n_base), bool))[:, :, None], base, base.transpose(1, 0, 2))
+    copy = draw(st.lists(st.integers(0, n_base - 1), min_size=q, max_size=q))
+    w = base[copy][:, copy]
+    if tol == 0.0:
+        deltas = [5e-324, 1e-300, 1e-16]
+    elif tol == math.inf:
+        deltas = [1.0, 1e300]
+    else:
+        deltas = [tol * f for f in NEAR] + [math.nextafter(tol, 0.0), math.nextafter(tol, 1.0)]
+    for _ in range(draw(st.integers(0, 4)) if S else 0):
+        k, c, s = draw(st.integers(0, q - 1)), draw(st.integers(0, q - 1)), draw(st.integers(0, S - 1))
+        moved = float(w[k, c, s]) + draw(st.sampled_from(deltas))
+        if math.isfinite(moved):  # a graphon's weights are finite
+            w[k, c, s] = w[c, k, s] = moved
+    return gl.StepGraphon([1 / q] * q, np.arange(S), w), tol
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_twin_graphons())
+def test_twin_partition_matches_all_pairs_oracle(case):
+    W, tol = case
+    assert gl.twin_partition(W, tol).class_of == all_pairs_twin_partition(W, tol).class_of
+
+
+def test_twin_partition_overflowing_rows_are_not_twins():
+    W = gl.StepGraphon((0.5, 0.5), [1], [[[MAX], [-MAX]], [[-MAX], [MAX]]])
+    assert gl.twin_partition(W).class_of == (0, 1)  # no RuntimeWarning either
+    assert gl.twin_partition(W, math.inf).class_of == (0, 0)
 
 
 def test_twin_reduce_duplicate_masses():
