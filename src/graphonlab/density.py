@@ -12,17 +12,16 @@ min-degree order, planned in one pass over the edge scopes, whose cost is
 exponential only in the induced width of the elimination order, not in
 the vertex count; a vertex on no edge is never visited. Contractions
 that would span more than :data:`MAX_CONTRACTION` elements are refused
-before anything is allocated. The enumeration of all q^n assignments, the
-definitional route, is kept in the tests as the oracle every route is
-checked against.
+before anything is allocated. The enumeration of all q^n assignments is
+kept in the tests as the oracle.
 
-Each bucket is one numpy contraction, so sums run in numpy's order and
-results are not exactly rounded: densities and marginals agree with the
-oracle to the 1e-10 contract, and values printed at 12 digits are stable,
-but full-precision outputs (a ``productcheck`` residual that is an exact
-zero by enumeration, ``liftcheck``'s direct densities) can move in the
-last unit in the last place. Multiplicities are evaluated as integer
-powers of kernel entries, never by expanding parallel edges.
+Each step of the elimination is one two-operand ``np.einsum`` with no path
+search, so no BLAS runs and the bits do not depend on the BLAS kernel.
+Sums run in numpy's order, not exactly rounded: full-precision outputs (a
+``productcheck`` residual that is an exact zero by enumeration,
+``liftcheck``'s direct densities) can move in the last place when that
+order changes. Multiplicities are integer powers of kernel entries, never
+parallel edges; numpy's powers above 2 may round by the CPU's vector loops.
 
 :func:`mc_density` samples the same sum from one stream seeded by the
 caller: each vertex's class is drawn by inverse CDF over ``pi / sum(pi)``
@@ -171,16 +170,25 @@ def _plan(scopes: Sequence[tuple[int, ...]], keep: Sequence[int]):
     return steps, live
 
 
-def _align(arr: np.ndarray, vars_: tuple[int, ...], target: tuple[int, ...]) -> np.ndarray:
-    shape = [1] * len(target)
-    src = {v: ax for ax, v in enumerate(vars_)}
-    perm = [src[v] for v in target if v in src]
-    arr = np.transpose(arr, perm) if len(perm) > 1 else arr
-    it = iter(range(arr.ndim))
-    for ax, v in enumerate(target):
-        if v in src:
-            shape[ax] = arr.shape[next(it)]
-    return arr.reshape(shape)
+def _planned(F: DecoratedMultigraph, q: int, keep: tuple[int, ...] = (), pinned=()):
+    """:func:`_plan` of ``F`` at ``q`` classes, charged before anything is allocated."""
+    scopes = [tuple(x for x in (u, v) if x not in pinned) for u, v, _, _ in F.edges]
+    steps, live = _plan(scopes, keep)
+    width = max([len(keep)] + [len(left) + 1 for _, _, left in steps])
+    require_affordable(f"elimination at q={q} over {width} vertices", q**width)
+    if width > MAX_BUCKET_VERTICES:
+        raise ValidationError(
+            f"elimination would join {width} vertices; the limit is {MAX_BUCKET_VERTICES}",
+            code="too-costly",
+        )
+    return steps, live
+
+
+def _contract(a: np.ndarray, axes_a, b: np.ndarray, axes_b, out) -> np.ndarray:
+    """``a * b`` on axes named by vertex, summed over those not in ``out``; no BLAS."""
+    n = {x: k for k, x in enumerate(dict.fromkeys((*axes_a, *axes_b)))}
+    ops = (a, [n[x] for x in axes_a], b, [n[x] for x in axes_b], [n[x] for x in out])
+    return np.einsum(*ops, optimize=False)
 
 
 def eliminate(
@@ -192,15 +200,17 @@ def eliminate(
 ) -> np.ndarray:
     """Sum out every vertex not in ``keep``; returns an array over ``keep``.
 
-    Each eliminated vertex is contracted against the mass vector; kept
-    vertices index the axes of the result in the order given. Vertices in
-    ``pinned`` are fixed to the given classes and carry no mass factor.
+    Kept vertices index the axes of the result in the order given; vertices
+    in ``pinned`` are fixed to the given classes and carry no mass factor.
     With ``keep=()`` this is the full density as a 0-d array. The order is
     greedy min-degree, planned by :func:`_plan` from the edges alone: a
     free vertex on no edge integrates to ``sum(pi) == 1`` and costs nothing.
+    Each bucket starts from ``pi[v]``, takes in its factors one at a time
+    and sums ``v`` out with the last; each step is one BLAS-free
+    :func:`_contract`, so the bits do not depend on the BLAS kernel.
 
     Raises ``ValidationError(code="too-costly")``, before allocating, when
-    a bucket (or the result) would span more than :data:`MAX_CONTRACTION`
+    a step (or the result) would span more than :data:`MAX_CONTRACTION`
     elements or :data:`MAX_BUCKET_VERTICES` vertices.
     """
     q = W.q
@@ -212,15 +222,7 @@ def eliminate(
                 f"anchor class {cls} out of range for q={q}", code="bad-anchor"
             )
         pinned[v] = int(cls)
-    scopes = [tuple(x for x in (u, v) if x not in pinned) for u, v, _, _ in F.edges]
-    steps, live = _plan(scopes, keep)
-    width = max([len(keep)] + [len(left) + 1 for _, _, left in steps])
-    require_affordable(f"elimination at q={q} over {width} vertices", q**width)
-    if width > MAX_BUCKET_VERTICES:
-        raise ValidationError(
-            f"elimination would join {width} vertices; the limit is {MAX_BUCKET_VERTICES}",
-            code="too-costly",
-        )
+    steps, live = _planned(F, q, keep, pinned)
 
     pi = np.asarray(W.masses)
     kernels = _kernels(F, W)
@@ -228,22 +230,16 @@ def eliminate(
     for i, (u, v, psi, mult) in enumerate(F.edges):
         arr = kernels[psi] if mult == 1 else kernels[psi] ** mult
         arrays[i] = arr[pinned.get(u, slice(None)), pinned.get(v, slice(None))]
-    for n, (v, bucket, left) in enumerate(steps, start=len(scopes)):
-        if len(bucket) == 1:
-            ((i, scope),) = bucket
-            arrays[n] = np.tensordot(arrays.pop(i), pi, axes=(scope.index(v), 0))
-            continue
-        # v is summed inside the pairwise contractions; the joined tensor
-        # over (v, *left) is never built
-        axis = {x: k for k, x in enumerate((v, *left))}
-        operands: list = [pi, [0]]
+    for n, (v, bucket, left) in enumerate(steps, start=len(F.edges)):
+        acc, axes = pi, (v,)
         for i, scope in bucket:
-            operands += [arrays.pop(i), [axis[x] for x in scope]]
-        arrays[n] = np.einsum(*operands, list(range(1, len(left) + 1)), optimize="greedy")
+            out = left if i == bucket[-1][0] else tuple(dict.fromkeys(axes + scope))
+            acc, axes = _contract(acc, axes, arrays.pop(i), scope, out), out
+        arrays[n] = acc
 
     result = np.ones((q,) * len(keep))
     for i, scope in live.items():
-        result = result * _align(arrays[i], scope, keep)
+        result = _contract(result, keep, arrays[i], scope, keep)
     return result
 
 

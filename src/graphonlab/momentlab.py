@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import density, require_affordable
+from .density import _planned, density, require_affordable
 from .errors import ValidationError
 from .graphs import (
     DecoratedMultigraph,
@@ -204,12 +204,15 @@ def counterexample_report(N: int, D: int, seed: int | None = None) -> Counterexa
     the (D+1)-star witness exhibits the gap, which :class:`MatchedPair`
     guarantees at order D+1. The report is deterministic: ``seed`` is
     accepted for the CLI's ``--seed`` and does not influence it. The q x q
-    weights of the two graphons, q <= N + 1, are charged to the size budget
-    of :func:`require_affordable` before either is built.
+    weights of the two graphons, q <= N + 1, then every suite elimination
+    are charged to the size budget before either graphon is built.
     """
     pair = matched_pair(N, D)
     low, witness = standard_suite(D)
     require_affordable(f"the two rank-1 graphons on {{0..{N}}}", 2 * (N + 1) ** 2)
+    for g in low + [witness]:
+        for dist in (pair.p, pair.q):  # q as rank1_graphon will count it
+            _planned(g, sum(x > 0.0 for x in dist))
     Wp = rank1_graphon(pair.p)
     Wq = rank1_graphon(pair.q)
     records = []

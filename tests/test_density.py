@@ -1,9 +1,15 @@
 """Density engine: elimination, Monte Carlo and identities, against the oracles."""
+import ast
 import importlib
 import itertools
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,6 +326,98 @@ def test_eliminate_keep_matrix(w2):
     assert np.allclose(T, gl.kernel_matrix(w2, "unit"), atol=1e-14)
 
 
+def test_eliminate_runs_no_path_search_and_no_blas(monkeypatch, w2):
+    # an einsum path search or tensordot would hand products to BLAS, whose
+    # kernel changes the bits
+    def refused(*args, **kwargs):
+        raise AssertionError("eliminate ran a path search or tensordot")
+
+    try:
+        einsumfunc = importlib.import_module("numpy._core.einsumfunc")
+    except ImportError:  # numpy < 2
+        einsumfunc = importlib.import_module("numpy.core.einsumfunc")
+    for module, name in ((np, "einsum_path"), (einsumfunc, "einsum_path"), (np, "tensordot")):
+        monkeypatch.setattr(module, name, refused)
+    K4 = tuple((u, v, "unit", 1 + u % 2) for u, v in itertools.combinations(range(4), 2))
+    F = gl.DecoratedMultigraph(4, K4, {0: 1, 2: 2})
+    gl.density(F, w2, ignore_labels=True)
+    gl.marginal(F, w2, {1: 0, 2: 1})
+    gl.product_identity_residual(F, F, w2)
+    gl.eliminate(F, w2, keep=(3, 1))
+
+    # every einsum in the module sits in one function and searches no path
+    calls = {}
+    for fn in ast.walk(ast.parse(Path(density_module.__file__).read_text(encoding="utf-8"))):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.einsum":
+                    kwargs = {k.arg: ast.unparse(k.value) for k in node.keywords}
+                    calls.setdefault(fn.name, []).append(kwargs.get("optimize"))
+    (optimize,) = calls.values()
+    assert set(optimize) == {"False"}
+
+
+#: eliminations at sizes where a BLAS product rounds by the OpenBLAS kernel;
+#: prints ``float.hex`` of every entry, one line per elimination
+BLAS_KERNEL_PROBE = """
+import itertools
+import numpy as np
+import graphonlab as gl
+
+def graphon(q):
+    rng = np.random.default_rng(q)
+    A = rng.random((q, q, 2))
+    masses = rng.random(q) + 0.1
+    unit = gl.unit_functional()
+    return gl.StepGraphon(
+        tuple(masses / masses.sum()), np.array([1, 2]), A + A.transpose(1, 0, 2),
+        {unit.id: unit},
+    )
+
+def complete(n):  # multiplicities 1 and 2: np.power at k >= 3 is CPU-dependent
+    return gl.DecoratedMultigraph(
+        n, tuple((u, v, "unit", 1 + (u + v) % 2) for u, v in itertools.combinations(range(n), 2))
+    )
+
+jobs = [(complete(5), 36, (), None), (complete(4), 64, (), None), (complete(3), 200, (), None)]
+jobs += [(gl.path_graph(5), q, (0, 5), None) for q in (36, 64, 200)]
+jobs += [(complete(4), 64, (), {0: 3, 2: 17})]
+for F, q, keep, pinned in jobs:
+    T = np.asarray(gl.eliminate(F, graphon(q), keep, pinned=pinned))
+    print(" ".join(float(x).hex() for x in T.ravel()))
+"""
+
+
+def _not_dynamic_openblas() -> str:
+    """Why the BLAS kernel cannot be switched here, or "" when it can."""
+    if platform.machine() not in ("x86_64", "AMD64"):
+        return f"OPENBLAS_CORETYPE names x86 kernels; this is {platform.machine()}"
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 reports no build dictionary
+        return "numpy does not report its BLAS build"
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return f"numpy's BLAS ({blas.get('name')}) is not a DYNAMIC_ARCH OpenBLAS"
+    return ""
+
+
+def test_eliminate_bits_do_not_depend_on_the_blas_kernel():
+    if reason := _not_dynamic_openblas():
+        pytest.skip(reason)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(Path(gl.__file__).resolve().parent.parent)
+    bits = {}
+    for kernel in ("", "Prescott", "Sandybridge"):
+        run_env = dict(env, OPENBLAS_CORETYPE=kernel) if kernel else env
+        bits[kernel] = subprocess.run(
+            [sys.executable, "-c", BLAS_KERNEL_PROBE], env=run_env,
+            capture_output=True, text=True, check=True, timeout=300,
+        ).stdout
+    assert bits[""].count("\n") == 7
+    assert bits["Prescott"] == bits[""]
+    assert bits["Sandybridge"] == bits[""]
+
+
 # -- exact rational oracle on heavily cancelling signed graphons -------------------
 
 MIX = gl.TestFunctional("mix", (1, 2), (0.75, -0.25))
@@ -404,6 +502,22 @@ def test_product_identity_matches_fraction_oracle(W, n_labels, data):
         rhs += weight * fraction_density(F1, W, pin1) * fraction_density(F2, W, pin2)
     assert fraction_density(gl.product(F1, F2), W) == rhs  # the identity is exact
     assert gl.product_identity_residual(F1, F2, W) <= 1e-10
+
+
+@settings(max_examples=150, deadline=None)
+@given(cancelling_graphons(), tiny_graphs(max_vertices=4), st.data())
+def test_eliminate_tensor_matches_fraction_oracle(W, F, data):
+    # F plus a vertex on no edge, kept at a random place in ``keep``; a
+    # component with no kept vertex reduces to a 0-d factor
+    G = gl.DecoratedMultigraph(F.n_vertices + 1, F.edges)
+    pinned = data.draw(st.dictionaries(st.integers(0, F.n_vertices - 1), st.integers(0, W.q - 1)))
+    kept = [v for v in range(F.n_vertices) if v not in pinned and data.draw(st.booleans())]
+    keep = data.draw(st.permutations(kept + [F.n_vertices]))
+    T = gl.eliminate(G, W, keep, pinned=pinned)
+    assert T.shape == (W.q,) * len(keep)
+    for classes in itertools.product(range(W.q), repeat=len(keep)):
+        exact = fraction_density(G, W, {**pinned, **dict(zip(keep, classes))})
+        assert close_to_exact(T[classes], exact)
 
 
 # -- Monte Carlo output bytes and the cost guard ---------------------------------

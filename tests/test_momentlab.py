@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import graphonlab as gl
+from graphonlab import momentlab
 from graphonlab.errors import ValidationError
 from graphonlab.measures import point_mass, tv_distance, tv_norm
 from graphonlab.momentlab import MAX_STENCIL_ORDER, _difference_stencil, standard_suite
@@ -169,6 +170,22 @@ def test_counterexample_default_suite():
     assert rep.witness_gap == pytest.approx(expected, abs=1e-6)
     assert rep.witness_graph.max_degree == 4
     assert len(rep.graphs_tested) == 6  # edge, 2-path, triangle, 3-star, C4, 4-star
+
+
+def test_counterexample_refuses_the_suite_before_building_a_graphon(monkeypatch):
+    # the triangle at q = 3001 is refused with the message eliminate gives,
+    # and neither rank-1 graphon is built first
+    def refused(dist):
+        raise AssertionError("rank1_graphon ran on a refused job")
+
+    monkeypatch.setattr(momentlab, "rank1_graphon", refused)
+    with pytest.raises(ValidationError) as e:
+        gl.counterexample_report(3000, 3)
+    assert e.value.code == "too-costly"
+    assert str(e.value) == (
+        "elimination at q=3001 over 3 vertices would take 27027009001 elements; "
+        "the limit is 67108864"
+    )
 
 
 def test_counterexample_multibond_witness():
