@@ -44,7 +44,7 @@ def fmt(x: float) -> str:
 
 
 def _fmt_matrix(mat) -> str:
-    return "\n".join(" ".join(fmt(float(x)) for x in row) for row in mat)
+    return "\n".join(" ".join(map(fmt, row)) for row in mat.tolist())
 
 
 def _parse_anchoring(text: str) -> dict[int, int]:

@@ -30,15 +30,15 @@ double range, which :mod:`json` reads.
 :func:`dump_json` writes every output document. Its bytes are those of
 ``json.dumps(doc, indent=2)``: numbers are written with ``repr``, NaN and
 infinities as ``NaN``/``Infinity``/``-Infinity``, strings ASCII-escaped.
-Lists of finite floats are formatted by orjson a few thousand at a time:
-orjson and ``repr`` both write the shortest digits that read back as the
-same double, and they differ only in spelling where ``repr`` writes an
-exponent (``0 < |x| < 1e-4`` and ``|x| >= 1e16``), so those values are
-written by ``repr``. A :class:`StepGraphon` inside a document is written
-from its arrays as the document :func:`serialize_graphon` builds: orjson
-writes its block records, indented, a chunk of records at a time, and the
-weights it would spell differently are spliced in afterwards;
-:func:`serialize_graphon` is the tests' oracle for it.
+Every list of floats, and every chunk of a :class:`StepGraphon`'s block
+records, is written by one route: orjson's two-space indent. orjson and
+``repr`` both write the shortest digits that read back as the same
+double, and they differ only in spelling where ``repr`` writes an
+exponent (``0 < |x| < 1e-4`` and ``|x| >= 1e16``) and for non-finite
+values, which orjson writes ``null``; those values reach orjson as NaN
+and each ``null`` is replaced by json's spelling of its value. A graphon
+is written from its arrays as the document :func:`serialize_graphon`
+builds, which is the tests' oracle for it.
 """
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ import math
 from itertools import chain, compress
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 import numpy as np
 import orjson
@@ -370,31 +370,37 @@ def dump_json(doc: Any) -> str:
     return "".join(out)
 
 
-#: values per orjson call in :func:`_float_reprs`, and weights plus records per
-#: call in :func:`_write_graphon`; one chunk's objects are alive at a time
+#: weights plus records per orjson call in :func:`_write_graphon`; one chunk's
+#: record objects are alive at a time
 _CHUNK = 4096
 
 
-def _float_reprs(values: np.ndarray) -> Iterator[str]:
-    """``float.__repr__`` of each value of a finite float64 array, in order.
-
-    orjson writes a chunk of values in one call. It and ``repr`` both write
-    the shortest digits that read back as the same double; they spell a
-    number differently only where ``repr`` writes an exponent, at
-    ``0 < |x| < 1e-4`` and ``|x| >= 1e16``, so those entries are written by
-    ``repr``. They are found once for the whole array: per-chunk arrays,
-    freed between the caller's long-lived strings, left the heap more
-    fragmented (about 1 MB more peak RSS on the transform-twins benchmark).
-    """
+def _respelled(values: np.ndarray) -> np.ndarray:
+    """Where orjson spells a float unlike json: ``0 < |x| < 1e-4``, ``|x| >= 1e16``, NaN, inf."""
     size = np.abs(values)
-    exponent = np.flatnonzero(((size > 0.0) & (size < 1e-4)) | (size >= 1e16))
-    del size
-    for start in range(0, len(values), _CHUNK):
-        texts = orjson.dumps(values[start : start + _CHUNK].tolist())[1:-1].decode().split(",")
-        lo, hi = np.searchsorted(exponent, (start, start + _CHUNK)).tolist()
-        for n in exponent[lo:hi].tolist():
-            texts[n - start] = float.__repr__(float(values[n]))
-        yield from texts
+    return ~(size < 1e16) | ((size > 0.0) & (size < 1e-4))  # NaN fails ``size < 1e16``
+
+
+def _orjson_items(items: list | tuple, level: int, special: list[float]) -> str:
+    """orjson's ``OPT_INDENT_2`` text of the items of a list nested ``level`` deep.
+
+    The text runs from the line break before the first item to the end of
+    the last one. Each NaN in ``items`` stands for the next value of
+    ``special``: orjson writes it ``null``, a word no other value here can
+    be, and each ``null`` is replaced by :func:`_float` of its value.
+    ``items`` is passed inside ``level`` lists, so that orjson indents it
+    as deep as it sits, and the ``level * (level + 3) + 1`` bytes before
+    its first line break and ``(level + 1) * (level + 2)`` after its last
+    item are cut off.
+    """
+    for _ in range(level):
+        items = [items]
+    text = orjson.dumps(items, option=orjson.OPT_INDENT_2)
+    text = text[level * (level + 3) + 1 : len(text) - (level + 1) * (level + 2)].decode()
+    if not special:
+        return text
+    pieces = text.split("null")
+    return pieces[0] + "".join(map(str.__add__, map(_float, special), pieces[1:]))
 
 
 def _float(x: float) -> str:
@@ -437,8 +443,13 @@ def _write_list(items: list | tuple, level: int, out: list[str]) -> None:
         return
     inner = "\n" + "  " * (level + 1)
     kinds = set(map(type, items))
-    if kinds == {float} and np.isfinite(values := np.array(items)).all():
-        out.append("[" + inner + ("," + inner).join(_float_reprs(values)))
+    if kinds == {float}:
+        values = np.array(items)
+        special = _respelled(values)
+        respelled = values[special].tolist()
+        values[special] = np.nan
+        out.append("[")  # list(items): orjson refuses tuple subclasses, which json writes
+        out.append(_orjson_items(values.tolist() if respelled else list(items), level, respelled))
     elif kinds == {int}:
         out.append("[" + inner + ("," + inner).join(map(int.__repr__, items)))
     else:
@@ -466,17 +477,11 @@ def _write_dict(doc: dict, level: int, out: list[str]) -> None:
 def _write_graphon(W: StepGraphon, level: int, out: list[str]) -> None:
     """``serialize_graphon(W)`` at ``level``, with the blocks written from the arrays.
 
-    orjson writes the block records with ``OPT_INDENT_2``, one call per
-    chunk of records that holds about ``_CHUNK`` weights and records, so
-    only one chunk's record objects are alive at a time. The records are
-    passed nested in ``level + 1`` lists, so that orjson indents them as
-    deep as the blocks list sits, and the text between the first record's
-    line break and the last record's brace is kept. The weights orjson
-    spells unlike :mod:`json` (``0 < |x| < 1e-4``, ``|x| >= 1e16`` and
-    the non-finite ones) are found by one mask over the whole array. They
-    reach orjson as NaN, which it writes ``null``, a word no other value of
-    a block record can be, and each ``null`` is replaced by
-    :func:`_float` of its weight.
+    :func:`_orjson_items` writes the block records at the depth of the
+    blocks list, one call per chunk of records that holds about ``_CHUNK``
+    weights and records, so only one chunk's record objects are alive at a
+    time. The weights orjson spells unlike :mod:`json` are found by one
+    mask over the whole array.
     """
     inner = "\n" + "  " * (level + 1)
     out.append("{" + inner + '"masses": ')
@@ -487,37 +492,24 @@ def _write_graphon(W: StepGraphon, level: int, out: list[str]) -> None:
     rows, cols = np.nonzero(upper)
     values = upper[rows, cols]
     points = W.support[cols]
-    size = np.abs(values)
-    respelled = ~((size >= 1e-4) & (size < 1e16))  # NaN fails both tests
-    del upper, cols, size
+    respelled = _respelled(values)
+    del upper, cols
     starts = np.searchsorted(rows, np.arange(len(upper_i) + 1))  # record k: starts[k]:starts[k+1]
     cost = starts + np.arange(len(starts))  # weights and records before record k
     cuts = np.unique(np.append(np.searchsorted(cost, np.arange(0, cost[-1], _CHUNK)), len(upper_i)))
     sep = "["
     for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
         lo, hi = starts[a], starts[b]
-        special = respelled[lo:hi]
-        weights, respell = values[lo:hi], special.any()
-        if respell:
-            weights = weights.copy()
-            weights[special] = np.nan
+        chunk, special = values[lo:hi], respelled[lo:hi]
         offsets = (starts[a : b + 1] - lo).tolist()
-        pts, wts = points[lo:hi].tolist(), weights.tolist()
+        pts, wts = points[lo:hi].tolist(), np.where(special, np.nan, chunk).tolist()
         records = [
             {"i": i, "j": j, "support": pts[x:y], "weights": wts[x:y]}
             for i, j, x, y in zip(upper_i[a:b].tolist(), upper_j[a:b].tolist(), offsets, offsets[1:])
         ]
-        for _ in range(level + 1):
-            records = [records]
-        text = orjson.dumps(records, option=orjson.OPT_INDENT_2)
+        out.append(sep)
+        out.append(_orjson_items(records, level + 1, chunk[special].tolist()))
         del records, pts, wts
-        text = text[text.rindex(b"\n", 0, text.index(b"{")) : text.rindex(b"}") + 1].decode()
-        if respell:
-            pieces = text.split("null")
-            text = pieces[0] + "".join(
-                map(str.__add__, map(_float, values[lo:hi][special].tolist()), pieces[1:])
-            )
-        out.append(sep + text)
         sep = ","
     out.append(inner + "]" if sep == "," else "[]")
     out.append("," + inner + '"functionals": ')

@@ -50,14 +50,11 @@ def eigendecomp(W: StepGraphon, psi_id: str) -> EigenSystem:
     """Full eigensystem of the symmetrized kernel, deterministically signed."""
     s = np.sqrt(np.asarray(W.masses))
     vals, vecs = np.linalg.eigh(s[:, None] * kernel_matrix(W, psi_id) * s[None, :])
-    order = sorted(range(len(vals)), key=lambda n: (-abs(vals[n]), -vals[n]))
+    order = np.lexsort((-vals, -np.abs(vals)))  # stable: ties keep eigh's order
     vals = vals[order]
     vecs = vecs[:, order]
-    for n in range(vecs.shape[1]):
-        col = vecs[:, n]
-        lead = int(np.argmax(np.abs(col)))
-        if col[lead] < 0:
-            vecs[:, n] = -col
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(vals))]
+    vecs[:, lead < 0] *= -1.0
     return EigenSystem(psi_id, tuple(float(v) for v in vals), vecs)
 
 

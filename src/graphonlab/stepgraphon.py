@@ -201,41 +201,28 @@ def _inverse_power(nv: float, k: int) -> float:
         return math.inf
 
 
-def _fsum_or_inf(values: list[float]) -> float:
-    """Exact sum of nonnegative terms, ``inf`` once it leaves the double range."""
-    try:
-        return math.fsum(values)
-    except OverflowError:
-        return math.inf
-
-
 def _prefix_sums(terms: list[float]) -> list[float]:
-    """``_fsum_or_inf(terms[: n + 1])`` for every n, in linear time.
+    """The correctly rounded sum of ``terms[: n + 1]`` for every n, in linear time.
 
-    Keeps Shewchuk's partials, the expansion ``math.fsum`` builds, as a
-    running sum. They add up exactly to the prefix, so ``fsum`` of them is
-    the correctly rounded prefix sum, and there are at most a few dozen of
-    them. The terms are nonnegative: once one is ``inf``, or a partial
-    overflows, every later prefix is ``inf``.
+    The terms are nonnegative doubles, each a whole multiple of 2**-1074,
+    so the running sum is kept exactly as the integer ``sum * 2**1074``;
+    ``int / int`` rounds it correctly, as ``math.fsum`` does. Once a term
+    is ``inf``, or a prefix is beyond the double range, every later prefix
+    is ``inf``; once a term is NaN, every later prefix is NaN.
     """
-    partials: list[float] = []
-    sums = []
-    for x in terms:
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        partials[i:] = [x]
-        if math.isinf(x):
-            break
-        sums.append(_fsum_or_inf(partials))
-    return sums + [math.inf] * (len(terms) - len(sums))
+    scale = 1 << 1074
+    total = 0
+    sums: list[float] = []
+    try:
+        for x in terms:
+            numerator, denominator = x.as_integer_ratio()
+            total += numerator << (1075 - denominator.bit_length())
+            sums.append(total / scale)
+    except OverflowError:  # an inf term, or a sum beyond the double range
+        return sums + [math.inf] * (len(terms) - len(sums))
+    except ValueError:  # a NaN term
+        return sums + [math.nan] * (len(terms) - len(sums))
+    return sums
 
 
 def carleman_report(

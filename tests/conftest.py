@@ -482,6 +482,23 @@ def add_path(
     return gl.DecoratedMultigraph(F.n_vertices + k - 1, tuple(edges), dict(F.labels))
 
 
+def sorted_eigendecomp(W: gl.StepGraphon, psi_id: str) -> tuple[list[float], np.ndarray]:
+    """The oracle for ``eigendecomp``: eigh's pairs ordered by Python's ``sorted``
+    on ``(-|lambda|, -lambda)``, then each column signed one at a time so that
+    its largest entry in magnitude (the first of equal ones) is positive."""
+    s = np.sqrt(np.asarray(W.masses))
+    vals, vecs = np.linalg.eigh(s[:, None] * gl.kernel_matrix(W, psi_id) * s[None, :])
+    order = sorted(range(len(vals)), key=lambda n: (-abs(vals[n]), -vals[n]))
+    vals = vals[order]
+    vecs = vecs[:, order]
+    for n in range(vecs.shape[1]):
+        col = vecs[:, n]
+        lead = int(np.argmax(np.abs(col)))
+        if col[lead] < 0:
+            vecs[:, n] = -col
+    return vals.tolist(), vecs
+
+
 def json_load(path, parse):
     """The oracle for ``fileio.load_*``: ``parse`` of the file as ``json.load`` reads it."""
     try:

@@ -1,4 +1,5 @@
 """Document formats: round trips, symmetric completion, diagnostics, the writer."""
+import collections
 import copy
 import importlib
 import json
@@ -590,8 +591,12 @@ TREES = st.recursive(
 )
 
 
+Pair = collections.namedtuple("Pair", "x y")
+
+
 @settings(max_examples=500, deadline=None)
 @given(TREES)
+@example([Pair(1.0, 2.5), Pair(1e-7, math.inf), {"p": Pair(0.5, 1)}])  # tuple subclasses
 def test_dump_json_equals_json_dumps(doc):
     assert fileio.dump_json(doc) == json.dumps(doc, indent=2)
 
@@ -635,13 +640,33 @@ def test_float_reprs_match_repr():
         SWITCH_POINTS,
         [5e-324, 0.0, 1e-310, math.nextafter(2.2250738585072014e-308, 0.0), 2.2250738585072014e-308, MAX],
     ])
-    values = np.concatenate([values, -values])
-    values = values[np.isfinite(values)]
-    assert list(fileio._float_reprs(values)) == list(map(float.__repr__, values.tolist()))
-    assert list(fileio._float_reprs(np.zeros(0))) == []
+    values = np.concatenate([values, -values])  # random bits include NaNs and infinities
+    flat = values.tolist()
+    for doc in (flat, [[flat]], {"a": {"b": flat}}):
+        assert fileio.dump_json(doc) == json.dumps(doc, indent=2)
     # the graphon writer's orjson call, on the same values as the weights of one block
     W = gl.StepGraphon((1.0,), np.arange(len(values)), values[None, None, :])
     assert fileio.dump_json(W) == json.dumps(fileio.serialize_graphon(W), indent=2)
+
+
+#: values orjson spells unlike json (exponent form, NaN, infinities) and values it spells alike
+RESPELLED_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.floats(min_value=-9.9e-5, max_value=9.9e-5),
+    st.floats(min_value=1e16, allow_infinity=False),
+    st.floats(max_value=-1e16, allow_infinity=False),
+    st.floats(min_value=-9.9e15, max_value=9.9e15),
+    FLOATS,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(RESPELLED_FLOATS, min_size=1, max_size=30), st.integers(0, 3), st.booleans())
+def test_dump_json_writes_mixed_float_lists_as_json_dumps(values, depth, in_dict):
+    doc = values
+    for _ in range(depth):  # the list nested ``depth`` deep
+        doc = {"x": doc, "n": 1} if in_dict else [doc, 2.5]
+    assert fileio.dump_json(doc) == json.dumps(doc, indent=2)
 
 
 def chunk_crossing_graphon() -> gl.StepGraphon:

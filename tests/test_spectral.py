@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphonlab as gl
 from graphonlab import spectral as spectral_module
@@ -15,6 +17,7 @@ from conftest import (
     rand_graph,
     rand_graphon,
     scalar_graphon,
+    sorted_eigendecomp,
 )
 
 
@@ -63,6 +66,40 @@ def test_eigendecomp_deterministic(w2):
     b = gl.eigendecomp(w2, "unit")
     assert a.eigenvalues == b.eigenvalues
     assert np.array_equal(a.basis, b.basis)
+
+
+#: eigenvalues that tie in magnitude, in sign, or at zero
+TIED_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5])
+
+
+@st.composite
+def tied_spectra(draw):
+    """A symmetric matrix with repeated, +-lambda and zero eigenvalues.
+
+    A permuted block diagonal of 1 x 1 blocks ``[a]``, 2 x 2 blocks
+    ``[[0, a], [a, 0]]`` (eigenvalues +-a) and ``[[a, a], [a, a]]`` (2a and 0).
+    """
+    blocks = draw(st.lists(st.tuples(st.sampled_from(["one", "pm", "rank1"]), TIED_VALUES),
+                           min_size=1, max_size=5))
+    parts = [{"one": [[a]], "pm": [[0.0, a], [a, 0.0]], "rank1": [[a, a], [a, a]]}[kind]
+             for kind, a in blocks]
+    q = sum(map(len, parts))
+    M, at = np.zeros((q, q)), 0
+    for part in parts:
+        M[at : at + len(part), at : at + len(part)] = part
+        at += len(part)
+    perm = draw(st.permutations(range(q)))
+    return M[np.ix_(perm, perm)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_spectra())
+def test_eigendecomp_orders_and_signs_as_sorted(M):
+    W = scalar_graphon((1 / len(M),) * len(M), M)
+    es = gl.eigendecomp(W, "unit")
+    vals, vecs = sorted_eigendecomp(W, "unit")
+    got = list(es.eigenvalues) + es.basis.ravel().tolist()
+    assert list(map(float.hex, got)) == list(map(float.hex, vals + vecs.ravel().tolist()))
 
 
 def test_hilbert_schmidt_identity():

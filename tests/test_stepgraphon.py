@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import graphonlab as gl
 from graphonlab.errors import ValidationError
 from graphonlab.measures import pair, tv_norm
-from graphonlab.stepgraphon import _fsum_or_inf, _prefix_sums
+from graphonlab.stepgraphon import _prefix_sums
 
 from conftest import duplicate_class, rand_graphon, scalar_graphon
 
@@ -227,6 +227,14 @@ def test_carleman_overflowing_terms_are_infinite():
     assert rep.partial_sums == (1e-154**-2.0, math.inf, math.inf)
 
 
+def _fsum_or_inf(values: list[float]) -> float:
+    """Exact sum of nonnegative terms, ``inf`` once it leaves the double range."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
 MAX = 1.7976931348623157e308
 TERMS = st.one_of(
     st.floats(min_value=0.0, allow_nan=False),
@@ -249,10 +257,18 @@ def test_prefix_sums_are_fsum_of_every_prefix(terms):
         [MAX, 2.0**969, 2.0**969],  # two quarter ulps make that tie
         [1e16, 1.0, 1.0, 1.0],
         [0.1] * 10 + [1e-20] * 5,
+        [10.0 ** (e / 5) for e in range(-1500, 1501)] + [MAX],  # 1e-300 .. 1e300, then inf
     ],
 )
 def test_prefix_sums_edge_cases(terms):
     assert _prefix_sums(terms) == [_fsum_or_inf(terms[: n + 1]) for n in range(len(terms))]
+
+
+def test_prefix_sums_nan_terms():
+    # a NaN term makes every later prefix NaN, unless an inf term came first
+    sums = _prefix_sums([1.0, math.nan, math.inf, 2.0])
+    assert list(map(repr, sums)) == ["1.0", "nan", "nan", "nan"]
+    assert list(map(repr, _prefix_sums([1.0, math.inf, math.nan]))) == ["1.0", "inf", "inf"]
 
 
 def test_carleman_distribution_source():
