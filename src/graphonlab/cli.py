@@ -17,7 +17,8 @@ from .density import product_identity_residual
 from .errors import GraphonlabError, ParseError, ValidationError
 from .momentlab import counterexample_report, matched_pair
 from .spectral import eigendecomp, lift_check, path_kernel
-from .stepgraphon import carleman_report, kernel_matrix, p_norm, validate_graphon
+# kernel_matrix stays bound for bench/tracing.py, which counts calls through it
+from .stepgraphon import carleman_report, kernel_matrix, p_norm, validate_graphon  # noqa: F401
 from .transforms import (
     anchored_graphon,
     quotient,
@@ -150,11 +151,6 @@ def _cmd_carleman(args) -> str:
         docs = [_carleman_doc(source, k, args.terms) for k in range(1, args.kmax + 1)]
         return fileio.dump_json(docs)
     return fileio.dump_json(_carleman_doc(source, args.k, args.terms))
-
-
-def _cmd_kernel(args) -> str:
-    W = fileio.load_graphon(args.graphon)
-    return _fmt_matrix(kernel_matrix(W, args.psi))
 
 
 def _cmd_quotient(args) -> str:
@@ -345,9 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, help="iterate k = 1..kmax")
     p.add_argument("--terms", type=int, default=100)
 
-    p = add("kernel", _cmd_kernel, "kernel matrix of one functional")
+    p = add("kernel", _cmd_pathkernel, "kernel matrix of one functional (pathkernel --k 1)")
     p.add_argument("--graphon", required=True)
     p.add_argument("--psi", required=True)
+    p.set_defaults(k=1)
 
     p = add("quotient", _cmd_quotient, "push the graphon forward along a partition")
     p.add_argument("--graphon", required=True)

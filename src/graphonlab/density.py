@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graphs import DecoratedMultigraph, product
-from .stepgraphon import StepGraphon, kernel_matrix
+from .stepgraphon import StepGraphon, kernel_matrix, require_finite
 
 #: largest tensor, in elements, one bucket of :func:`eliminate` may span:
 #: q to the power of the vertices the bucket joins
@@ -83,17 +83,6 @@ def require_affordable(what: str, elements: int, printed: int = 0) -> None:
             f"{what} would take {total} elements; the limit is {MAX_CONTRACTION}",
             code="too-costly",
         )
-
-
-def require_finite(value, what: str):
-    """``value``, refused as ``overflow`` when any entry of it is inf or NaN.
-
-    The callers compute ``value`` with numpy's overflow and invalid-value
-    warnings off: the refusal reports it instead.
-    """
-    if not np.isfinite(value).all():
-        raise ValidationError(f"{what} is not finite: it overflows a double", code="overflow")
-    return value
 
 
 def _kernels(F: DecoratedMultigraph, W: StepGraphon) -> dict[str, np.ndarray]:
@@ -346,12 +335,11 @@ def mc_density(
     # the cdf is renormalised anyway, but dividing first rounds it as
     # choice(p=pi / pi.sum()) did, so the classes and output bytes stay put
     sampler = _ClassSampler(masses / total)
-    flat = {psi: K.ravel() for psi, K in _kernels(F, W).items()}
-
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     rows_per_chunk = MC_CHUNK // max(1, F.n_vertices)
     vals = np.empty(samples)
     with np.errstate(over="ignore", invalid="ignore"):
+        flat = {psi: K.ravel() for psi, K in _kernels(F, W).items()}
         for start in range(0, samples, rows_per_chunk):
             out = vals[start : start + rows_per_chunk]
             cls = sampler.draw(rng, out.size, F.n_vertices)

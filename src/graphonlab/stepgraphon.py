@@ -92,8 +92,9 @@ class StepGraphon:
 
     @cached_property
     def tv_matrix(self) -> np.ndarray:
-        """Total-variation norm of every block, shape ``(q, q)``."""
-        return np.abs(self.weights).sum(axis=-1)
+        """Total-variation norm of every block, shape ``(q, q)``; inf where it overflows."""
+        with np.errstate(over="ignore"):
+            return np.abs(self.weights).sum(axis=-1)
 
     @property
     def sup_norm(self) -> float:
@@ -137,6 +138,17 @@ def validate_graphon(W: StepGraphon) -> None:
             )
 
 
+def require_finite(value, what: str):
+    """``value``, refused as ``overflow`` when any entry of it is inf or NaN.
+
+    The callers compute ``value`` with numpy's overflow and invalid-value
+    warnings off: the refusal reports it instead.
+    """
+    if not np.isfinite(value).all():
+        raise ValidationError(f"{what} is not finite: it overflows a double", code="overflow")
+    return value
+
+
 def kernel_matrix(W: StepGraphon, psi_id: str) -> np.ndarray:
     """Pair the functional against every block: entry (i, j) = <psi, W_ij>.
 
@@ -153,17 +165,20 @@ def p_norm(W: StepGraphon, p: float) -> float:
     """``(sum_ij pi_i pi_j tv(W_ij)^p)^(1/p)`` for ``p >= 1``.
 
     Computed with max scaling so large exponents (the Carleman sums go up
-    to p = 2Nk) neither overflow nor underflow.
+    to p = 2Nk) neither overflow nor underflow, in place without BLAS.
+    Refused as ``overflow`` when a block norm is beyond the double range.
     """
     if not p >= 1:  # NaN fails too
         raise ValidationError("p-norms require p >= 1", code="bad-p")
-    tv = W.tv_matrix
-    top = W.sup_norm
+    top = require_finite(W.sup_norm, "the largest block total variation")
     if top == 0.0:
         return 0.0
     pi = np.asarray(W.masses)
-    s = float(pi @ (tv / top) ** p @ pi)
-    return top * s ** (1.0 / p)
+    r = W.tv_matrix / top
+    np.power(r, p, out=r)
+    r *= pi
+    r *= pi[:, None]
+    return top * float(r.sum()) ** (1.0 / p)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .stepgraphon import StepGraphon, kernel_matrix
+from .stepgraphon import StepGraphon, kernel_matrix, require_finite
 
 # bench/tracing.py counts calls through these names; nothing here calls them
 from .measures import measure_combine, tv_distance  # noqa: F401
@@ -222,7 +222,8 @@ def feature_map(
     for a in anchors:
         if not (0 <= a < W.q):
             raise ValidationError(f"anchor class {a} out of range", code="bad-anchors")
-    mats = [kernel_matrix(W, psi) for psi in functional_ids]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mats = [require_finite(kernel_matrix(W, f), f"the kernel of {f!r}") for f in functional_ids]
     cols = [m[:, a] for m in mats for a in anchors]
     features = np.stack(cols, axis=1) if cols else np.zeros((W.q, 0))
     return FeatureMap(anchors, functional_ids, features)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import graphonlab
@@ -336,6 +337,52 @@ def test_non_finite_results_refused_exit_one(tmp_path, argv, quantity):
     assert err == f"error[overflow]: {quantity} is not finite: it overflows a double\n"
 
 
+#: one class whose block puts 1e308 on the point where ``f`` reads 10
+BIG_KERNEL_DOC = {
+    "masses": [1.0],
+    "blocks": [{"i": 0, "j": 0, "support": [1], "weights": [1e308]}],
+    "functionals": [{"id": "f", "support": [1], "values": [10.0]}],
+}
+
+#: one class whose block total variation is twice the largest double
+BIG_NORM_DOC = {
+    "masses": [1.0],
+    "blocks": [{"i": 0, "j": 0, "support": [1, 2],
+                "weights": [1.7976931348623157e308, 1.7976931348623157e308]}],
+    "functionals": [],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, quantity",
+    [
+        (["kernel", "--graphon", "big_kernel.json", "--psi", "f"],
+         "the path kernel of length 1"),
+        (["eigen", "--graphon", "big_kernel.json", "--psi", "f"], "the kernel of 'f'"),
+        (["anchor", "--graphon", "big_kernel.json", "--anchors", "0"], "the kernel of 'f'"),
+        (["regularity", "--graphon", "big_kernel.json", "--anchors", "0"], "the kernel of 'f'"),
+        (["mc", "--graphon", "big_kernel.json", "--graph", "edge.json", "--samples", "10",
+          "--seed", "1"], "the Monte Carlo mean"),
+        (["pnorm", "--graphon", "big_norm.json", "--p", "3"],
+         "the largest block total variation"),
+        (["carleman", "--graphon", "big_norm.json", "--terms", "3"],
+         "the largest block total variation"),
+    ],
+    ids=["kernel", "eigen", "anchor", "regularity", "mc", "pnorm", "carleman"],
+)
+def test_overflowing_kernels_and_norms_refused_exit_one(tmp_path, argv, quantity):
+    # these printed inf, nan or Infinity after numpy's overflow warning, or
+    # (mc) refused only after that warning
+    (tmp_path / "big_kernel.json").write_text(json.dumps(BIG_KERNEL_DOC))
+    (tmp_path / "big_norm.json").write_text(json.dumps(BIG_NORM_DOC))
+    (tmp_path / "edge.json").write_text(json.dumps({**EDGE_DOC, "edges": [
+        {"u": 0, "v": 1, "psi": "f"}]}))
+    argv = [arg if not arg.endswith(".json") else str(tmp_path / arg) for arg in argv]
+    code, out, err = fresh_process(argv)
+    assert (code, out) == (1, "")
+    assert err == f"error[overflow]: {quantity} is not finite: it overflows a double\n"
+
+
 def test_momentpair_stencil_beyond_the_doubles_refused(capsys):
     # C(1091, i) overflowed float() with an uncoded traceback
     code, out, err = in_process(["momentpair", "--support", "1100", "--order", "1090"], capsys)
@@ -433,6 +480,24 @@ def test_kernel_and_pathkernel(files, capsys):
     assert run(["pathkernel", "--graphon", files["w2.json"], "--psi", "unit", "--k", "2"]) == 0
     lines = out_of(capsys).splitlines()
     assert lines == ["2.500000000000 4.000000000000", "4.000000000000 6.500000000000"]
+
+
+def test_kernel_is_pathkernel_k1(tmp_path, capsys):
+    q = 40
+    rng = np.random.default_rng(40)
+    A = rng.normal(size=(q, q, 3))
+    masses = rng.random(q) + 0.1
+    W = graphonlab.StepGraphon(
+        tuple(masses / masses.sum()), np.array([1, 2, 5]), A + A.transpose(1, 0, 2),
+        {"f": graphonlab.TestFunctional("f", (1, 2, 5), (0.7, -1.3, 2.1))},
+    )
+    path = tmp_path / "q40.json"
+    path.write_text(fileio.dump_json(fileio.serialize_graphon(W)))
+    assert run(["kernel", "--graphon", str(path), "--psi", "f"]) == 0
+    kernel = out_of(capsys)
+    assert run(["pathkernel", "--graphon", str(path), "--psi", "f", "--k", "1"]) == 0
+    assert out_of(capsys) == kernel
+    assert len(kernel.splitlines()) == q
 
 
 def test_mc_deterministic_bytes(files, capsys):

@@ -345,22 +345,45 @@ def test_eliminate_runs_no_path_search_and_no_blas(monkeypatch, w2):
     gl.product_identity_residual(F, F, w2)
     gl.eliminate(F, w2, keep=(3, 1))
 
-    # every einsum in the module sits in one function and searches no path
-    calls = {}
-    for fn in ast.walk(ast.parse(Path(density_module.__file__).read_text(encoding="utf-8"))):
-        if isinstance(fn, ast.FunctionDef):
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.einsum":
-                    kwargs = {k.arg: ast.unparse(k.value) for k in node.keywords}
-                    calls.setdefault(fn.name, []).append(kwargs.get("optimize"))
-    (optimize,) = calls.values()
-    assert set(optimize) == {"False"}
+    # across the package: every einsum sits in _contract and searches no path;
+    # the one BLAS product is the twin-candidate filter, whose slack covers
+    # any summation order; the one LAPACK call is eigh
+    einsums, products, linalg = [], set(), set()
+    for path in sorted(Path(density_module.__file__).parent.glob("*.py")):
+        for fn, node in _nodes_in_functions(path):
+            where = f"{path.stem}.{fn}"
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                products.add(where)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and "linalg" in ast.unparse(node):
+                linalg.add((where, ast.unparse(node)))
+            if not isinstance(node, ast.Call):
+                continue
+            name = ast.unparse(node.func)
+            if name == "np.einsum":
+                kwargs = {k.arg: ast.unparse(k.value) for k in node.keywords}
+                einsums.append((where, kwargs.get("optimize")))
+            if name in {"np.dot", "np.matmul", "np.tensordot", "np.inner"} or name.endswith(".dot"):
+                products.add(where)
+            if "linalg" in name:
+                linalg.add((where, name))
+    assert set(einsums) == {("density._contract", "False")}
+    assert products == {"transforms._candidate_pairs"}
+    assert linalg == {("spectral.eigendecomp", "np.linalg.eigh")}
 
 
-#: eliminations at sizes where a BLAS product rounds by the OpenBLAS kernel;
-#: prints ``float.hex`` of every entry, one line per elimination
-BLAS_KERNEL_PROBE = """
-import itertools
+def _nodes_in_functions(path: Path):
+    """``(innermost enclosing function name or None, node)`` for every node of a module."""
+    stack = [(None, ast.parse(path.read_text(encoding="utf-8")))]
+    while stack:
+        fn, node = stack.pop()
+        yield fn, node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        stack.extend((fn, child) for child in ast.iter_child_nodes(node))
+
+
+#: the graphons of the probes below: q classes, seeded by q
+PROBE_GRAPHON = """
 import numpy as np
 import graphonlab as gl
 
@@ -373,6 +396,12 @@ def graphon(q):
         tuple(masses / masses.sum()), np.array([1, 2]), A + A.transpose(1, 0, 2),
         {unit.id: unit},
     )
+"""
+
+#: eliminations at sizes where a BLAS product rounds by the OpenBLAS kernel;
+#: prints ``float.hex`` of every entry, one line per elimination
+BLAS_KERNEL_PROBE = PROBE_GRAPHON + """
+import itertools
 
 def complete(n):  # multiplicities 1 and 2: np.power at k >= 3 is CPU-dependent
     return gl.DecoratedMultigraph(
@@ -401,21 +430,60 @@ def _not_dynamic_openblas() -> str:
     return ""
 
 
-def test_eliminate_bits_do_not_depend_on_the_blas_kernel():
+#: the CPU a probe runs as: the default, two other OpenBLAS kernels, and
+#: numpy without its AVX-512 loops
+CPU_SETTINGS = {
+    "": {},
+    "Prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "Sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge"},
+    "no AVX-512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+}
+
+
+def _stdout_under(probe: str, settings) -> dict[str, str]:
+    """The probe's stdout in a new interpreter under each named CPU setting."""
     if reason := _not_dynamic_openblas():
         pytest.skip(reason)
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    unset = {"OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES"}
+    env = {k: v for k, v in os.environ.items() if k not in unset}
     env["PYTHONPATH"] = str(Path(gl.__file__).resolve().parent.parent)
-    bits = {}
-    for kernel in ("", "Prescott", "Sandybridge"):
-        run_env = dict(env, OPENBLAS_CORETYPE=kernel) if kernel else env
-        bits[kernel] = subprocess.run(
-            [sys.executable, "-c", BLAS_KERNEL_PROBE], env=run_env,
+    return {
+        name: subprocess.run(
+            [sys.executable, "-c", probe], env=dict(env, **CPU_SETTINGS[name]),
             capture_output=True, text=True, check=True, timeout=300,
         ).stdout
+        for name in settings
+    }
+
+
+def test_eliminate_bits_do_not_depend_on_the_blas_kernel():
+    bits = _stdout_under(BLAS_KERNEL_PROBE, ("", "Prescott", "Sandybridge"))
     assert bits[""].count("\n") == 7
     assert bits["Prescott"] == bits[""]
     assert bits["Sandybridge"] == bits[""]
+
+
+#: path kernels, p-norms and lift-check direct densities, whose products a
+#: BLAS kernel would round by the CPU; prints ``float.hex`` of every value
+PRODUCT_PROBE = PROBE_GRAPHON + """
+def hexes(values):
+    print(" ".join(float(x).hex() for x in np.ravel(values)))
+
+for q in (40, 120):
+    hexes(gl.path_kernel(graphon(q), "unit", 7))
+for q in (8, 16, 64):
+    hexes([gl.p_norm(graphon(q), p) for p in (2, 2.5, 3, 40)])
+for q in (6, 40, 120):
+    rep = gl.lift_check(gl.cycle_graph(4), graphon(q), graphon(q + 1), 0, 1, "unit", 7)
+    hexes(rep.direct_a + rep.direct_b)
+"""
+
+
+def test_path_kernel_p_norm_and_lift_check_bits_do_not_depend_on_the_cpu():
+    bits = _stdout_under(PRODUCT_PROBE, CPU_SETTINGS)
+    assert bits[""].count("\n") == 8
+    for name in CPU_SETTINGS:
+        assert bits[name] == bits[""], name
 
 
 # -- exact rational oracle on heavily cancelling signed graphons -------------------
