@@ -17,7 +17,7 @@ from .density import product_identity_residual
 from .errors import GraphonlabError, ParseError, ValidationError
 from .momentlab import counterexample_report, matched_pair
 from .spectral import eigendecomp, lift_check, path_kernel
-# kernel_matrix stays bound for bench/tracing.py, which counts calls through it
+# kernel_matrix and validate_graphon stay bound for bench/tracing.py, which counts their calls
 from .stepgraphon import carleman_report, kernel_matrix, p_norm, validate_graphon  # noqa: F401
 from .transforms import (
     anchored_graphon,
@@ -104,30 +104,12 @@ def _cmd_mc(args) -> str:
     W = fileio.load_graphon(args.graphon)
     F = fileio.load_graph(args.graph)
     _check_decorations(F, W)
-    est = mc_density(F, W, args.samples, args.seed)
-    return fileio.dump_json(
-        {
-            "mean": est.mean,
-            "stderr": est.stderr,
-            "samples": est.samples,
-            "seed": est.seed,
-        }
-    )
+    return fileio.dump_json(mc_density(F, W, args.samples, args.seed))
 
 
 def _cmd_pnorm(args) -> str:
     W = fileio.load_graphon(args.graphon)
     return fmt(p_norm(W, args.p))
-
-
-def _carleman_doc(source, k: int, terms: int) -> dict:
-    rep = carleman_report(source, k, terms)
-    return {
-        "k": rep.k,
-        "classification": rep.classification,
-        "growth_fit": rep.growth_fit,
-        "partial_sums": list(rep.partial_sums),
-    }
 
 
 def _cmd_carleman(args) -> str:
@@ -148,9 +130,9 @@ def _cmd_carleman(args) -> str:
         what = f"carleman with {args.terms} terms at {args.kmax or 1} orders over q={source.q}"
         require_affordable(what, sums * source.q**2, printed=sums)
     if args.kmax is not None:
-        docs = [_carleman_doc(source, k, args.terms) for k in range(1, args.kmax + 1)]
-        return fileio.dump_json(docs)
-    return fileio.dump_json(_carleman_doc(source, args.k, args.terms))
+        reps = [carleman_report(source, k, args.terms) for k in range(1, args.kmax + 1)]
+        return fileio.dump_json(reps)
+    return fileio.dump_json(carleman_report(source, args.k, args.terms))
 
 
 def _cmd_quotient(args) -> str:
@@ -161,7 +143,7 @@ def _cmd_quotient(args) -> str:
 
 def _cmd_twins(args) -> str:
     W = fileio.load_graphon(args.graphon)
-    return fileio.dump_json(fileio.serialize_partition(twin_partition(W, args.tol)))
+    return fileio.dump_json(twin_partition(W, args.tol))
 
 
 def _cmd_reduce(args) -> str:
@@ -218,51 +200,22 @@ def _cmd_liftcheck(args) -> str:
     F = fileio.load_graph(args.graph)
     _check_decorations(F, W1)
     _check_decorations(F, W2)
-    rep = lift_check(F, W1, W2, args.u, args.v, args.psi, args.kmax)
-    return fileio.dump_json(
-        {
-            "psi": rep.psi_id,
-            "kmax": rep.kmax,
-            "direct_a": list(rep.direct_a),
-            "direct_b": list(rep.direct_b),
-            "spectral_a": list(rep.spectral_a),
-            "spectral_b": list(rep.spectral_b),
-            "max_discrepancy": rep.max_discrepancy,
-            "powers_match": rep.powers_match,
-            "groups": [
-                {"value": g.value, "sum_a": g.sum_a, "sum_b": g.sum_b, "matched": g.matched}
-                for g in rep.groups
-            ],
-            "groups_match": rep.groups_match,
-            "t_f_a": rep.t_f_a,
-            "t_f_b": rep.t_f_b,
-            "densities_agree": rep.densities_agree,
-        }
-    )
+    return fileio.dump_json(lift_check(F, W1, W2, args.u, args.v, args.psi, args.kmax))
 
 
 def _cmd_momentpair(args) -> str:
-    pair = matched_pair(args.support, args.order)
-    return fileio.dump_json(fileio.serialize_matched_pair(pair))
+    return fileio.dump_json(matched_pair(args.support, args.order))
 
 
 def _cmd_counterexample(args) -> str:
     rep = counterexample_report(args.support, args.order, args.seed)
+    # a dict, not the report: the report's ``graphs_tested`` is written as "graphs"
     return fileio.dump_json(
         {
-            "pair": fileio.serialize_matched_pair(rep.pair),
-            "graphs": [
-                {
-                    "graph": fileio.serialize_graph(r.graph),
-                    "max_degree": r.max_degree,
-                    "density_p": r.density_p,
-                    "density_q": r.density_q,
-                    "gap": r.gap,
-                }
-                for r in rep.graphs_tested
-            ],
+            "pair": rep.pair,
+            "graphs": rep.graphs_tested,
             "max_discrepancy_low_degree": rep.max_discrepancy_low_degree,
-            "witness_graph": fileio.serialize_graph(rep.witness_graph),
+            "witness_graph": rep.witness_graph,
             "witness_gap": rep.witness_gap,
         }
     )
@@ -281,7 +234,7 @@ def _cmd_validate(args) -> str:
     if (args.graphon is None) == (args.graph is None):
         raise ValidationError("give exactly one of --graphon / --graph", code="bad-flag")
     if args.graphon:
-        validate_graphon(fileio.load_graphon(args.graphon))
+        fileio.load_graphon(args.graphon)  # loading validates
     else:
         fileio.load_graph(args.graph)
     return "ok"

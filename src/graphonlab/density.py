@@ -30,6 +30,7 @@ through a lookup table, and the classes are exactly those
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -173,11 +174,17 @@ def _planned(F: DecoratedMultigraph, q: int, keep: tuple[int, ...] = (), pinned=
     return steps, live
 
 
-def _contract(a: np.ndarray, axes_a, b: np.ndarray, axes_b, out) -> np.ndarray:
-    """``a * b`` on axes named by vertex, summed over those not in ``out``; no BLAS."""
+@functools.lru_cache(maxsize=1024)
+def _sublists(axes_a: tuple, axes_b: tuple, out: tuple) -> tuple[tuple[int, ...], ...]:
+    """The axes renumbered from 0 for ``np.einsum``, once per naming."""
     n = {x: k for k, x in enumerate(dict.fromkeys((*axes_a, *axes_b)))}
-    ops = (a, [n[x] for x in axes_a], b, [n[x] for x in axes_b], [n[x] for x in out])
-    return np.einsum(*ops, optimize=False)
+    return tuple(n[x] for x in axes_a), tuple(n[x] for x in axes_b), tuple(n[x] for x in out)
+
+
+def _contract(a: np.ndarray, axes_a: tuple, b: np.ndarray, axes_b: tuple, out: tuple) -> np.ndarray:
+    """``a * b`` on axes named by vertex, summed over those not in ``out``; no BLAS."""
+    sub_a, sub_b, sub_out = _sublists(axes_a, axes_b, out)
+    return np.einsum(a, sub_a, b, sub_b, sub_out, optimize=False)
 
 
 def eliminate(

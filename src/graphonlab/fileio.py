@@ -38,10 +38,13 @@ exponent (``0 < |x| < 1e-4`` and ``|x| >= 1e16``) and for non-finite
 values, which orjson writes ``null``; those values reach orjson as NaN
 and each ``null`` is replaced by json's spelling of its value. A graphon
 is written from its arrays as the document :func:`serialize_graphon`
-builds, which is the tests' oracle for it.
+builds, which is the tests' oracle for it. A graph is written as
+:func:`serialize_graph` of it and any other dataclass as the object of its
+fields, so a report object is its own document.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from itertools import chain, compress
@@ -360,10 +363,13 @@ def load_moments(path: str) -> MomentSequence:
 def dump_json(doc: Any) -> str:
     """``json.dumps(doc, indent=2)``, byte for byte.
 
-    A :class:`StepGraphon` anywhere in ``doc`` is written as
-    ``serialize_graphon`` of it. Dict keys must be ``str``. Raises
-    ``TypeError`` where ``json.dumps`` would, and for a non-str key; a
-    document that contains itself exceeds the recursion limit.
+    Three kinds of object in ``doc`` are written as the document they
+    stand for: a :class:`StepGraphon` as ``serialize_graphon`` of it, a
+    :class:`DecoratedMultigraph` as ``serialize_graph`` of it, and any
+    other dataclass instance as the object of its fields in declaration
+    order. Dict keys must be ``str``. Raises ``TypeError`` where
+    ``json.dumps`` would, and for a non-str key; a document that contains
+    itself exceeds the recursion limit.
     """
     out: list[str] = []
     _write(doc, 0, out)
@@ -433,6 +439,10 @@ def _write(x: Any, level: int, out: list[str]) -> None:
         _write_dict(x, level, out)
     elif isinstance(x, StepGraphon):
         _write_graphon(x, level, out)
+    elif isinstance(x, DecoratedMultigraph):
+        _write_dict(serialize_graph(x), level, out)
+    elif dataclasses.is_dataclass(x) and not isinstance(x, type):
+        _write_dict({f.name: getattr(x, f.name) for f in dataclasses.fields(x)}, level, out)
     else:
         raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 

@@ -10,6 +10,7 @@ product.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -72,13 +73,22 @@ class DecoratedMultigraph:
                 return v
         raise ValidationError(f"label {label} not present", code="label-absent")
 
+    @property
+    def degrees(self) -> Counter[int]:
+        """Degree of every vertex counting multiplicities, 0 off the edges; one pass over them."""
+        table = Counter()
+        for u, v, _, m in self.edges:
+            table[u] += m
+            table[v] += m
+        return table
+
     def degree(self, v: int) -> int:
         """Degree counting multiplicities."""
-        return sum(m for a, b, _, m in self.edges if v in (a, b))
+        return self.degrees[v]
 
     @property
     def max_degree(self) -> int:
-        return max((self.degree(v) for v in range(self.n_vertices)), default=0)
+        return max(self.degrees.values(), default=0)
 
 
 # -- constructors -------------------------------------------------------------

@@ -164,8 +164,8 @@ def rank1_density(F: DecoratedMultigraph, dist) -> float:
             f"non-canonical decorations present: {sorted(bad)}",
             code="non-canonical-decoration",
         )
-    degrees = [F.degree(v) for v in range(F.n_vertices)]
-    return math.prod(moment(dist, d) for d in degrees)
+    degrees = F.degrees
+    return math.prod(moment(dist, degrees[v]) for v in range(F.n_vertices))
 
 
 @dataclass

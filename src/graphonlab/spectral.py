@@ -105,7 +105,7 @@ class CoefficientGroup:
 class LiftCheckReport:
     """Direct vs spectral densities of the path-augmented family F^k."""
 
-    psi_id: str
+    psi: str
     kmax: int
     direct_a: tuple[float, ...]
     direct_b: tuple[float, ...]
@@ -201,7 +201,9 @@ def lift_check(
             weighted = pi[:, None] * T * pi[None, :]
             paths = _path_kernels(W, psi_id, kmax)
             direct = np.fromiter((np.sum(weighted * P) for P in paths), float, kmax)
-            spectral = np.sum(coefs * vals ** np.arange(1, kmax + 1)[:, None], axis=1)
+            powers = vals ** np.arange(1, kmax + 1)[:, None]
+            powers[1] = vals * vals  # np.square's bits: np.power's can differ with the CPU
+            spectral = np.sum(coefs * powers, axis=1)
         finite = np.isfinite(direct) & np.isfinite(spectral)
         for k in np.flatnonzero(~finite)[:1]:  # the first k that overflows, direct density first
             require_finite(direct[k], f"the direct density t(F^{k + 1}, {name})")
@@ -233,7 +235,7 @@ def lift_check(
 
     t_f_a, t_f_b = direct1[0], direct2[0]
     return LiftCheckReport(
-        psi_id=psi_id,
+        psi=psi_id,
         kmax=kmax,
         direct_a=direct1,
         direct_b=direct2,

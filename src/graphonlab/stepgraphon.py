@@ -186,9 +186,9 @@ class CarlemanReport:
     """Partial sums of ``sum_n norm(2nk)^(-k)`` with a growth classification."""
 
     k: int
-    partial_sums: tuple[float, ...]
-    growth_fit: float
     classification: str  # divergent | convergent | inconclusive
+    growth_fit: float
+    partial_sums: tuple[float, ...]
 
 
 def _fit_slope(values: list[float]) -> float:
@@ -291,4 +291,4 @@ def carleman_report(
             b <= CONVERGENT_RATIO * a for a, b in zip(half, half[1:])
         )
         cls = "convergent" if sustained else "inconclusive"
-    return CarlemanReport(k, tuple(sums), slope, cls)
+    return CarlemanReport(k, cls, slope, tuple(sums))

@@ -443,6 +443,20 @@ def test_validate_ok(files, capsys):
     assert out_of(capsys) == "ok\n"
 
 
+def test_validate_checks_the_graphon_once(files, capsys, monkeypatch):
+    calls = []
+
+    def counted(W):
+        calls.append(W.q)
+        return graphonlab.validate_graphon(W)
+
+    for module in (fileio, graphonlab.cli):
+        monkeypatch.setattr(module, "validate_graphon", counted)
+    assert run(["validate", "--graphon", files["w2.json"]]) == 0
+    assert out_of(capsys) == "ok\n"
+    assert calls == [2]
+
+
 def test_parse_error_exit_two(files, tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{oops")
@@ -737,6 +751,45 @@ def test_json_output_is_json_dumps_indent_2(files, capsys, name):
     out = out_of(capsys)
     assert out.endswith("}\n") or out.endswith("]\n")
     assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+#: the keys of each report document in the order they are written, which is
+#: the field order of the dataclass the command returns
+REPORT_KEYS = {
+    "mc": ["mean", "stderr", "samples", "seed"],
+    "carleman-k": ["k", "classification", "growth_fit", "partial_sums"],
+    "twins": ["class_of"],
+    "liftcheck": ["psi", "kmax", "direct_a", "direct_b", "spectral_a", "spectral_b",
+                  "max_discrepancy", "powers_match", "groups", "groups_match", "t_f_a", "t_f_b",
+                  "densities_agree"],
+    "momentpair": ["support_size", "order", "p", "q", "epsilon", "null_vector"],
+    "counterexample": ["pair", "graphs", "max_discrepancy_low_degree", "witness_graph",
+                       "witness_gap"],
+}
+
+
+@pytest.mark.parametrize("name", list(REPORT_KEYS))
+def test_report_documents_keep_their_keys(files, capsys, name):
+    assert run(resolve(files, JSON_COMMANDS[name])) == 0
+    doc = json.loads(out_of(capsys))
+    assert list(doc) == REPORT_KEYS[name]
+    if name == "liftcheck":
+        assert [list(g) for g in doc["groups"]] == [["value", "sum_a", "sum_b", "matched"]] * len(
+            doc["groups"]
+        )
+    if name == "counterexample":
+        assert list(doc["pair"]) == REPORT_KEYS["momentpair"]
+        for record in doc["graphs"]:
+            assert list(record) == ["graph", "max_degree", "density_p", "density_q", "gap"]
+        for graph in [r["graph"] for r in doc["graphs"]] + [doc["witness_graph"]]:
+            assert list(graph) == ["n_vertices", "labels", "edges"]
+
+
+def test_carleman_kmax_writes_one_report_per_order(files, capsys):
+    assert run(resolve(files, JSON_COMMANDS["carleman-kmax"])) == 0
+    docs = json.loads(out_of(capsys))
+    assert [d["k"] for d in docs] == [1, 2, 3]
+    assert all(list(d) == REPORT_KEYS["carleman-k"] for d in docs)
 
 
 #: sha256 of stdout, recorded before graphons were written straight from their arrays

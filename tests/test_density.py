@@ -843,3 +843,14 @@ def test_eliminate_refuses_oversized_contraction_up_front():
             with pytest.raises(ValidationError) as e:
                 gl.density(K, W1)
             assert e.value.code == "too-costly"
+
+
+def test_contract_numbers_each_axis_naming_once(w2):
+    # a path kernel repeats one product k - 1 times; its axes are renumbered
+    # for einsum once
+    density_module._sublists.cache_clear()
+    P = gl.path_kernel(w2, "unit", 40)
+    info = density_module._sublists.cache_info()
+    assert (info.misses, info.hits) == (1, 38)
+    assert density_module._sublists((5, 3), (3, 9), (5, 9)) == ((0, 1), (1, 2), (0, 2))
+    assert np.array_equal(P, gl.path_kernel(w2, "unit", 40))

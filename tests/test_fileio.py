@@ -1,6 +1,7 @@
 """Document formats: round trips, symmetric completion, diagnostics, the writer."""
 import collections
 import copy
+import dataclasses
 import importlib
 import json
 import math
@@ -594,6 +595,22 @@ TREES = st.recursive(
 Pair = collections.namedtuple("Pair", "x y")
 
 
+@dataclasses.dataclass
+class Reading:
+    value: float
+    flags: tuple
+
+
+@dataclasses.dataclass(frozen=True)
+class Report:
+    name: str
+    graph: gl.DecoratedMultigraph
+    bounds: tuple
+    reading: Reading
+    readings: list
+    extremes: list
+
+
 @settings(max_examples=500, deadline=None)
 @given(TREES)
 @example([Pair(1.0, 2.5), Pair(1e-7, math.inf), {"p": Pair(0.5, 1)}])  # tuple subclasses
@@ -602,14 +619,54 @@ def test_dump_json_equals_json_dumps(doc):
 
 
 @pytest.mark.parametrize(
-    "doc", [object(), [1, {2}], {"a": np.int64(1)}, [np.bool_(True)], {(1, 2): 3}, {"a": {b"k": 1}}],
-    ids=["object", "set", "int64", "bool_", "tuple-key", "bytes-key"],
+    "doc",
+    [object(), [1, {2}], {"a": np.int64(1)}, [np.bool_(True)], {(1, 2): 3}, {"a": {b"k": 1}},
+     [Report]],
+    ids=["object", "set", "int64", "bool_", "tuple-key", "bytes-key", "dataclass-type"],
 )
 def test_dump_json_refuses_what_json_refuses(doc):
     with pytest.raises(TypeError):
         json.dumps(doc, indent=2)
     with pytest.raises(TypeError):
         fileio.dump_json(doc)
+
+
+def test_dump_json_writes_dataclasses_and_graphs_as_their_documents():
+    graph = gl.DecoratedMultigraph(3, ((2, 0, "b", 1), (0, 1, "a", 2)), {2: 7, 0: 1})
+    report = Report(
+        name="r",
+        graph=graph,
+        bounds=(1e-7, 2.5e20),
+        reading=Reading(math.nan, (True, None, gl.edge_graph())),
+        readings=[Reading(-math.inf, ()), Reading(0.5, (1, "x"))],
+        extremes=[math.inf, -math.inf, math.nan, -1e-300, 1e16, 0.25],
+    )
+    edge = {
+        "n_vertices": 2,
+        "labels": {},
+        "edges": [{"u": 0, "v": 1, "psi": "unit", "multiplicity": 1}],
+    }
+    doc = {
+        "name": "r",
+        "graph": {
+            "n_vertices": 3,
+            "labels": {"0": 1, "2": 7},
+            "edges": [
+                {"u": 0, "v": 1, "psi": "a", "multiplicity": 2},
+                {"u": 0, "v": 2, "psi": "b", "multiplicity": 1},
+            ],
+        },
+        "bounds": [1e-7, 2.5e20],
+        "reading": {"value": math.nan, "flags": [True, None, edge]},
+        "readings": [{"value": -math.inf, "flags": []}, {"value": 0.5, "flags": [1, "x"]}],
+        "extremes": [math.inf, -math.inf, math.nan, -1e-300, 1e16, 0.25],
+    }
+    expected = json.dumps(doc, indent=2)
+    assert fileio.dump_json(report) == expected
+    assert fileio.dump_json({"reports": [report, (report,)]}) == json.dumps(
+        {"reports": [doc, [doc]]}, indent=2
+    )
+    assert fileio.dump_json(graph) == json.dumps(fileio.serialize_graph(graph), indent=2)
 
 
 @pytest.mark.parametrize("key", [1, 1.5, True, None])

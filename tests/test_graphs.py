@@ -1,4 +1,5 @@
 """Multigraph algebra: normal form, products, labels, paths, degrees."""
+import time
 import tracemalloc
 
 import numpy as np
@@ -180,3 +181,16 @@ def test_degree_counts_multiplicity():
     assert F.degree(0) == 3
     assert F.max_degree == 3
     assert sum(m for *_, m in F.edges) == 3
+
+
+def test_degrees_take_one_pass_over_the_edges():
+    # a scan of every edge per vertex takes minutes at this size
+    F = gl.path_graph(49_999)
+    start = time.perf_counter()
+    assert F.max_degree == 2
+    assert gl.rank1_density(F, (0.0, 1.0)) == 1.0
+    assert (F.degree(0), F.degree(1), F.degree(49_999)) == (1, 2, 1)
+    assert time.perf_counter() - start < 10.0
+    G = gl.DecoratedMultigraph(5, ((0, 1, "a", 2), (1, 2, "b", 1), (0, 2, "a", 1)))
+    assert G.degrees == {0: 3, 1: 3, 2: 2}
+    assert [G.degree(v) for v in range(5)] == [3, 3, 2, 0, 0]

@@ -304,3 +304,18 @@ def test_lift_check_random_instances():
         )
         rep = gl.lift_check(F, W, W, 0, 1, "e1", 6)
         assert rep.max_discrepancy <= 1e-8
+
+
+def test_lift_check_squares_eigenvalues_by_multiplication():
+    # the k = 2 spectral sum takes vals * vals, whose bits are np.square's;
+    # np.power with an array exponent can differ in the last place from it
+    # where numpy's vector loops round differently (AVX-512 builds)
+    rng = np.random.default_rng(37)
+    F = gl.DecoratedMultigraph(3, ((0, 1, "e1", 2), (0, 2, "e2", 1)))
+    Fprime = gl.graphs.remove_one_edge(F, 0, 1, "e1")
+    for _ in range(30):
+        W = rand_graphon(rng, int(rng.integers(2, 60)), scale=0.4)
+        rep = gl.lift_check(F, W, W, 0, 1, "e1", 3)
+        T = gl.eliminate(Fprime, W, keep=(0, 1))
+        vals, coefs = spectral_module._spectral_coefficients(W, T, "e1")
+        assert rep.spectral_a[1] == float(np.sum(coefs * (vals * vals)))
