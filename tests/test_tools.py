@@ -1,11 +1,15 @@
-"""tools/output_digests.py: the listing and its comparison with a saved one."""
+"""tools/output_digests.py: the listing, its comparison with a saved one, and
+the committed seed-1 listing that every job's output bytes must match."""
 import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "output_digests.py"
+#: ``python3 tools/output_digests.py --seeds 1 > tests/output_digests_seed1.txt``
+SEED_1_LISTING = ROOT / "tests" / "output_digests_seed1.txt"
 
 LISTING = {
     ("density-sweep", 1): ["density-sweep/1/a 0 aa", "density-sweep/1/b 1 bb"],
@@ -14,11 +18,16 @@ LISTING = {
 }
 
 
-@pytest.fixture
-def tool(monkeypatch):
+def load_tool():
     spec = importlib.util.spec_from_file_location("output_digests", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def tool(monkeypatch):
+    module = load_tool()
     monkeypatch.setattr(module, "digests", lambda name, seed: LISTING[(name, seed)])
     monkeypatch.setattr(sys, "path", list(sys.path))  # main puts src/ and bench/ first
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -28,7 +37,7 @@ def tool(monkeypatch):
 
 def test_listing_is_one_line_per_job(tool, capsys):
     assert tool.main(["--seeds", "1"]) == 0
-    assert capsys.readouterr().out.splitlines() == sum(LISTING.values(), [])
+    assert capsys.readouterr().out.splitlines() == [tool.versions()] + sum(LISTING.values(), [])
 
 
 def test_against_the_same_listing_prints_nothing(tool, tmp_path, capsys):
@@ -53,3 +62,20 @@ def test_against_prints_each_job_that_differs(tool, tmp_path, capsys):
         "spectral-lift/1/gone 0 ee -> missing",
         "spectral-lift/1/d missing -> 0 dd",
     ]
+
+
+def test_seed_1_outputs_match_the_committed_listing(monkeypatch):
+    """Every benchmark job at seed 1 prints the committed bytes and exit code.
+
+    A change that moves output bytes on purpose writes the listing again
+    (the command above ``SEED_1_LISTING``) and names the jobs that moved.
+    """
+    tool = load_tool()
+    header, *saved = SEED_1_LISTING.read_text().splitlines()
+    if header != tool.versions():
+        pytest.skip(f"the listing is from {header[2:]}; this is {tool.versions()[2:]}")
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    now = [line for name in tool.WORKLOAD_NAMES for line in tool.digests(name, 1)]
+    changes = tool.moved(saved, now)
+    print("\n".join(changes))
+    assert not changes, "outputs moved:\n" + "\n".join(changes)
