@@ -169,7 +169,7 @@ def _cmd_anchor(args) -> str:
         {
             "anchors": list(fm.anchors),
             "functional_ids": list(fm.functional_ids),
-            "features": [list(map(float, row)) for row in fm.features],
+            "features": fm.features.tolist(),
             "graphon": G,
         }
     )

@@ -59,7 +59,6 @@ from .density import require_affordable
 from .errors import ParseError, ValidationError
 from .graphs import DecoratedMultigraph
 from .measures import MomentSequence, TestFunctional, check_measure
-from .momentlab import MatchedPair
 from .stepgraphon import StepGraphon, validate_graphon
 from .transforms import Partition
 
@@ -301,7 +300,8 @@ def parse_moments(doc: Any) -> MomentSequence:
     return _wrap_validation(lambda: MomentSequence(tuple(moments), source), "moments")
 
 
-def serialize_matched_pair(pair: MatchedPair) -> dict:
+def serialize_matched_pair(pair) -> dict:
+    """The document of a :class:`~graphonlab.momentlab.MatchedPair`."""
     return {
         "support_size": pair.support_size,
         "order": pair.order,

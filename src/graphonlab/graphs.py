@@ -82,10 +82,6 @@ class DecoratedMultigraph:
             table[v] += m
         return table
 
-    def degree(self, v: int) -> int:
-        """Degree counting multiplicities."""
-        return self.degrees[v]
-
     @property
     def max_degree(self) -> int:
         return max(self.degrees.values(), default=0)
@@ -161,18 +157,12 @@ def product(F1: DecoratedMultigraph, F2: DecoratedMultigraph) -> DecoratedMultig
 def remove_one_edge(F: DecoratedMultigraph, u: int, v: int, psi_id: str) -> DecoratedMultigraph:
     """Decrement the multiplicity of one (u, v, psi) bond, dropping it at zero."""
     key = (min(u, v), max(u, v), psi_id)
-    edges = []
-    found = False
-    for rec in F.edges:
-        if rec[:3] == key and not found:
-            found = True
-            if rec[3] > 1:
-                edges.append((rec[0], rec[1], rec[2], rec[3] - 1))
-        else:
-            edges.append(rec)
-    if not found:
+    mult = {rec[:3]: rec[3] for rec in F.edges}  # one record per (u, v, psi)
+    if key not in mult:
         raise ValidationError(
             f"no {psi_id}-decorated edge between {u} and {v}", code="edge-absent"
         )
-    return DecoratedMultigraph(F.n_vertices, tuple(edges), dict(F.labels))
+    mult[key] -= 1
+    edges = tuple((*k, m) for k, m in mult.items() if m)
+    return DecoratedMultigraph(F.n_vertices, edges, dict(F.labels))
 

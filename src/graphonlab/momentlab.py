@@ -153,8 +153,9 @@ def rank1_density(F: DecoratedMultigraph, dist) -> float:
     """Closed-form density against the rank-1 graphon of ``dist``.
 
     The factorized value is the product over vertices of the moment at the
-    vertex degree (degrees counted with multiplicity). Requires an
-    unlabeled graph whose edges all carry the canonical decoration.
+    vertex degree (degrees counted with multiplicity); an isolated vertex
+    contributes ``M_0 = 1``. Requires an unlabeled graph whose edges all
+    carry the canonical decoration.
     """
     if F.labels:
         raise ValidationError("closed form needs an unlabeled graph", code="labeled-graph")
@@ -165,7 +166,9 @@ def rank1_density(F: DecoratedMultigraph, dist) -> float:
             code="non-canonical-decoration",
         )
     degrees = F.degrees
-    return math.prod(moment(dist, degrees[v]) for v in range(F.n_vertices))
+    # one moment per distinct degree; M_0 checks ``dist`` even when F has no edges
+    moments = {d: moment(dist, d) for d in {0, *degrees.values()}}
+    return math.prod((moments[degrees[v]] for v in sorted(degrees)), start=1.0)
 
 
 @dataclass

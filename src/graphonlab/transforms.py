@@ -200,16 +200,11 @@ class FeatureMap:
     functional_ids: tuple[str, ...]
     features: np.ndarray
 
-    def rounded_rows(self) -> list[tuple[float, ...]]:
-        rounded = np.round(self.features, FEATURE_DECIMALS) + 0.0  # -0.0 -> 0.0
-        return [tuple(row) for row in rounded]
-
     def induced_partition(self) -> Partition:
         """Classes with equal rounded rows merged, ordered lexicographically."""
-        rows = self.rounded_rows()
-        distinct = sorted(set(rows))
-        rank = {r: n for n, r in enumerate(distinct)}
-        return Partition(tuple(rank[r] for r in rows))
+        rounded = np.round(self.features, FEATURE_DECIMALS) + 0.0  # -0.0 -> 0.0
+        _, class_of = np.unique(rounded, axis=0, return_inverse=True)
+        return Partition(tuple(class_of.tolist()))
 
 
 def feature_map(
@@ -247,13 +242,13 @@ def regularity_check(
 ) -> bool:
     """True iff the feature rows separate every pair of non-twin classes.
 
-    That is, no rounded feature row is shared by two classes of the twin
-    partition: the distinct rows are as many as the distinct (row, twin
-    class) pairs.
+    That is, no class of the feature rows' induced partition meets two
+    classes of the twin partition: its classes are as many as the distinct
+    (class, twin class) pairs.
     """
-    rows = feature_map(W, anchors, functional_ids).rounded_rows()
+    classes = feature_map(W, anchors, functional_ids).induced_partition().class_of
     twins = twin_partition(W).class_of
-    return len(set(rows)) == len(set(zip(rows, twins)))
+    return len(set(classes)) == len(set(zip(classes, twins)))
 
 
 def sample_anchors(W: StepGraphon, count: int, seed: int) -> list[int]:

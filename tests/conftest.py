@@ -303,9 +303,15 @@ def all_pairs_twin_partition(W: gl.StepGraphon, tol: float = gl.transforms.TWIN_
     return gl.Partition(tuple(class_of))
 
 
+def rounded_feature_rows(fm: gl.transforms.FeatureMap) -> list[tuple[float, ...]]:
+    """The feature rows rounded to ``FEATURE_DECIMALS``, with -0.0 read as 0.0."""
+    rounded = np.round(fm.features, gl.transforms.FEATURE_DECIMALS) + 0.0
+    return [tuple(row) for row in rounded.tolist()]
+
+
 def pairwise_regularity(W: gl.StepGraphon, anchors, functional_ids) -> bool:
     """Regularity pair by pair: no two non-twin classes share a rounded feature row."""
-    rows = gl.transforms.feature_map(W, anchors, functional_ids).rounded_rows()
+    rows = rounded_feature_rows(gl.transforms.feature_map(W, anchors, functional_ids))
     twins = gl.twin_partition(W).class_of
     return not any(
         twins[i] != twins[j] and rows[i] == rows[j]
