@@ -2,13 +2,15 @@
 byte-identical output. Scalars and matrices print with 12-digit fixed
 formatting; structured results print as JSON documents.
 
-Exit codes: 0 success, 1 validation failure, 2 file or parse failure.
+Exit codes: 0 success, 1 validation failure or a closed stdout, 2 file
+or parse failure.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import math
+import os
 import sys
 
 from . import fileio
@@ -382,7 +384,14 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe raises here, inside the try
+    except BrokenPipeError:
+        # the flush at exit then goes to devnull (Python docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -155,7 +155,8 @@ def rank1_density(F: DecoratedMultigraph, dist) -> float:
     The factorized value is the product over vertices of the moment at the
     vertex degree (degrees counted with multiplicity); an isolated vertex
     contributes ``M_0 = 1``. Requires an unlabeled graph whose edges all
-    carry the canonical decoration.
+    carry the canonical decoration. A product beyond the double range is
+    refused as ``overflow``.
     """
     if F.labels:
         raise ValidationError("closed form needs an unlabeled graph", code="labeled-graph")
@@ -168,7 +169,13 @@ def rank1_density(F: DecoratedMultigraph, dist) -> float:
     degrees = F.degrees
     # one moment per distinct degree; M_0 checks ``dist`` even when F has no edges
     moments = {d: moment(dist, d) for d in {0, *degrees.values()}}
-    return math.prod((moments[degrees[v]] for v in sorted(degrees)), start=1.0)
+    value = math.prod((moments[degrees[v]] for v in sorted(degrees)), start=1.0)
+    if not math.isfinite(value):
+        raise ValidationError(
+            f"the rank-1 density of a graph on {F.n_vertices} vertices is beyond the double range",
+            code="overflow",
+        )
+    return value
 
 
 @dataclass

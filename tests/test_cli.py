@@ -383,6 +383,22 @@ def test_overflowing_kernels_and_norms_refused_exit_one(tmp_path, argv, quantity
     assert err == f"error[overflow]: {quantity} is not finite: it overflows a double\n"
 
 
+def test_closed_stdout_exits_one_without_a_traceback(tmp_path):
+    # as with `carleman ... | head -4`, which ended in a BrokenPipeError
+    # traceback: here the reader is gone before the CLI prints
+    doc = {"moments": [math.exp(p / 2.0) for p in range(401)], "source": "symbolic"}
+    (tmp_path / "moments.json").write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(graphonlab.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "graphonlab.cli", "carleman", "--moments",
+         str(tmp_path / "moments.json"), "--terms", "200"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
+
+
 def test_momentpair_stencil_beyond_the_doubles_refused(capsys):
     # C(1091, i) overflowed float() with an uncoded traceback
     code, out, err = in_process(["momentpair", "--support", "1100", "--order", "1090"], capsys)

@@ -360,6 +360,12 @@ def test_anchored_lexicographic_class_order():
         assert distinct[P.class_of[i]] == rows[i]
 
 
+def test_induced_partition_reads_negative_zero_as_zero():
+    features = np.array([[0.0, 1.0], [-0.0, 1.0], [-1e-14, 1.0], [1.0, 0.0], [0.0, -1e-13]])
+    fm = gl.transforms.FeatureMap((0, 1), ("unit",), features)
+    assert fm.induced_partition().class_of == (1, 1, 1, 2, 0)
+
+
 def test_regularity_full_information():
     rng = np.random.default_rng(28)
     W = rand_twin_free_graphon(rng, 4)
