@@ -204,7 +204,7 @@ class FeatureMap:
         """Classes with equal rounded rows merged, ordered lexicographically."""
         rounded = np.round(self.features, FEATURE_DECIMALS) + 0.0  # -0.0 -> 0.0
         _, class_of = np.unique(rounded, axis=0, return_inverse=True)
-        return Partition(tuple(class_of.tolist()))
+        return Partition(class_of)
 
 
 def feature_map(

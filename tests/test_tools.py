@@ -77,5 +77,4 @@ def test_seed_1_outputs_match_the_committed_listing(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     now = [line for name in tool.WORKLOAD_NAMES for line in tool.digests(name, 1)]
     changes = tool.moved(saved, now)
-    print("\n".join(changes))
     assert not changes, "outputs moved:\n" + "\n".join(changes)
