@@ -73,21 +73,12 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise ValidationError(f"bad {what} list {text!r}", code="bad-flag") from None
 
 
-def _check_decorations(F, W) -> None:
-    for psi in sorted(F.psi_ids):
-        if psi not in W.functionals:
-            raise ValidationError(
-                f"graph uses unknown functional id {psi!r}", code="unknown-functional"
-            )
-
-
 # -- subcommand handlers (each returns the full output text) --------------------
 
 
 def _cmd_density(args) -> str:
     W = fileio.load_graphon(args.graphon)
     F = fileio.load_graph(args.graph)
-    _check_decorations(F, W)
     if args.dp:
         value = density_dp(F, W, ignore_labels=args.ignore_labels)
     else:
@@ -98,14 +89,12 @@ def _cmd_density(args) -> str:
 def _cmd_marginal(args) -> str:
     W = fileio.load_graphon(args.graphon)
     F = fileio.load_graph(args.graph)
-    _check_decorations(F, W)
     return fmt(marginal(F, W, _parse_anchoring(args.anchors)))
 
 
 def _cmd_mc(args) -> str:
     W = fileio.load_graphon(args.graphon)
     F = fileio.load_graph(args.graph)
-    _check_decorations(F, W)
     return fileio.dump_json(mc_density(F, W, args.samples, args.seed))
 
 
@@ -200,8 +189,6 @@ def _cmd_liftcheck(args) -> str:
     W1 = fileio.load_graphon(args.graphon)
     W2 = fileio.load_graphon(args.graphon2) if args.graphon2 else W1
     F = fileio.load_graph(args.graph)
-    _check_decorations(F, W1)
-    _check_decorations(F, W2)
     return fileio.dump_json(lift_check(F, W1, W2, args.u, args.v, args.psi, args.kmax))
 
 
@@ -227,8 +214,6 @@ def _cmd_productcheck(args) -> str:
     W = fileio.load_graphon(args.graphon)
     F1 = fileio.load_graph(args.graph1)
     F2 = fileio.load_graph(args.graph2)
-    _check_decorations(F1, W)
-    _check_decorations(F2, W)
     return fmt(product_identity_residual(F1, F2, W))
 
 

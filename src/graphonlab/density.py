@@ -311,8 +311,9 @@ def mc_density(
     ``code="bad-seed"`` for a negative seed, which ``SeedSequence`` cannot
     take, ``code="labeled-graph"`` for a labeled graph, and
     ``code="nonpositive-mass"`` for a negative or non-finite mass or a mass
-    vector that does not sum to a positive number, and ``code="overflow"``
-    for a mean or standard error beyond the double range.
+    vector that does not sum to a positive number, ``code="unknown-functional"``
+    for an edge whose functional ``W`` lacks, and ``code="overflow"`` for a
+    mean or standard error beyond the double range.
     """
     if samples < 1:
         raise ValidationError("need at least one sample", code="bad-samples")
@@ -344,9 +345,10 @@ def mc_density(
     sampler = _ClassSampler(masses / total)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     rows_per_chunk = MC_CHUNK // max(1, F.n_vertices)
-    vals = np.empty(samples)
     with np.errstate(over="ignore", invalid="ignore"):
+        # before the sample vector, so an unknown functional id allocates nothing big
         flat = {psi: K.ravel() for psi, K in _kernels(F, W).items()}
+        vals = np.empty(samples)
         for start in range(0, samples, rows_per_chunk):
             out = vals[start : start + rows_per_chunk]
             cls = sampler.draw(rng, out.size, F.n_vertices)

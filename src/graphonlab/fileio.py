@@ -301,15 +301,13 @@ def parse_moments(doc: Any) -> MomentSequence:
 
 
 def serialize_matched_pair(pair) -> dict:
-    """The document of a :class:`~graphonlab.momentlab.MatchedPair`."""
-    return {
-        "support_size": pair.support_size,
-        "order": pair.order,
-        "p": list(pair.p),
-        "q": list(pair.q),
-        "epsilon": pair.epsilon,
-        "null_vector": list(pair.null_vector),
-    }
+    """The document of a :class:`~graphonlab.momentlab.MatchedPair`: its fields."""
+    return _fields(pair)
+
+
+def _fields(x: Any) -> dict:
+    """The fields of the dataclass instance ``x`` by name, in declaration order."""
+    return {f.name: getattr(x, f.name) for f in dataclasses.fields(x)}
 
 
 # -- path helpers -----------------------------------------------------------------
@@ -442,7 +440,7 @@ def _write(x: Any, level: int, out: list[str]) -> None:
     elif isinstance(x, DecoratedMultigraph):
         _write_dict(serialize_graph(x), level, out)
     elif dataclasses.is_dataclass(x) and not isinstance(x, type):
-        _write_dict({f.name: getattr(x, f.name) for f in dataclasses.fields(x)}, level, out)
+        _write_dict(_fields(x), level, out)
     else:
         raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 

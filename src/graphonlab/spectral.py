@@ -120,8 +120,8 @@ class LiftCheckReport:
     densities_agree: bool  # t(F, W1) == t(F, W2)
 
 
-def _close(a: float, b: float, tol: float = AGREE_TOL) -> bool:
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= AGREE_TOL * max(1.0, abs(a), abs(b))
 
 
 def _spectral_coefficients(

@@ -491,6 +491,47 @@ def test_unknown_psi_names_the_id(files, tmp_path, capsys):
     assert "ghost" in captured.err
 
 
+GHOST_EDGE = {"u": 0, "v": 1, "psi": "ghost"}
+
+
+@pytest.mark.parametrize(
+    "argv, graphs, psi",
+    [
+        (["density", "--graphon", "w2.json", "--graph", "g.json"],
+         {"g.json": {"n_vertices": 2, "edges": [GHOST_EDGE]}}, "ghost"),
+        (["marginal", "--graphon", "w2.json", "--graph", "g.json", "--anchors", "1:0"],
+         {"g.json": {"n_vertices": 2, "edges": [GHOST_EDGE], "labels": {"0": 1}}}, "ghost"),
+        (["mc", "--graphon", "w2.json", "--graph", "g.json", "--samples", "10", "--seed", "1"],
+         {"g.json": {"n_vertices": 2, "edges": [GHOST_EDGE]}}, "ghost"),
+        (["productcheck", "--graphon", "w2.json", "--graph1", "labeled_edge.json",
+          "--graph2", "g.json"],
+         {"g.json": {"n_vertices": 2, "edges": [GHOST_EDGE], "labels": {"0": 1}}}, "ghost"),
+        # the bond's own functional, which F' may no longer carry
+        (["liftcheck", "--graphon", "w2.json", "--graph", "g.json", "--u", "0", "--v", "1",
+          "--psi", "ghost"],
+         {"g.json": {"n_vertices": 2, "edges": [dict(GHOST_EDGE, multiplicity=2)]}}, "ghost"),
+        # w3 has "f", w2 does not
+        (["liftcheck", "--graphon", "w3.json", "--graphon2", "w2.json", "--graph", "g.json",
+          "--u", "0", "--v", "1", "--psi", "unit"],
+         {"g.json": {"n_vertices": 3, "edges": [
+             {"u": 0, "v": 1, "psi": "unit", "multiplicity": 2}, {"u": 1, "v": 2, "psi": "f"}]}},
+         "f"),
+    ],
+    ids=["density", "marginal", "mc", "productcheck", "liftcheck", "liftcheck-graphon2"],
+)
+def test_every_graph_command_refuses_an_unknown_functional(files, capsys, argv, graphs, psi):
+    for name, doc in graphs.items():
+        path = os.path.join(files["tmp"], name)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        files[name] = path
+    code = run(resolve(files, argv))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error[unknown-functional]: unknown functional id {psi!r}\n"
+
+
 def test_marginal(files, capsys):
     code = run(
         ["marginal", "--graphon", files["w2.json"], "--graph", files["labeled_edge.json"], "--anchors", "1:0"]

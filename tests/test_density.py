@@ -739,6 +739,20 @@ def test_mc_refuses_oversized_sample_count_up_front(w2):
     assert peak < 1 << 20  # refused before the sample vector
 
 
+def test_mc_refuses_an_unknown_functional_before_the_sample_vector(w2):
+    samples = density_module.MAX_CONTRACTION  # allowed: 512 MB of samples
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as e:
+            gl.mc_density(gl.edge_graph("ghost"), w2, samples=samples, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert e.value.code == "unknown-functional"
+    assert "'ghost'" in str(e.value)
+    assert peak < 1 << 20
+
+
 def test_mc_refuses_graphs_beyond_one_chunk_up_front(w2):
     n = density_module.MC_CHUNK + 1
     tracemalloc.start()
