@@ -353,19 +353,26 @@ def run(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     try:
         text = args.handler(args)
+        if args.out:
+            _write_file(args.out, text)
     except ParseError as e:
         print(f"error[{e.code}]: {e}", file=sys.stderr)
         return 2
     except GraphonlabError as e:
         print(f"error[{e.code}]: {e}", file=sys.stderr)
         return 1
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")  # not text + "\n", which copies the whole output once more
-    else:
+    if not args.out:
         print(text)
     return 0
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.write("\n")  # not text + "\n", which copies the whole output once more
+    except OSError as e:
+        raise ParseError(f"cannot write {path}: {e}") from None
 
 
 def main() -> None:

@@ -31,6 +31,7 @@ through a lookup table, and the classes are exactly those
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -137,25 +138,43 @@ def _plan(scopes: Sequence[tuple[int, ...]], keep: Sequence[int]):
     of the live factors that mention it, and the scope of the factor it
     leaves (the bucket's vertices in first-seen order, without ``v``).
     Returns the steps and the factors live at the end.
+
+    The next vertex comes from a heap of ``(degree, vertex)`` entries; an
+    entry whose vertex is gone or whose degree has changed since is
+    skipped. Each vertex keeps its live factors in creation order, so a
+    step touches only its bucket, and a graph of bounded width plans in
+    O(m log m) for m scopes.
     """
     live = dict(enumerate(scopes))
     around: dict[int, set[int]] = defaultdict(set)  # each vertex and its neighbours
-    for scope in scopes:
+    on: dict[int, dict[int, None]] = defaultdict(dict)  # each vertex's live factors
+    for i, scope in enumerate(scopes):
         for x in scope:
             around[x].update(scope)
+            on[x][i] = None
     free = around.keys() - set(keep)
+    heap = [(len(around[x]), x) for x in free]
+    heapq.heapify(heap)
     steps = []
-    while free:
-        v = min(free, key=lambda x: (len(around[x]), x))
+    while heap:
+        degree, v = heapq.heappop(heap)
+        if v not in free or degree != len(around[v]):
+            continue
         free.discard(v)
-        bucket = [(i, s) for i, s in live.items() if v in s]
-        for i, _ in bucket:
-            del live[i]
+        bucket = [(i, live.pop(i)) for i in on.pop(v)]
         left = tuple(x for x in dict.fromkeys(x for _, s in bucket for x in s) if x != v)
+        n = len(scopes) + len(steps)
+        for i, s in bucket:
+            for x in s:
+                if x != v:  # v's entries left with on.pop(v)
+                    on[x].pop(i, None)
         for x in left:
             around[x].update(left)
             around[x].discard(v)
-        live[len(scopes) + len(steps)] = left
+            on[x][n] = None
+            if x in free:
+                heapq.heappush(heap, (len(around[x]), x))
+        live[n] = left
         steps.append((v, bucket, left))
     return steps, live
 

@@ -757,6 +757,24 @@ def test_out_flag_writes_file(files, tmp_path, capsys):
     assert target.read_text() == "2.000000000000\n"
 
 
+@pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing-directory", "directory"])
+def test_out_write_failure_is_a_parse_error(tmp_path, target):
+    path = str(tmp_path / target)
+    code, out, err = fresh_process(["momentpair", "--support", "5", "--order", "3", "--out", path])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error[parse]: cannot write {path}: ")
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_validate_refuses_a_vertex_labeled_twice(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps({"n_vertices": 2, "edges": [], "labels": {"1": 5, "01": 6}}))
+    assert run(["validate", "--graph", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error[parse]: graph.labels: keys '1' and '01' both name vertex 1\n"
+
+
 def test_repeated_runs_byte_identical(files, capsys):
     for argv in (
         ["counterexample", "--support", "5", "--order", "3", "--seed", "1"],

@@ -132,6 +132,15 @@ def test_graph_label_errors():
         fileio.parse_graph(doc)
 
 
+@pytest.mark.parametrize("first, second", [("1", "01"), ("01", " 1"), ("1", "+1")])
+def test_a_vertex_labeled_under_two_keys_is_refused(first, second):
+    # int() reads each of these keys as vertex 1; the last one used to win
+    doc = {"n_vertices": 2, "edges": [], "labels": {first: 5, second: 6}}
+    with pytest.raises(ParseError) as e:
+        fileio.parse_graph(doc)
+    assert str(e.value) == f"graph.labels: keys {first!r} and {second!r} both name vertex 1"
+
+
 def test_partition_and_moments_round_trip():
     P = gl.Partition((0, 1, 0))
     assert fileio.parse_partition(fileio.serialize_partition(P)).class_of == P.class_of
