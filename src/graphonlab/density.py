@@ -166,8 +166,8 @@ def _plan(scopes: Sequence[tuple[int, ...]], keep: Sequence[int]):
         n = len(scopes) + len(steps)
         for i, s in bucket:
             for x in s:
-                if x != v:  # v's entries left with on.pop(v)
-                    on[x].pop(i, None)
+                if x != v:  # v's own entries left with on.pop(v)
+                    del on[x][i]
         for x in left:
             around[x].update(left)
             around[x].discard(v)

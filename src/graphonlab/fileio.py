@@ -260,21 +260,18 @@ def parse_graph(doc: Any) -> DecoratedMultigraph:
         mult = _get(rec, "multiplicity", int, path, optional=True, default=1)
         edges.append((u, v, psi, mult))
     labels = {}
-    key_of = {}  # the key that named each vertex
     raw_labels = _get(doc, "labels", dict, "graph", optional=True, default={})
     for key, val in raw_labels.items():
         try:
             vertex = int(key)
         except ValueError:
             raise ParseError(f"graph.labels: key {key!r} is not a vertex index") from None
-        if vertex in key_of:
-            raise ParseError(
-                f"graph.labels: keys {key_of[vertex]!r} and {key!r} both name vertex {vertex}"
-            )
+        if vertex in labels:
+            first = next(k for k in raw_labels if int(k) == vertex)
+            raise ParseError(f"graph.labels: keys {first!r} and {key!r} both name vertex {vertex}")
         if isinstance(val, bool) or not isinstance(val, int):
             raise ParseError(f"graph.labels[{key}]: expected an integer label")
         labels[vertex] = val
-        key_of[vertex] = key
     return _wrap_validation(lambda: DecoratedMultigraph(n, tuple(edges), labels), "graph")
 
 
