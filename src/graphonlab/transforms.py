@@ -118,42 +118,39 @@ def twin_partition(W: StepGraphon, tol: float = TWIN_TOL) -> Partition:
         raise ValidationError("twin tolerance must be >= 0", code="bad-tolerance")
     q = W.q
     w = W.weights
-    first, second = _candidate_pairs(w.reshape(q, -1), tol)
-    close = np.zeros(len(first), bool)
+    order, end = _candidate_pairs(w.reshape(q, -1), tol)
+    label = np.arange(q)  # the smallest member of each row's class found so far
     step = max(1, TWIN_CHUNK // max(1, w[0].size))
-    for k in range(0, len(first), step):
-        with np.errstate(over="ignore"):  # rows that far apart are no twins below tol = inf
-            diff = w[first[k : k + step]] - w[second[k : k + step]]
-            np.abs(diff, out=diff)
-            close[k : k + step] = diff.sum(axis=-1).max(axis=-1) <= tol
-
-    parent = list(range(q))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in zip(first[close].tolist(), second[close].tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)  # a root is its class's smallest member
-    roots = np.array([find(i) for i in range(q)])
-    return Partition(tuple(np.unique(roots, return_inverse=True)[1].tolist()))
+    with np.errstate(over="ignore"):  # rows that far apart are no twins below tol = inf
+        for k in np.flatnonzero(end > np.arange(1, q + 1)).tolist():
+            i = order[k]
+            window = order[k + 1 : end[k]]
+            window = window[label[window] != label[i]]  # a joined pair joins nothing new
+            for c in range(0, len(window), step):
+                rows = window[c : c + step]
+                diff = w[rows] - w[i]
+                np.abs(diff, out=diff)
+                close = rows[diff.sum(axis=-1).max(axis=-1) <= tol]
+                if close.size:  # relabel the classes row i joins to their smallest label
+                    joined = np.append(label[close], label[i])
+                    relabel = np.arange(q)
+                    relabel[joined] = joined.min()
+                    label = relabel[label]
+    return Partition(tuple(np.unique(label, return_inverse=True)[1].tolist()))
 
 
 def _candidate_pairs(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs ``i < j`` that contain every pair of rows within ``tol``.
+    """Rows sorted by a projection, and where each sorted position's window ends.
 
-    Each row is projected on ``r = cos(0, 1, 2, ...)``. Every ``|r_k| <= 1``,
+    The sorted positions ``k < l < end[k]`` pair up every two rows within
+    ``tol``. Each row is projected on ``r = cos(0, 1, 2, ...)``. Every ``|r_k| <= 1``,
     so rows at distance ``d`` (the largest of the ``q`` block tv distances)
     project at most ``q * d`` apart, and only rows whose projections lie
     within ``q * tol`` plus a slack can be within ``tol``. The slack covers
     the rounding of the dot products (``n u`` times the largest absolute
     row sum for ``n`` terms and unit roundoff ``u``), of the row distances
-    and of the window's bounds, with a margin of more than 2. Every pair is
-    a candidate when a projection or the bound is not finite.
+    and of the window's bounds, with a margin of more than 2. Every window
+    ends at ``q`` when a projection or the bound is not finite.
     """
     q, n = rows.shape
     with np.errstate(over="ignore", invalid="ignore"):  # all pairs then
@@ -161,15 +158,10 @@ def _candidate_pairs(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarr
         size = np.abs(rows).sum(axis=1).max() + q * tol
         reach = q * tol + (4 * n + 16) * (np.finfo(float).eps * size + _SUBNORMAL)
         if not (np.isfinite(p).all() and np.isfinite(reach)):
-            return np.triu_indices(q, 1)
+            return np.arange(q), np.full(q, q)
         order = np.argsort(p, kind="stable")
         p = p[order]
-        end = np.searchsorted(p, p + reach, side="right")  # an overflow to inf only widens
-    count = end - np.arange(1, q + 1)
-    first = np.repeat(np.arange(q), count)
-    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)
-    low, high = order[first], order[second]
-    return np.minimum(low, high), np.maximum(low, high)
+        return order, np.searchsorted(p, p + reach, side="right")  # an overflow to inf only widens
 
 
 def twin_reduce(W: StepGraphon, tol: float = TWIN_TOL) -> StepGraphon:

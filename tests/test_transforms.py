@@ -1,5 +1,6 @@
 """Quotients, twins, anchored graphons and regularity."""
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -280,6 +281,24 @@ def test_twin_partition_overflowing_rows_are_not_twins():
     W = gl.StepGraphon((0.5, 0.5), [1], [[[MAX], [-MAX]], [[-MAX], [MAX]]])
     assert gl.twin_partition(W).class_of == (0, 1)  # no RuntimeWarning either
     assert gl.twin_partition(W, math.inf).class_of == (0, 0)
+
+
+def test_twin_partition_of_identical_rows_compares_each_row_once():
+    # a coarse graphon split into many equal classes, which twin_reduce undoes:
+    # every pair is a candidate and close, but a joined row is not compared again
+    q = 2048
+    W = gl.StepGraphon([1 / q] * q, [1], np.full((q, q, 1), 0.5))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        P = gl.twin_partition(W)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert P.class_of == (0,) * q
+    assert elapsed < 3.0
+    assert peak < 64 << 20  # the graphon itself is 32 MiB
 
 
 def test_twin_reduce_duplicate_masses():
