@@ -22,6 +22,7 @@ from .spectral import eigendecomp, lift_check, path_kernel
 # kernel_matrix and validate_graphon stay bound for bench/tracing.py, which counts their calls
 from .stepgraphon import carleman_report, kernel_matrix, p_norm, validate_graphon  # noqa: F401
 from .transforms import (
+    TWIN_TOL,
     anchored_graphon,
     quotient,
     regularity_check,
@@ -57,12 +58,14 @@ def _parse_anchoring(text: str) -> dict[int, int]:
         if not part:
             continue
         try:
-            label, cls = part.split(":")
-            anchoring[int(label)] = int(cls)
+            label, cls = (int(x) for x in part.split(":"))
         except ValueError:
             raise ValidationError(
                 f"bad anchor {part!r}; expected label:class", code="bad-anchor"
             ) from None
+        if label in anchoring:
+            raise ValidationError(f"label {label} is anchored twice", code="bad-anchor")
+        anchoring[label] = cls
     return anchoring
 
 
@@ -292,11 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("twins", _cmd_twins, "twin partition of the classes")
     p.add_argument("--graphon", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=TWIN_TOL)
 
     p = add("reduce", _cmd_reduce, "twin-free quotient")
     p.add_argument("--graphon", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=TWIN_TOL)
 
     p = add("anchor", _cmd_anchor, "anchored graphon and feature map")
     p.add_argument("--graphon", required=True)

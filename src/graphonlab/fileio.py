@@ -324,6 +324,8 @@ def _load_json(path: str) -> Any:
         raise ParseError(f"cannot read {path}: {e}") from None
     except ValueError as e:  # bad JSON, bad UTF-8, or an integer of over 4300 digits
         raise ParseError(f"{path} is not valid JSON: {e}") from None
+    except RecursionError:  # json's decoder recurses once per level of nesting
+        raise ParseError(f"{path} nests its JSON too deeply to read") from None
 
 
 def _decode(path: str) -> Any:

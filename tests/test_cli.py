@@ -259,6 +259,39 @@ def test_unreadable_json_is_a_parse_error(tmp_path, capsys, content):
     assert capsys.readouterr().err.startswith(f"error[parse]: {p} is not valid JSON: ")
 
 
+#: 100,000 open brackets, which orjson refuses, and a field nested 1,000
+#: deep, which orjson reads and the parse refuses; json.load recurses on both
+DEEP = "[" * 100_000
+
+
+def nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+@pytest.mark.parametrize(
+    "argv, body",
+    [
+        (["validate", "--graph"], DEEP),
+        (["validate", "--graph"], '{"n_vertices": 2, "edges": ' + nested(1000) + "}"),
+        (["validate", "--graphon"], DEEP),
+        (["validate", "--graphon"], '{"masses": ' + nested(1000) + ', "blocks": []}'),
+        (["quotient", "--graphon", "w2.json", "--partition"], '{"class_of": ' + nested(1000) + "}"),
+        (["carleman", "--moments"], DEEP),
+        (["carleman", "--moments"], '{"moments": ' + nested(1000) + "}"),
+    ],
+    ids=["graph", "graph-edges", "graphon", "graphon-masses", "partition", "moments",
+         "moments-list"],
+)
+def test_deeply_nested_json_is_a_parse_error(files, tmp_path, capsys, argv, body):
+    p = tmp_path / "deep.json"
+    p.write_text(body)
+    argv = [files.get(a, a) for a in argv]
+    assert run([*argv, str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error[parse]: {p} nests its JSON too deeply to read\n"
+    assert captured.out == ""
+
+
 def fresh_process(argv: list[str]) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of the CLI in a new interpreter."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(graphonlab.__file__)))
@@ -538,6 +571,15 @@ def test_marginal(files, capsys):
     )
     assert code == 0
     assert out_of(capsys) == "1.500000000000\n"
+
+
+@pytest.mark.parametrize("anchors", ["1:0,1:1", "1:1,1:0", "1:0, 1:0"])
+def test_marginal_refuses_a_label_anchored_twice(files, capsys, anchors):
+    argv = ["marginal", "--graphon", files["w2.json"], "--graph", files["labeled_edge.json"]]
+    assert run([*argv, "--anchors", anchors]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error[bad-anchor]: label 1 is anchored twice\n"
 
 
 def test_pnorm(files, capsys):
