@@ -45,6 +45,8 @@ class DecoratedMultigraph:
                 raise ValidationError("edge multiplicity must be >= 1", code="bad-graph")
             key = (min(u, v), max(u, v), str(psi))
             merged[key] = merged.get(key, 0) + int(mult)
+            if merged[key] > 2**53:  # a power's exponent is a double, exact up to here
+                raise ValidationError(f"edge {key} has multiplicity above 2**53", code="bad-graph")
         self.edges = tuple(
             (u, v, psi, m) for (u, v, psi), m in sorted(merged.items())
         )

@@ -194,7 +194,9 @@ class FeatureMap:
 
     def induced_partition(self) -> Partition:
         """Classes with equal rounded rows merged, ordered lexicographically."""
-        rounded = np.round(self.features, FEATURE_DECIMALS) + 0.0  # -0.0 -> 0.0
+        with np.errstate(over="ignore"):  # x * 10**12 overflows only where x is whole
+            rounded = np.round(self.features, FEATURE_DECIMALS)
+        rounded = np.where(np.isfinite(rounded), rounded, self.features) + 0.0  # -0.0 -> 0.0
         _, class_of = np.unique(rounded, axis=0, return_inverse=True)
         return Partition(class_of)
 

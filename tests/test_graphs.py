@@ -34,6 +34,20 @@ def test_validation():
         gl.DecoratedMultigraph(1, ((0, 1, "a", 1),))  # vertex out of range
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [((0, 1, "a", 2**53 + 1),), ((0, 1, "a", 2**52 + 1), (1, 0, "a", 2**52)), ((0, 1, "a", 10**400),)],
+    ids=["one-edge", "merged", "beyond-the-double-range"],
+)
+def test_multiplicity_above_2_53_is_refused(edges):
+    # the exponent of a kernel power is converted to a double, which rounds above 2**53
+    assert gl.DecoratedMultigraph(2, ((0, 1, "a", 2**53),)).edges == ((0, 1, "a", 2**53),)
+    with pytest.raises(ValidationError) as e:
+        gl.DecoratedMultigraph(2, edges)
+    assert e.value.code == "bad-graph"
+    assert str(e.value) == "edge (0, 1, 'a') has multiplicity above 2**53"
+
+
 def test_product_merges_on_labels_to_a_two_star():
     F = labeled_edge()
     G = gl.product(F, F)

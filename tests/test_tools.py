@@ -1,7 +1,9 @@
 """tools/output_digests.py: the listing, its comparison with a saved one, and
-the committed seed-1 listing that every job's output bytes must match."""
+the committed seed-1 listing that every job's output bytes must match; and a
+fixed run of tools/fuzz.py."""
 import importlib.util
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -78,3 +80,22 @@ def test_seed_1_outputs_match_the_committed_listing(monkeypatch):
     now = [line for name in tool.WORKLOAD_NAMES for line in tool.digests(name, 1)]
     changes = tool.moved(saved, now)
     assert not changes, "outputs moved:\n" + "\n".join(changes)
+
+
+def test_fuzzed_jobs_keep_the_exit_contract(monkeypatch):
+    """A fixed run of tools/fuzz.py: coded exits only, one error line, no
+    traceback, no special float on stdout, the same bytes twice.
+
+    Its 1,000 jobs include files nested thousands of levels deep, which
+    json's decoder once answered with an uncoded RecursionError.
+    """
+    spec = importlib.util.spec_from_file_location("fuzz", ROOT / "tools" / "fuzz.py")
+    fuzz = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "fuzz", fuzz)  # its dataclass looks itself up there
+    spec.loader.exec_module(fuzz)
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    start = time.perf_counter()
+    n, failures = fuzz.fuzz(seed=1, count=1000)
+    assert n == 1000
+    assert not failures, "\n".join(failures)
+    assert time.perf_counter() - start < 10.0

@@ -385,6 +385,17 @@ def test_induced_partition_reads_negative_zero_as_zero():
     assert fm.induced_partition().class_of == (1, 1, 1, 2, 0)
 
 
+def test_induced_partition_keeps_features_too_large_to_scale_apart():
+    # x * 10**12 overflows above about 1.8e296, where every double is whole
+    features = np.array([[1e300], [2e300], [1e300], [-MAX], [MAX]])
+    fm = gl.transforms.FeatureMap((0,), ("unit",), features)
+    assert fm.induced_partition().class_of == (1, 2, 1, 0, 3)  # and no RuntimeWarning
+    W = gl.StepGraphon(
+        (0.5, 0.5), [1], [[[1e300], [2e300]], [[2e300], [1e300]]], {"unit": gl.unit_functional()}
+    )
+    assert gl.regularity_check(W, [0], ["unit"])
+
+
 def test_regularity_full_information():
     rng = np.random.default_rng(28)
     W = rand_twin_free_graphon(rng, 4)
