@@ -143,10 +143,11 @@ def _candidate_pairs(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarr
     """Rows sorted by a projection, and where each sorted position's window ends.
 
     The sorted positions ``k < l < end[k]`` pair up every two rows within
-    ``tol``. Each row is projected on ``r = cos(0, 1, 2, ...)``. Every ``|r_k| <= 1``,
-    so rows at distance ``d`` (the largest of the ``q`` block tv distances)
-    project at most ``q * d`` apart, and only rows whose projections lie
-    within ``q * tol`` plus a slack can be within ``tol``. The slack covers
+    ``tol``. Each row is projected on ``r = cos(0, 1, 2, ...)``. Every
+    ``|r_k| <= 1``, so rows at distance ``d`` (the largest of the ``q``
+    block tv distances) project at most ``q * d`` apart, and only rows
+    whose projections lie within ``q * tol`` plus a slack can be within
+    ``tol``. The slack covers
     the rounding of the dot products (``n u`` times the largest absolute
     row sum for ``n`` terms and unit roundoff ``u``), of the row distances
     and of the window's bounds, with a margin of more than 2. Every window

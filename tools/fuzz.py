@@ -3,13 +3,15 @@
     python3 tools/fuzz.py --seed 1 --seconds 60
 
 From the seed it builds small input documents with ``bench/fixtures.py``
-(a graphon on 6 classes with planted twins, a cycle, two labeled cycles, a
-partition and a moment sequence), then draws jobs until the time is up. A job takes one
-command of ``COMMANDS``, mutates one of the documents that command reads
-(values swapped for others of any JSON type, numbers scaled, entries
-deleted, exchanged or duplicated, values nested deep, the whole text cut
-and followed by 100,000 open brackets), writes it to a temporary file and runs the command twice
-through ``graphonlab.cli.run`` in this process. It checks that
+(a graphon on 6 classes with planted twins, a cycle, two labeled cycles,
+a partition and a moment sequence), then draws jobs until the time is
+up. A job takes one command of ``COMMANDS`` and mutates one of the
+documents that command reads: values swapped for others of any JSON
+type, numbers scaled, entries deleted, exchanged or duplicated, values
+nested deep, or the whole text cut and followed by 100,000 open
+brackets. It writes the document to a temporary file and runs the
+command twice through ``graphonlab.cli.run`` in this process. It checks
+that
 
 - the exit code is 0, 1 or 2, and ``run`` raises nothing and issues no
   warning;
@@ -38,8 +40,8 @@ import sys
 import tempfile
 import time
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -76,6 +78,8 @@ VALUES = (
     math.nan, math.inf, -math.inf,
     "", "0", "unit", "f1", "ghost", [], [1, 2], {}, {"u": 0},
 )
+#: mutations, drawn with these weights
+MOVES = ("swap", "swap", "scale", "scale", "exchange", "delete", "duplicate", "nest")
 #: factors a mutation scales a number by, for each number type
 SCALES = {int: (-1, 0, 2, 10**6), float: (-1.0, 0.0, 0.5, 1e-300, 1e300)}
 #: nesting depths of a nested value; json's decoder recurses once per level
@@ -85,8 +89,7 @@ DEEP = "@@deep@@"
 SPECIAL = re.compile(r"\b(?:inf|nan|Infinity|NaN)\b")
 
 
-@dataclass
-class Job:
+class Job(NamedTuple):
     argv: list[str]
     #: kind of the mutated document and its text
     kind: str
@@ -115,13 +118,12 @@ def documents(seed: int) -> dict[str, object]:
     }
 
 
-def _containers(doc, path=()):
-    """``(path, container)`` of every list and dict in ``doc``, ``doc`` first."""
+def _containers(doc):
+    """Every list and dict in ``doc``, ``doc`` first."""
     if isinstance(doc, (list, dict)):
-        yield path, doc
-        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
-        for key, value in items:
-            yield from _containers(value, path + (key,))
+        yield doc
+        for value in doc.values() if isinstance(doc, dict) else doc:
+            yield from _containers(value)
 
 
 def mutate(doc, rng: random.Random) -> str:
@@ -131,12 +133,12 @@ def mutate(doc, rng: random.Random) -> str:
         return json.dumps(doc)[:200] + "[" * 100_000  # cut, then never closed
     depth = None
     for _ in range(rng.randint(1, 3)):
-        nonempty = [c for _, c in _containers(doc) if c]
+        nonempty = [c for c in _containers(doc) if c]
         if not nonempty:
             break
         c = rng.choice(nonempty)
         key = rng.choice(list(c) if isinstance(c, dict) else range(len(c)))
-        move = rng.choice(("swap", "swap", "scale", "scale", "exchange", "delete", "duplicate", "nest"))
+        move = rng.choice(MOVES)
         if move == "swap":
             c[key] = copy.deepcopy(rng.choice(VALUES))
         elif move == "scale":  # a number stays one of its type, so the parse reads on
@@ -183,7 +185,7 @@ def _run(argv: list[str]) -> tuple[object, str, str]:
     from graphonlab.cli import run
 
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
         try:
             code = run(argv)
@@ -210,7 +212,7 @@ def check(job: Job) -> list[str]:
     return broken
 
 
-def fuzz(seed: int, count: int | None = None, seconds: float | None = None) -> tuple[int, list[str]]:
+def fuzz(seed: int, count: int | None = None, seconds: float | None = None):
     """Jobs run and failure lines, for ``count`` jobs or until ``seconds`` pass."""
     deadline = None if seconds is None else time.monotonic() + seconds
     failures = []
