@@ -86,8 +86,8 @@ def test_fuzzed_jobs_keep_the_exit_contract(monkeypatch):
     """A fixed run of tools/fuzz.py: coded exits only, one error line, no
     traceback, no special float on stdout, the same bytes twice.
 
-    Its 1,000 jobs include files nested thousands of levels deep, which
-    json's decoder once answered with an uncoded RecursionError.
+    Its 1,000 jobs include files nested thousands of levels deep, on which
+    json's decoder raises RecursionError.
     """
     spec = importlib.util.spec_from_file_location("fuzz", ROOT / "tools" / "fuzz.py")
     fuzz = importlib.util.module_from_spec(spec)
