@@ -14,7 +14,7 @@ import pytest
 
 import graphonlab
 from graphonlab import fileio
-from graphonlab.cli import run
+from graphonlab.cli import fmt, run
 
 W2_DOC = {
     "masses": [0.5, 0.5],
@@ -80,6 +80,26 @@ def files(tmp_path):
 
 def out_of(capsys) -> str:
     return capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "x, text",
+    [
+        (math.nan, "nan"),
+        (math.inf, "inf"),
+        (-math.inf, "-inf"),
+        (0.0, "0.000000000000"),
+        (-0.0, "0.000000000000"),
+        (1e-4, "0.000100000000"),
+        (math.nextafter(1e-4, 0.0), "1.000000000000e-04"),
+        (1e16, "1.000000000000e+16"),
+        (math.nextafter(1e16, 0.0), "9999999999999998.000000000000"),
+        (-2.5, "-2.500000000000"),
+        (-1e-5, "-1.000000000000e-05"),
+    ],
+)
+def test_fmt_spells_scalars(x, text):
+    assert fmt(x) == text
 
 
 def test_density_prints_twelve_digits(files, capsys):

@@ -319,3 +319,49 @@ def test_lift_check_squares_eigenvalues_by_multiplication():
         T = gl.eliminate(Fprime, W, keep=(0, 1))
         vals, coefs = spectral_module._spectral_coefficients(W, T, "e1")
         assert rep.spectral_a[1] == float(np.sum(coefs * (vals * vals)))
+
+
+def two_block_graphon(scale: float = 1.0) -> gl.StepGraphon:
+    """Masses 1/4 and the kernel [[1, .5], [.5, 1]] on classes 0-1 and
+    ``scale`` times it on classes 2-3: at scale 1 the eigenvalues .375 and
+    .125 each occur twice."""
+    block = np.array([[1.0, 0.5], [0.5, 1.0]])
+    K = np.zeros((4, 4))
+    K[:2, :2], K[2:, 2:] = block, scale * block
+    return scalar_graphon((0.25,) * 4, K)
+
+
+#: C4 with its edge 0-1 doubled
+C4_DOUBLED = gl.DecoratedMultigraph(
+    4, ((0, 1, "unit", 2), (1, 2, "unit", 1), (2, 3, "unit", 1), (0, 3, "unit", 1))
+)
+
+
+def test_lift_check_sums_a_repeated_eigenvalue_into_one_group():
+    W = two_block_graphon()
+    assert gl.eigendecomp(W, "unit").eigenvalues == pytest.approx((0.375, 0.375, 0.125, 0.125))
+    swapped = [2, 3, 0, 1]
+    V = gl.StepGraphon(W.masses, W.support, W.weights[swapped][:, swapped], dict(W.functionals))
+    rep = gl.lift_check(C4_DOUBLED, W, V, 0, 1, "unit", 5)
+    assert [g.value for g in rep.groups] == pytest.approx([0.125, 0.375])
+    assert [g.sum_a for g in rep.groups] == pytest.approx([15 / 512, 41 / 512])
+    assert [g.sum_b for g in rep.groups] == pytest.approx([15 / 512, 41 / 512])
+    assert [g.matched for g in rep.groups] == [True, True]
+    assert rep.groups_match and rep.powers_match and rep.densities_agree
+
+
+@pytest.mark.parametrize("scaled_first", [False, True], ids=["scaled-second", "scaled-first"])
+def test_lift_check_leaves_groups_of_a_scaled_block_unmatched(scaled_first):
+    W, V = two_block_graphon(), two_block_graphon(2.0)
+    if scaled_first:
+        W, V = V, W
+    rep = gl.lift_check(C4_DOUBLED, W, V, 0, 1, "unit", 5)
+    # the scaled block halves the repeated groups' sums and adds .25 and .75 alone
+    sums = {0.125: (15 / 512, 7.5 / 512), 0.25: (0.0, 120 / 512),
+            0.375: (41 / 512, 20.5 / 512), 0.75: (0.0, 328 / 512)}
+    if scaled_first:
+        sums = {v: (b, a) for v, (a, b) in sums.items()}
+    assert [g.value for g in rep.groups] == pytest.approx(list(sums))
+    assert [(g.sum_a, g.sum_b) for g in rep.groups] == [pytest.approx(s) for s in sums.values()]
+    assert [g.matched for g in rep.groups] == [False] * 4
+    assert not (rep.groups_match or rep.powers_match or rep.densities_agree)
