@@ -366,13 +366,13 @@ def load_moments(path: str) -> MomentSequence:
 def dump_json(doc: Any) -> str:
     """``json.dumps(doc, indent=2)``, byte for byte.
 
-    Three kinds of object in ``doc`` are written as the document they
+    Four kinds of object in ``doc`` are written as the document they
     stand for: a :class:`StepGraphon` as ``serialize_graphon`` of it, a
-    :class:`DecoratedMultigraph` as ``serialize_graph`` of it, and any
-    other dataclass instance as the object of its fields in declaration
-    order. Dict keys must be ``str``. Raises ``TypeError`` where
-    ``json.dumps`` would, and for a non-str key; a document that contains
-    itself exceeds the recursion limit.
+    :class:`DecoratedMultigraph` as ``serialize_graph`` of it, a numpy
+    array as its ``tolist()``, and any other dataclass instance as the
+    object of its fields in declaration order. Dict keys must be ``str``.
+    Raises ``TypeError`` where ``json.dumps`` would, and for a non-str
+    key; a document that contains itself exceeds the recursion limit.
     """
     out: list[str] = []
     _write(doc, 0, out)
@@ -444,6 +444,8 @@ def _write(x: Any, level: int, out: list[str]) -> None:
         _write_graphon(x, level, out)
     elif isinstance(x, DecoratedMultigraph):
         _write_dict(serialize_graph(x), level, out)
+    elif isinstance(x, np.ndarray):
+        _write(x.tolist(), level, out)
     elif dataclasses.is_dataclass(x) and not isinstance(x, type):
         _write_dict(_fields(x), level, out)
     else:

@@ -192,10 +192,14 @@ class GraphRecord:
 @dataclass
 class CounterexampleReport:
     pair: MatchedPair
-    graphs_tested: tuple[GraphRecord, ...]
+    graphs: tuple[GraphRecord, ...]
     max_discrepancy_low_degree: float
     witness_graph: DecoratedMultigraph
     witness_gap: float
+
+    @property
+    def graphs_tested(self) -> tuple[GraphRecord, ...]:  # the earlier name of ``graphs``
+        return self.graphs
 
 
 def standard_suite(D: int) -> tuple[list[DecoratedMultigraph], DecoratedMultigraph]:
@@ -233,7 +237,7 @@ def counterexample_report(N: int, D: int, seed: int | None = None) -> Counterexa
 
     return CounterexampleReport(
         pair=pair,
-        graphs_tested=tuple(records),
+        graphs=tuple(records),
         max_discrepancy_low_degree=max(r.gap for r in records[:-1]),
         witness_graph=witness,
         witness_gap=records[-1].gap,

@@ -217,21 +217,15 @@ def lift_check(
     g1 = _grouped(vals1, coefs1)
     g2 = _grouped(vals2, coefs2)
     groups: list[CoefficientGroup] = []
-    i = j = 0
-    while i < len(g1) or j < len(g2):
-        if j >= len(g2) or (i < len(g1) and g1[i][0] < g2[j][0] - GROUP_MATCH_TOL):
-            v1, s1 = g1[i]
-            groups.append(CoefficientGroup(v1, s1, 0.0, _close(s1, 0.0)))
-            i += 1
-        elif i >= len(g1) or g2[j][0] < g1[i][0] - GROUP_MATCH_TOL:
-            v2, s2 = g2[j]
-            groups.append(CoefficientGroup(v2, 0.0, s2, _close(0.0, s2)))
-            j += 1
+    while g1 or g2:  # ascending: pair the smaller front values, an unpaired sum meets 0.0
+        if not g2 or (g1 and g1[0][0] < g2[0][0] - GROUP_MATCH_TOL):
+            (value, sum_a), sum_b = g1.pop(0), 0.0
+        elif not g1 or g2[0][0] < g1[0][0] - GROUP_MATCH_TOL:
+            sum_a, (value, sum_b) = 0.0, g2.pop(0)
         else:
-            (va, sa), (vb, sb) = g1[i], g2[j]
-            groups.append(CoefficientGroup((va + vb) / 2.0, sa, sb, _close(sa, sb)))
-            i += 1
-            j += 1
+            (va, sum_a), (vb, sum_b) = g1.pop(0), g2.pop(0)
+            value = (va + vb) / 2.0
+        groups.append(CoefficientGroup(value, sum_a, sum_b, _close(sum_a, sum_b)))
 
     t_f_a, t_f_b = direct1[0], direct2[0]
     return LiftCheckReport(

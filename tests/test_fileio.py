@@ -678,6 +678,12 @@ def test_dump_json_writes_dataclasses_and_graphs_as_their_documents():
     assert fileio.dump_json(graph) == json.dumps(fileio.serialize_graph(graph), indent=2)
 
 
+def test_dump_json_writes_arrays_as_their_lists():
+    doc = {"empty": np.zeros((2, 0)), "ints": np.arange(3),
+           "floats": np.array([[1e-7, 0.5], [-0.0, math.inf]])}
+    assert fileio.dump_json(doc) == json.dumps({k: v.tolist() for k, v in doc.items()}, indent=2)
+
+
 @pytest.mark.parametrize("key", [1, 1.5, True, None])
 def test_dump_json_refuses_non_str_keys(key):
     with pytest.raises(TypeError):

@@ -192,7 +192,8 @@ def test_counterexample_default_suite():
     expected = (4 / 3) * 2.5**4
     assert rep.witness_gap == pytest.approx(expected, abs=1e-6)
     assert rep.witness_graph.max_degree == 4
-    assert len(rep.graphs_tested) == 6  # edge, 2-path, triangle, 3-star, C4, 4-star
+    assert len(rep.graphs) == 6  # edge, 2-path, triangle, 3-star, C4, 4-star
+    assert rep.graphs_tested is rep.graphs  # the field's earlier name, kept readable
 
 
 def test_counterexample_refuses_the_suite_before_building_a_graphon(monkeypatch):
