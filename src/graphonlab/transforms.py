@@ -148,15 +148,16 @@ def _candidate_pairs(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarr
     block tv distances) project at most ``q * d`` apart, and only rows
     whose projections lie within ``q * tol`` plus a slack can be within
     ``tol``. The slack covers
-    the rounding of the dot products (``n u`` times the largest absolute
-    row sum for ``n`` terms and unit roundoff ``u``), of the row distances
-    and of the window's bounds, with a margin of more than 2. Every window
-    ends at ``q`` when a projection or the bound is not finite.
+    the rounding of the dot products (``n u`` times ``n`` times the largest
+    absolute weight, which bounds every absolute row sum, for ``n`` terms
+    and unit roundoff ``u``), of the row distances and of the window's
+    bounds, with a margin of more than 2. Every window ends at ``q`` when a
+    projection or the bound is not finite.
     """
     q, n = rows.shape
     with np.errstate(over="ignore", invalid="ignore"):  # all pairs then
         p = rows @ np.cos(np.arange(n))
-        size = np.abs(rows).sum(axis=1).max() + q * tol
+        size = n * max(rows.max(initial=0.0), -rows.min(initial=0.0)) + q * tol  # no copy of rows
         reach = q * tol + (4 * n + 16) * (np.finfo(float).eps * size + _SUBNORMAL)
         if not (np.isfinite(p).all() and np.isfinite(reach)):
             return np.arange(q), np.full(q, q)

@@ -301,6 +301,21 @@ def test_twin_partition_of_identical_rows_compares_each_row_once():
     assert peak < 64 << 20  # the graphon itself is 32 MiB
 
 
+@pytest.mark.parametrize("q, S", [(2048, 1), (1024, 8)])
+def test_twin_partition_of_identical_rows_copies_no_weights(q, S):
+    # the projection window's slack is bounded from the largest absolute
+    # weight, not from a copy of the 32 or 64 MiB of weights
+    W = gl.StepGraphon([1 / q] * q, list(range(1, S + 1)), np.full((q, q, S), 0.5))
+    tracemalloc.start()
+    try:
+        P = gl.twin_partition(W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert P.class_of == (0,) * q
+    assert peak < 8 << 20
+
+
 def test_twin_reduce_duplicate_masses():
     # two identical classes of mass .25 merge into one of mass .5
     W = scalar_graphon((0.25, 0.25, 0.5), [[1, 1, 2], [1, 1, 2], [2, 2, 3]])
