@@ -5,9 +5,11 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -738,6 +740,57 @@ def test_infinite_flags_accepted(files, capsys):
     assert json.loads(out_of(capsys)) == {"class_of": [0, 0]}
     assert run(["reduce", "--graphon", files["w2.json"], "--tol", "inf"]) == 0
     assert fileio.parse_graphon(json.loads(out_of(capsys))).q == 1
+
+
+#: documents the refusal cases below read besides those of ``files``
+REFUSED_DOCS = {
+    "moments.json": {"moments": [1.0, 2.0, 5.0]},
+    "no_masses.json": {"masses": [], "blocks": [], "functionals": []},
+    "unit_twice.json": {**W2_DOC, "functionals": W2_DOC["functionals"] * 2},
+    "no_classes.json": {"class_of": []},
+    "stray_label.json": {**EDGE_DOC, "labels": {"5": 1}},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, code",
+    [
+        (["carleman", "--graphon", "w2.json", "--moments", "moments.json"], 1, "bad-flag"),
+        (["carleman"], 1, "bad-flag"),
+        (["validate", "--graphon", "w2.json", "--graph", "edge.json"], 1, "bad-flag"),
+        (["validate"], 1, "bad-flag"),
+        (["marginal", "--graphon", "w2.json", "--graph", "labeled_edge.json", "--anchors", "1:x"],
+         1, "bad-anchor"),
+        (["anchor", "--graphon", "w2.json", "--anchors", "0,x"], 1, "bad-flag"),
+        (["anchor", "--graphon", "w2.json", "--anchors", ","], 1, "bad-anchors"),
+        (["anchor", "--graphon", "w2.json", "--anchors", "2"], 1, "bad-anchors"),
+        (["regularity", "--graphon", "w2.json", "--anchors", "0,2"], 1, "bad-anchors"),
+        (["mc", "--graphon", "w2.json", "--graph", "edge.json", "--samples", "0", "--seed", "1"],
+         1, "bad-samples"),
+        (["carleman", "--graphon", "w2.json", "--k", "0"], 1, "bad-order"),
+        (["carleman", "--graphon", "w2.json", "--terms", "1"], 1, "bad-order"),
+        (["carleman", "--moments", "moments.json", "--terms", "1"], 1, "bad-order"),
+        (["validate", "--graphon", "no_masses.json"], 1, "bad-shape"),
+        (["validate", "--graphon", "unit_twice.json"], 2, "parse"),
+        (["quotient", "--graphon", "w2.json", "--partition", "no_classes.json"], 1, "bad-partition"),
+        (["validate", "--graph", "stray_label.json"], 1, "bad-graph"),
+        (["momentpair", "--support", "5", "--order", "-1"], 1, "bad-order"),
+        (["counterexample", "--support", "5", "--order", "0"], 1, "bad-order"),
+    ],
+    ids=["carleman-both", "carleman-neither", "validate-both", "validate-neither",
+         "marginal-anchor", "anchor-list", "anchor-none", "anchor-range", "regularity-range",
+         "mc-samples", "carleman-k", "carleman-terms-graphon", "carleman-terms-moments",
+         "no-masses", "functional-twice", "no-classes", "stray-label", "momentpair-order",
+         "counterexample-order"],
+)
+def test_coded_refusals(files, capsys, argv, exit_code, code):
+    for name, doc in REFUSED_DOCS.items():
+        files[name] = str(Path(files["tmp"]) / name)
+        Path(files[name]).write_text(json.dumps(doc))
+    assert run(resolve(files, argv)) == exit_code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(rf"error\[{code}\]: [^\n]*\n", captured.err), captured.err
 
 
 def test_quotient_and_reduce(files, capsys):
