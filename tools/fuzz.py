@@ -9,9 +9,12 @@ up. A job takes one command of ``COMMANDS`` and mutates one of the
 documents that command reads: values swapped for others of any JSON
 type, numbers scaled, entries deleted, exchanged or duplicated, values
 nested deep, or the whole text cut and followed by 100,000 open
-brackets. It writes the document to a temporary file and runs the
-command twice through ``graphonlab.cli.run`` in this process. It checks
-that
+brackets. It writes the document to a temporary file. One job in four
+instead reads the documents unmutated and gives one flag of the command
+a value of the flag's type at the edge of what it takes (``FLAG_VALUES``),
+as ``--flag=value``.
+It runs the command twice through ``graphonlab.cli.run`` in this
+process. It checks that
 
 - the exit code is 0, 1 or 2, and ``run`` raises nothing and issues no
   warning;
@@ -58,8 +61,8 @@ COMMANDS = (
     ("carleman", "--moments", "moments", "--terms", "20"),
     ("kernel", "--graphon", "graphon", "--psi", "unit"),
     ("quotient", "--graphon", "graphon", "--partition", "partition"),
-    ("twins", "--graphon", "graphon"),
-    ("reduce", "--graphon", "graphon"),
+    ("twins", "--graphon", "graphon", "--tol", "1e-09"),
+    ("reduce", "--graphon", "graphon", "--tol", "1e-09"),
     ("anchor", "--graphon", "graphon", "--anchors", "0,1"),
     ("regularity", "--graphon", "graphon", "--anchors", "0,1"),
     ("eigen", "--graphon", "graphon", "--psi", "f1"),
@@ -78,6 +81,13 @@ VALUES = (
     math.nan, math.inf, -math.inf,
     "", "0", "unit", "f1", "ghost", [], [1, 2], {}, {"u": 0},
 )
+#: values a job gives one flag instead of mutating a document, by the flag's type
+INTS = (-1, 0, 1, 2, 3, 2**31, 2**63)
+FLOATS = (math.nan, math.inf, -math.inf, -1.0, 0.0, 0.5, 5e-324, 1e308)
+FLAG_VALUES = {
+    "--samples": INTS, "--seed": INTS, "--terms": INTS, "--k": INTS, "--kmax": INTS,
+    "--u": INTS, "--v": INTS, "--p": FLOATS, "--tol": FLOATS, "--anchors": INTS,
+}
 #: mutations, drawn with these weights
 MOVES = ("swap", "swap", "scale", "scale", "exchange", "delete", "duplicate", "nest")
 #: factors a mutation scales a number by, for each number type
@@ -91,7 +101,7 @@ SPECIAL = re.compile(r"\b(?:inf|nan|Infinity|NaN)\b")
 
 class Job(NamedTuple):
     argv: list[str]
-    #: kind of the mutated document and its text
+    #: kind of the mutated document and its text, or the flag drawn and its value
     kind: str
     text: str
 
@@ -162,6 +172,19 @@ def mutate(doc, rng: random.Random) -> str:
     return text
 
 
+def flag_value(command: tuple, k: int, rng: random.Random) -> str:
+    """A value for the flag ``command[k]`` drawn from ``FLAG_VALUES``: one
+    number, or one or two anchor classes, or for ``marginal`` one to three
+    ``label:class`` pairs, the command's labels first and then a drawn one."""
+    values = FLAG_VALUES[command[k]]
+    if command[k] != "--anchors":
+        return repr(rng.choice(values))
+    if command[0] == "marginal":
+        labels = [pair.split(":")[0] for pair in command[k + 1].split(",")] + [rng.choice(values)]
+        return ",".join(f"{label}:{rng.choice(values)}" for label in labels[: rng.randint(1, 3)])
+    return ",".join(repr(rng.choice(values)) for _ in range(rng.randint(1, 2)))
+
+
 def jobs(seed: int, root: str):
     """The endless job sequence of ``seed``, each mutated document written under ``root``."""
     rng = random.Random(seed)
@@ -172,6 +195,14 @@ def jobs(seed: int, root: str):
         Path(paths[kind]).write_text(json.dumps(doc))
     while True:
         command = rng.choice(COMMANDS)
+        flags = [k for k, a in enumerate(command) if a in FLAG_VALUES]
+        if flags and rng.random() < 0.25:
+            k = rng.choice(flags)
+            value = flag_value(command, k, rng)
+            argv = [paths.get(a, a) for a in command]
+            argv[k : k + 2] = [f"{command[k]}={value}"]  # argparse takes "-inf" as a flag after a space
+            yield Job(argv, command[k], value)
+            continue
         kind = rng.choice([a for a in command if a in KINDS])
         text = mutate(docs[kind], rng)
         mutated = os.path.join(root, "mutated.json")
