@@ -12,9 +12,8 @@ nested deep, or the whole text cut and followed by 100,000 open
 brackets. It writes the document to a temporary file. One job in four
 instead reads the documents unmutated and gives one flag of the command
 a value of the flag's type at the edge of what it takes (``FLAG_VALUES``),
-as ``--flag=value``.
-It runs the command twice through ``graphonlab.cli.run`` in this
-process. It checks that
+as ``--flag=value``. It runs the command twice through
+``graphonlab.cli.run`` in this process. It checks that
 
 - the exit code is 0, 1 or 2, and ``run`` raises nothing and issues no
   warning;
