@@ -2,8 +2,8 @@
 byte-identical output. Scalars and matrices print with 12-digit fixed
 formatting; structured results print as JSON documents.
 
-Exit codes: 0 success, 1 validation failure or a closed stdout, 2 file
-or parse failure.
+Exit codes: 0 success, 1 validation failure (a malformed command line
+among them) or a closed stdout, 2 file or parse failure.
 """
 from __future__ import annotations
 
@@ -64,11 +64,11 @@ def _parse_anchoring(text: str) -> dict[int, int]:
     return anchoring
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
+def _parse_classes(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
-        raise ValidationError(f"bad {what} list {text!r}", code="bad-flag") from None
+        raise ValidationError(f"bad anchor list {text!r}", code="bad-flag") from None
 
 
 # -- subcommand handlers (each returns the full output text) --------------------
@@ -87,7 +87,7 @@ def _cmd_density(args) -> str:
 def _cmd_marginal(args) -> str:
     W = fileio.load_graphon(args.graphon)
     F = fileio.load_graph(args.graph)
-    return fmt(marginal(F, W, _parse_anchoring(args.anchors)))
+    return fmt(marginal(F, W, args.anchors))
 
 
 def _cmd_mc(args) -> str:
@@ -102,18 +102,11 @@ def _cmd_pnorm(args) -> str:
 
 
 def _cmd_carleman(args) -> str:
-    if (args.graphon is None) == (args.moments is None):
-        raise ValidationError(
-            "give exactly one of --graphon / --moments", code="bad-flag"
-        )
-    source = (
-        fileio.load_graphon(args.graphon)
-        if args.graphon
-        else fileio.load_moments(args.moments)
-    )
+    graphon = args.graphon is not None
+    source = fileio.load_graphon(args.graphon) if graphon else fileio.load_moments(args.moments)
     if args.kmax is not None and args.kmax < 1:
         raise ValidationError("carleman --kmax must be >= 1", code="bad-order")
-    if args.graphon:
+    if graphon:
         # one p-norm over the q x q blocks and one printed sum per term and order
         sums = args.terms * (args.kmax or 1)
         what = f"carleman with {args.terms} terms at {args.kmax or 1} orders over q={source.q}"
@@ -140,27 +133,21 @@ def _cmd_reduce(args) -> str:
     return fileio.dump_json(twin_reduce(W, args.tol))
 
 
-def _anchor_args(args, W):
-    anchors = _parse_int_list(args.anchors, "anchor")
-    psis = (
-        [s for s in args.psis.split(",") if s]
-        if args.psis is not None
-        else sorted(W.functionals)
-    )
-    return anchors, psis
+def _psis(args, W) -> list[str]:
+    if args.psis is None:
+        return sorted(W.functionals)
+    return [s for s in args.psis.split(",") if s]
 
 
 def _cmd_anchor(args) -> str:
     W = fileio.load_graphon(args.graphon)
-    anchors, psis = _anchor_args(args, W)
-    fm, G = anchored_graphon(W, anchors, psis)
+    fm, G = anchored_graphon(W, args.anchors, _psis(args, W))
     return fileio.dump_json(dict(vars(fm), graphon=G))
 
 
 def _cmd_regularity(args) -> str:
     W = fileio.load_graphon(args.graphon)
-    anchors, psis = _anchor_args(args, W)
-    return "true" if regularity_check(W, anchors, psis) else "false"
+    return "true" if regularity_check(W, args.anchors, _psis(args, W)) else "false"
 
 
 def _cmd_eigen(args) -> str:
@@ -178,7 +165,7 @@ def _cmd_pathkernel(args) -> str:
 
 def _cmd_liftcheck(args) -> str:
     W1 = fileio.load_graphon(args.graphon)
-    W2 = fileio.load_graphon(args.graphon2) if args.graphon2 else W1
+    W2 = fileio.load_graphon(args.graphon2) if args.graphon2 is not None else W1
     F = fileio.load_graph(args.graph)
     return fileio.dump_json(lift_check(F, W1, W2, args.u, args.v, args.psi, args.kmax))
 
@@ -199,9 +186,7 @@ def _cmd_productcheck(args) -> str:
 
 
 def _cmd_validate(args) -> str:
-    if (args.graphon is None) == (args.graph is None):
-        raise ValidationError("give exactly one of --graphon / --graph", code="bad-flag")
-    if args.graphon:
+    if args.graphon is not None:
         fileio.load_graphon(args.graphon)  # loading validates
     else:
         fileio.load_graph(args.graph)
@@ -212,94 +197,98 @@ def _cmd_validate(args) -> str:
 SEED_HELP = "accepted for symmetry with the sampling commands; does not affect the matched pair"
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that refuses a malformed command line as ``bad-flag``
+    through :func:`run`, where argparse would print its usage and exit 2."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}", code="bad-flag")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.
 
     ``parse_args`` keeps no state between calls: each returns a fresh
     namespace filled from the parser's defaults, so one instance serves
-    every :func:`run`.
+    every :func:`run`. The ``--anchors`` values are converted while parsing;
+    a converter's ``ValidationError`` is not one of the exceptions argparse
+    rewords, so it reaches :func:`run` as raised.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphonlab",
         description="Densities, transforms and moment diagnostics for step graphons.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_):
+    def add(name, handler, help_, *required):
+        """A subcommand with ``--out`` and then the string flags ``required``."""
         p = sub.add_parser(name, help=help_)
         p.set_defaults(handler=handler)
         p.add_argument("--out", help="write output to this path instead of stdout")
+        for flag in required:
+            p.add_argument(flag, required=True)
         return p
 
-    p = add("density", _cmd_density, "homomorphism density t(F, W) by bucket elimination")
-    p.add_argument("--graphon", required=True)
-    p.add_argument("--graph", required=True)
+    p = add("density", _cmd_density, "homomorphism density t(F, W) by bucket elimination",
+            "--graphon", "--graph")
     p.add_argument(
         "--dp", action="store_true", help="accepted alias: every density is bucket elimination"
     )
     p.add_argument("--ignore-labels", action="store_true")
 
-    p = add("marginal", _cmd_marginal, "density with labeled vertices pinned")
-    p.add_argument("--graphon", required=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--anchors", required=True, help="label:class pairs, e.g. 1:0,2:1")
+    p = add("marginal", _cmd_marginal, "density with labeled vertices pinned",
+            "--graphon", "--graph")
+    p.add_argument(
+        "--anchors", type=_parse_anchoring, required=True, help="label:class pairs, e.g. 1:0,2:1"
+    )
 
-    p = add("mc", _cmd_mc, "Monte Carlo density estimate")
-    p.add_argument("--graphon", required=True)
-    p.add_argument("--graph", required=True)
+    p = add("mc", _cmd_mc, "Monte Carlo density estimate", "--graphon", "--graph")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
 
-    p = add("pnorm", _cmd_pnorm, "p-norm of the graphon")
-    p.add_argument("--graphon", required=True)
+    p = add("pnorm", _cmd_pnorm, "p-norm of the graphon", "--graphon")
     p.add_argument("--p", type=float, required=True)
 
     p = add("carleman", _cmd_carleman, "Carleman partial-sum report")
-    p.add_argument("--graphon")
-    p.add_argument("--moments")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graphon")
+    source.add_argument("--moments")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--kmax", type=int, help="iterate k = 1..kmax")
     p.add_argument("--terms", type=int, default=100)
 
-    p = add("kernel", _cmd_pathkernel, "kernel matrix of one functional (pathkernel --k 1)")
-    p.add_argument("--graphon", required=True)
-    p.add_argument("--psi", required=True)
+    p = add("kernel", _cmd_pathkernel, "kernel matrix of one functional (pathkernel --k 1)",
+            "--graphon", "--psi")
     p.set_defaults(k=1)
 
-    p = add("quotient", _cmd_quotient, "push the graphon forward along a partition")
-    p.add_argument("--graphon", required=True)
-    p.add_argument("--partition", required=True)
+    p = add("quotient", _cmd_quotient, "push the graphon forward along a partition",
+            "--graphon", "--partition")
 
-    p = add("twins", _cmd_twins, "twin partition of the classes")
-    p.add_argument("--graphon", required=True)
+    p = add("twins", _cmd_twins, "twin partition of the classes", "--graphon")
     p.add_argument("--tol", type=float, default=TWIN_TOL)
 
-    p = add("reduce", _cmd_reduce, "twin-free quotient")
-    p.add_argument("--graphon", required=True)
+    p = add("reduce", _cmd_reduce, "twin-free quotient", "--graphon")
     p.add_argument("--tol", type=float, default=TWIN_TOL)
 
-    p = add("anchor", _cmd_anchor, "anchored graphon and feature map")
-    p.add_argument("--graphon", required=True)
-    p.add_argument("--anchors", required=True, help="comma-separated class indices")
+    p = add("anchor", _cmd_anchor, "anchored graphon and feature map", "--graphon")
+    p.add_argument(
+        "--anchors", type=_parse_classes, required=True, help="comma-separated class indices"
+    )
     p.add_argument("--psis", help="comma-separated functional ids (default: all)")
 
-    p = add("regularity", _cmd_regularity, "do the anchors separate non-twin classes")
-    p.add_argument("--graphon", required=True)
-    p.add_argument("--anchors", required=True)
+    p = add("regularity", _cmd_regularity, "do the anchors separate non-twin classes", "--graphon")
+    p.add_argument("--anchors", type=_parse_classes, required=True)
     p.add_argument("--psis")
 
-    p = add("eigen", _cmd_eigen, "eigenvalues and basis of the symmetrized kernel")
-    p.add_argument("--graphon", required=True)
-    p.add_argument("--psi", required=True)
+    p = add("eigen", _cmd_eigen, "eigenvalues and basis of the symmetrized kernel",
+            "--graphon", "--psi")
 
-    p = add("pathkernel", _cmd_pathkernel, "pinned path marginals as a matrix")
-    p.add_argument("--graphon", required=True)
-    p.add_argument("--psi", required=True)
+    p = add("pathkernel", _cmd_pathkernel, "pinned path marginals as a matrix",
+            "--graphon", "--psi")
     p.add_argument("--k", type=int, required=True)
 
-    p = add("liftcheck", _cmd_liftcheck, "parallel-edge lifting verification")
-    p.add_argument("--graphon", required=True)
+    p = add("liftcheck", _cmd_liftcheck, "parallel-edge lifting verification", "--graphon")
     p.add_argument("--graphon2")
     p.add_argument("--graph", required=True)
     p.add_argument("--u", type=int, required=True)
@@ -317,24 +306,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--seed", type=int, default=1, help=SEED_HELP)
 
-    p = add("productcheck", _cmd_productcheck, "labeled product identity residual")
-    p.add_argument("--graphon", required=True)
-    p.add_argument("--graph1", required=True)
-    p.add_argument("--graph2", required=True)
+    p = add("productcheck", _cmd_productcheck, "labeled product identity residual",
+            "--graphon", "--graph1", "--graph2")
 
     p = add("validate", _cmd_validate, "validate a graphon or graph document")
-    p.add_argument("--graphon")
-    p.add_argument("--graph")
+    document = p.add_mutually_exclusive_group(required=True)
+    document.add_argument("--graphon")
+    document.add_argument("--graph")
 
     return parser
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         text = args.handler(args)
-        if args.out:
+        if args.out is not None:
             _write_file(args.out, text)
     except ParseError as e:
         print(f"error[{e.code}]: {e}", file=sys.stderr)
@@ -342,7 +329,7 @@ def run(argv: list[str]) -> int:
     except GraphonlabError as e:
         print(f"error[{e.code}]: {e}", file=sys.stderr)
         return 1
-    if not args.out:
+    if args.out is None:
         print(text)
     return 0
 
