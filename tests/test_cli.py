@@ -592,6 +592,12 @@ def test_marginal(files, capsys):
     assert out_of(capsys) == "1.500000000000\n"
 
 
+def test_marginal_skips_an_empty_anchor_pair(files, capsys):
+    argv = ["marginal", "--graphon", files["w2.json"], "--graph", files["labeled_edge.json"]]
+    assert run([*argv, "--anchors", "1:0,,"]) == 0
+    assert out_of(capsys) == "1.500000000000\n"
+
+
 @pytest.mark.parametrize("anchors", ["1:0,1:1", "1:1,1:0", "1:0, 1:0"])
 def test_marginal_refuses_a_label_anchored_twice(files, capsys, anchors):
     argv = ["marginal", "--graphon", files["w2.json"], "--graph", files["labeled_edge.json"]]
@@ -788,6 +794,63 @@ def test_coded_refusals(files, capsys, argv, exit_code, code):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.fullmatch(rf"error\[{code}\]: [^\n]*\n", captured.err), captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, names, fresh",
+    [
+        (["density", "--graphon", "w2.json"], "--graph", False),
+        (["densty", "--graphon", "w2.json"], "'densty'", False),
+        (["density", "--graphon", "w2.json", "--graph", "edge.json", "--frob"], "--frob", False),
+        (["mc", "--graphon", "w2.json", "--graph", "edge.json", "--samples", "x", "--seed", "1"],
+         "--samples", False),
+        (["pnorm", "--graphon", "w2.json", "--p", "-inf"], "--p", True),
+        (["marginal", "--graphon", "w2.json", "--graph", "labeled_edge.json",
+          "--anchors", "-1:0"], "--anchors", False),
+    ],
+    ids=["missing-flag", "unknown-command", "unknown-flag", "ill-typed", "two-token-float",
+         "two-token-anchor"],
+)
+def test_malformed_command_lines_are_refused_as_bad_flag(files, capsys, argv, names, fresh):
+    argv = resolve(files, argv)
+    result = in_process(argv, capsys)  # raises nothing: argparse does not exit
+    code, out, err = result
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error\[bad-flag\]: graphonlab[ a-z]*: [^\n]*\n", err), err
+    assert names in err
+    if fresh:
+        assert fresh_process(argv) == result
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as e:
+        run(["density", "-h"])
+    assert e.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: graphonlab density ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["carleman", "--graphon", ""], "cannot read : "),
+        (["validate", "--graphon", ""], "cannot read : "),
+        ([*LIFTCHECK, "2", "--graphon2", ""], "cannot read : "),
+        (["momentpair", "--support", "5", "--order", "3", "--out", ""], "cannot write : "),
+    ],
+    ids=["carleman", "validate", "liftcheck-graphon2", "out"],
+)
+def test_an_empty_path_is_a_missing_file(files, capsys, argv, message):
+    code, out, err = in_process(resolve(files, argv), capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error[parse]: {message}") and err.count("\n") == 1, err
+
+
+def test_carleman_refuses_a_negative_symbolic_norm(tmp_path, capsys):
+    p = tmp_path / "moments.json"
+    p.write_text(json.dumps({"moments": [1, 2, -3, 4, 5], "source": "symbolic"}))
+    code, out, err = in_process(["carleman", "--moments", str(p), "--terms", "2"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error[bad-moments]: symbolic norm entries must be nonnegative\n"
 
 
 def test_quotient_and_reduce(files, capsys):

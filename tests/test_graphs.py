@@ -180,6 +180,17 @@ def test_add_path_examples():
         add_path(e, 0, 0, 2, "a")
 
 
+@pytest.mark.parametrize(
+    "build, size",
+    [(gl.path_graph, 0), (gl.cycle_graph, 2), (gl.star_graph, 0)],
+    ids=["path", "cycle", "star"],
+)
+def test_families_refuse_sizes_below_their_smallest(build, size):
+    with pytest.raises(ValidationError) as e:
+        build(size)
+    assert e.value.code == "bad-graph"
+
+
 def test_remove_one_edge():
     F = gl.edge_graph("a", multiplicity=2)
     G = gl.graphs.remove_one_edge(F, 0, 1, "a")

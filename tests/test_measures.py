@@ -115,6 +115,9 @@ def test_moment_rejects_bad_distributions():
         gl.moment([0.5, -0.5, 1.0], 1)
     with pytest.raises(ValidationError):
         gl.moment([0.5, 0.4], 1)
+    with pytest.raises(ValidationError) as e:
+        gl.moment([1.0], -1)
+    assert e.value.code == "bad-order"
 
 
 def test_moment_beyond_the_doubles_refused():
@@ -152,6 +155,13 @@ def test_measure_combine_and_distance():
     assert tv_distance(a, b) == abs(1.0) + abs(2.0 - 1.0) + abs(-1.0)
 
 
+def test_measure_combine_skips_a_zero_coefficient():
+    a = gl.FiniteMeasure((0, 2), (1.0, 2.0))
+    b = gl.FiniteMeasure((2, 3), (1.0, -1.0))
+    assert measure_combine([(0.0, a), (2.0, b)]) == measure_combine([(2.0, b)])
+    assert measure_combine([(0.0, a)]) == gl.FiniteMeasure((), ())
+
+
 def test_moment_sequence_validation():
     with pytest.raises(ValidationError):
         gl.MomentSequence((0.5, 1.0), "distribution")  # order 0 not 1
@@ -163,4 +173,16 @@ def test_moment_sequence_validation():
     assert sym.norm_at(2) == 4.0
     with pytest.raises(ValidationError):
         seq.norm_at(5)
+
+
+
+@pytest.mark.parametrize(
+    "moments, p, code",
+    [((1.0, 2.0), 0, "bad-order"), ((1.0, -1.0, 2.0), 1, "bad-moments")],
+    ids=["order-zero", "negative-moment"],
+)
+def test_moment_sequence_norm_refusals(moments, p, code):
+    with pytest.raises(ValidationError) as e:
+        gl.MomentSequence(moments).norm_at(p)
+    assert e.value.code == code
 

@@ -81,6 +81,23 @@ def test_matched_pair_validation_rejects_bad_pairs():
         gl.MatchedPair(2, 1, (0.2, 0.8), (0.8, 0.2), 0.3, (1.0, -1.0))  # moment 1 differs
 
 
+@pytest.mark.parametrize(
+    "support, p, q, message",
+    [
+        (3, (0.5, 0.5), (0.25, 0.75), "pair vectors must live on {0..N}"),
+        (2, (1.5, -0.5), (0.5, 0.5), "pair vectors must be nonnegative"),
+        (2, (0.5, 0.6), (0.5, 0.5), "pair vectors must sum to 1"),
+        # the order-1 moments agree (both 1), so order 0 has no witness
+        (3, (0.5, 0.0, 0.5), (0.0, 1.0, 0.0), "pair must differ strictly at the witness order"),
+    ],
+    ids=["length", "negative", "sum", "no-witness"],
+)
+def test_matched_pair_refusals(support, p, q, message):
+    with pytest.raises(ValidationError) as e:
+        gl.MatchedPair(support, 0, p, q, 0.0, (0.0,) * support)
+    assert (e.value.code, str(e.value)) == ("bad-pair", message)
+
+
 def test_stencil_order_limit_is_the_largest_that_fits_a_double():
     top = MAX_STENCIL_ORDER
     assert float(math.comb(top, top // 2)) < math.inf
@@ -131,6 +148,12 @@ def test_rank1_graphon_drops_zero_mass():
     assert W.masses == (0.5, 0.5)
     with pytest.raises(ValidationError):
         gl.rank1_graphon((0.0, 0.0))
+
+
+def test_rank1_graphon_refuses_a_negative_mass():
+    with pytest.raises(ValidationError) as e:
+        gl.rank1_graphon([-0.5, 1.5])
+    assert e.value.code == "bad-distribution"
 
 
 def test_rank1_density_paper_formulas():

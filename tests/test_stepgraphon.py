@@ -36,6 +36,15 @@ def test_validate_error_codes():
     assert e.value.code == "asymmetric-blocks"
 
 
+def test_validate_refuses_a_functional_under_another_key():
+    good = scalar_graphon((0.5, 0.5), [[1, 2], [2, 3]])
+    functionals = {"other": gl.unit_functional()}
+    W = gl.StepGraphon(good.masses, good.support, good.weights, functionals)
+    with pytest.raises(ValidationError) as e:
+        gl.validate_graphon(W)
+    assert e.value.code == "bad-functional-key"
+
+
 def test_validate_rejects_blocks_that_are_not_q_by_q():
     for shape in ((2, 1, 1), (1, 2, 1), (3, 3, 1)):
         with pytest.raises(ValidationError) as e:

@@ -471,6 +471,12 @@ def test_sample_anchors_deterministic(w2):
     assert gl.sample_anchors(w2, 50, 8) == gl.sample_anchors(w2, 50, 8)
 
 
+def test_sample_anchors_refuses_no_anchors(w2):
+    with pytest.raises(ValidationError) as e:
+        gl.sample_anchors(w2, 0, 1)
+    assert e.value.code == "bad-anchors"
+
+
 def test_sample_anchors_frequencies():
     W = scalar_graphon((0.3, 0.7), [[1, 1], [1, 1]])
     n = 100_000
