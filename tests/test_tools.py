@@ -87,8 +87,9 @@ def test_fuzzed_jobs_keep_the_exit_contract(monkeypatch):
     traceback, no special float on stdout, the same bytes twice.
 
     Its 1,000 jobs include files nested thousands of levels deep, on which
-    json's decoder raises RecursionError, and flags given values at the
-    edges of their types (a NaN tolerance, 2^63 samples).
+    json's decoder raises RecursionError, flags given values at the
+    edges of their types (a NaN tolerance, 2^63 samples), ill-typed flag
+    values, and values such as ``-inf`` written as a token of their own.
     """
     spec = importlib.util.spec_from_file_location("fuzz", ROOT / "tools" / "fuzz.py")
     fuzz = importlib.util.module_from_spec(spec)

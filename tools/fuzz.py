@@ -12,8 +12,11 @@ nested deep, or the whole text cut and followed by 100,000 open
 brackets. It writes the document to a temporary file. One job in four
 instead reads the documents unmutated and gives one flag of the command
 a value of the flag's type at the edge of what it takes (``FLAG_VALUES``),
-as ``--flag=value``. It runs the command twice through
-``graphonlab.cli.run`` in this process. It checks that
+as ``--flag=value``; one such job in eight gives an ill-typed value
+instead (``ILL_TYPED``), and one in eight writes the value as a token of
+its own, where a value such as ``-inf`` or ``-1:0`` reads as a flag. It
+runs the command twice through ``graphonlab.cli.run`` in this process.
+It checks that
 
 - the exit code is 0, 1 or 2, and ``run`` raises nothing and issues no
   warning;
@@ -56,19 +59,21 @@ COMMANDS = (
     ("marginal", "--graphon", "graphon", "--graph", "labeled", "--anchors", "1:0,2:1"),
     ("mc", "--graphon", "graphon", "--graph", "graph", "--samples", "200", "--seed", "1"),
     ("pnorm", "--graphon", "graphon", "--p", "2"),
-    ("carleman", "--graphon", "graphon", "--terms", "20"),
-    ("carleman", "--moments", "moments", "--terms", "20"),
+    ("carleman", "--graphon", "graphon", "--k", "1", "--terms", "20"),
+    ("carleman", "--moments", "moments", "--k", "2", "--terms", "20"),
     ("kernel", "--graphon", "graphon", "--psi", "unit"),
     ("quotient", "--graphon", "graphon", "--partition", "partition"),
     ("twins", "--graphon", "graphon", "--tol", "1e-09"),
     ("reduce", "--graphon", "graphon", "--tol", "1e-09"),
-    ("anchor", "--graphon", "graphon", "--anchors", "0,1"),
+    ("anchor", "--graphon", "graphon", "--anchors", "0,1", "--psis", "f1,unit"),
     ("regularity", "--graphon", "graphon", "--anchors", "0,1"),
     ("eigen", "--graphon", "graphon", "--psi", "f1"),
     ("pathkernel", "--graphon", "graphon", "--psi", "f1", "--k", "3"),
     ("liftcheck", "--graphon", "graphon", "--graph", "graph", "--u", "0", "--v", "1",
      "--psi", "unit", "--kmax", "3"),
     ("productcheck", "--graphon", "graphon", "--graph1", "labeled", "--graph2", "labeled2"),
+    ("momentpair", "--support", "5", "--order", "3", "--seed", "1"),
+    ("counterexample", "--support", "5", "--order", "3", "--seed", "1"),
 )
 KINDS = ("graphon", "graph", "labeled", "labeled2", "partition", "moments")
 
@@ -83,10 +88,15 @@ VALUES = (
 #: values a job gives one flag instead of mutating a document, by the flag's type
 INTS = (-1, 0, 1, 2, 3, 2**31, 2**63)
 FLOATS = (math.nan, math.inf, -math.inf, -1.0, 0.0, 0.5, 5e-324, 1e308)
+#: functional ids: none, empty ones, one the graphon lacks, and a repeat
+PSIS = ("", ",", "ghost", "unit,unit", "unit,ghost")
 FLAG_VALUES = {
     "--samples": INTS, "--seed": INTS, "--terms": INTS, "--k": INTS, "--kmax": INTS,
-    "--u": INTS, "--v": INTS, "--p": FLOATS, "--tol": FLOATS, "--anchors": INTS,
+    "--u": INTS, "--v": INTS, "--support": INTS, "--order": INTS, "--p": FLOATS,
+    "--tol": FLOATS, "--anchors": INTS, "--psi": PSIS, "--psis": PSIS,
 }
+#: values of the wrong type for a flag: a word, an empty string, a float for an int flag
+ILL_TYPED = ("x", "", "0.5")
 #: mutations, drawn with these weights
 MOVES = ("swap", "swap", "scale", "scale", "exchange", "delete", "duplicate", "nest")
 #: factors a mutation scales a number by, for each number type
@@ -173,11 +183,12 @@ def mutate(doc, rng: random.Random) -> str:
 
 def flag_value(command: tuple, k: int, rng: random.Random) -> str:
     """A value for the flag ``command[k]`` drawn from ``FLAG_VALUES``: one
-    number, or one or two anchor classes, or for ``marginal`` one to three
-    ``label:class`` pairs, the command's labels first and then a drawn one."""
+    number or id list, or one or two anchor classes, or for ``marginal`` one
+    to three ``label:class`` pairs, the command's labels first and then a
+    drawn one."""
     values = FLAG_VALUES[command[k]]
     if command[k] != "--anchors":
-        return repr(rng.choice(values))
+        return str(rng.choice(values))
     if command[0] == "marginal":
         labels = [pair.split(":")[0] for pair in command[k + 1].split(",")] + [rng.choice(values)]
         return ",".join(f"{label}:{rng.choice(values)}" for label in labels[: rng.randint(1, 3)])
@@ -195,14 +206,21 @@ def jobs(seed: int, root: str):
     while True:
         command = rng.choice(COMMANDS)
         flags = [k for k, a in enumerate(command) if a in FLAG_VALUES]
-        if flags and rng.random() < 0.25:
+        kinds = [a for a in command if a in KINDS]
+        if flags and (not kinds or rng.random() < 0.25):  # a command reading no file takes flags only
             k = rng.choice(flags)
             value = flag_value(command, k, rng)
             argv = [paths.get(a, a) for a in command]
-            argv[k : k + 2] = [f"{command[k]}={value}"]  # argparse takes "-inf" as a flag after a space
+            odd = rng.random()
+            if odd < 0.125:
+                value = rng.choice(ILL_TYPED)
+            if 0.125 <= odd < 0.25:
+                argv[k + 1] = value  # argparse takes "-inf" as a flag after a space
+            else:
+                argv[k : k + 2] = [f"{command[k]}={value}"]
             yield Job(argv, command[k], value)
             continue
-        kind = rng.choice([a for a in command if a in KINDS])
+        kind = rng.choice(kinds)
         text = mutate(docs[kind], rng)
         mutated = os.path.join(root, "mutated.json")
         Path(mutated).write_text(text)
