@@ -118,14 +118,12 @@ def _block_records_bulk(records: list, q: int) -> tuple[np.ndarray, np.ndarray] 
     are refused by :func:`require_affordable` before they are allocated.
     """
     n = len(records)
-    if not set(map(type, records)) <= {dict}:
-        return None
     try:
         rows = list(map(itemgetter("i"), records))
         cols = list(map(itemgetter("j"), records))
         sups = list(map(itemgetter("support"), records))
         wts = list(map(itemgetter("weights"), records))
-    except KeyError:
+    except (KeyError, TypeError):  # a record without a key, or one that is no JSON object
         return None
     if not set(map(type, chain(sups, wts))) <= {list}:
         return None
@@ -160,11 +158,9 @@ def _block_records_bulk(records: list, q: int) -> tuple[np.ndarray, np.ndarray] 
         and (vals != 0.0).all()
     ):
         return None
-    support = np.sort(pts)
-    support = support[np.diff(support, prepend=-1) != 0]
+    support, column = np.unique(pts, return_inverse=True)
     what = f"graphon.blocks: the dense blocks at q={q} over {len(support)} support points"
     require_affordable(what, q * q * len(support))
-    column = np.searchsorted(support, pts)
     weights = np.zeros((q * q, len(support)))
     weights[np.repeat(lo * q + hi, lengths), column] = vals
     weights[np.repeat(hi * q + lo, lengths), column] = vals
