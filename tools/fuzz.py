@@ -9,14 +9,15 @@ up. A job takes one command of ``COMMANDS`` and mutates one of the
 documents that command reads: values swapped for others of any JSON
 type, numbers scaled, entries deleted, exchanged or duplicated, values
 nested deep, or the whole text cut and followed by 100,000 open
-brackets. It writes the document to a temporary file. One job in four
-instead reads the documents unmutated and gives one flag of the command
-a value of the flag's type at the edge of what it takes (``FLAG_VALUES``),
-as ``--flag=value``; one such job in eight gives an ill-typed value
-instead (``ILL_TYPED``), and one in eight writes the value as a token of
-its own, where a value such as ``-inf`` or ``-1:0`` reads as a flag. It
-runs the command twice through ``graphonlab.cli.run`` in this process.
-It checks that
+brackets. It writes the document to a temporary file. One job in four,
+and every job of a command that reads no file, instead reads the
+documents unmutated and gives one flag of the command a value of the
+flag's type at the edge of what it takes (``FLAG_VALUES``), as
+``--flag=value``; one such job in eight gives an ill-typed value instead
+(``ILL_TYPED``), and one in eight writes the value as a token of its
+own, where a value such as ``-inf`` or ``-1:0`` reads as a flag. It runs
+the command twice through ``graphonlab.cli.run`` in this process. It
+checks that
 
 - the exit code is 0, 1 or 2, and ``run`` raises nothing and issues no
   warning;
