@@ -1,5 +1,6 @@
 """Graphon validation, kernels, p-norms and Carleman reports."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -237,11 +238,21 @@ def test_carleman_overflowing_terms_are_infinite():
 
 
 def _fsum_or_inf(values: list[float]) -> float:
-    """Exact sum of nonnegative terms, ``inf`` once it leaves the double range."""
+    """Correctly rounded sum of nonnegative terms, ``inf`` once it leaves the double range.
+
+    ``math.fsum`` calls some sums an intermediate overflow that still round
+    to the largest double; those are rounded here from the exact sum, on the
+    grid of doubles in ``[2**1023, 2**1024)``, half to even.
+    """
     try:
         return math.fsum(values)
     except OverflowError:
-        return math.inf
+        if math.inf in values:
+            return math.inf
+    exact = sum(map(Fraction, values))
+    assert exact >= 2**1023
+    mantissa = round(exact / 2**971)
+    return math.inf if mantissa >= 2**53 else float(mantissa) * 2.0**971
 
 
 MAX = 1.7976931348623157e308
@@ -267,10 +278,18 @@ def test_prefix_sums_are_fsum_of_every_prefix(terms):
         [1e16, 1.0, 1.0, 1.0],
         [0.1] * 10 + [1e-20] * 5,
         [10.0 ** (e / 5) for e in range(-1500, 1501)] + [MAX],  # 1e-300 .. 1e300, then inf
+        # math.fsum calls this an intermediate overflow; the sum rounds to MAX
+        [2.0**969 * (1 + 2.0**-52), 2.0**1023 - 2.0**970, 2.0**1023 - 2.0**970],
     ],
 )
 def test_prefix_sums_edge_cases(terms):
     assert _prefix_sums(terms) == [_fsum_or_inf(terms[: n + 1]) for n in range(len(terms))]
+
+
+def test_prefix_sums_round_below_the_overflow_threshold():
+    # these sums lie under MAX + 2**970, the midpoint past MAX
+    assert _prefix_sums([MAX, 2.0**969]) == [MAX, MAX]
+    assert _prefix_sums([2.0**1023 - 2.0**970] * 2 + [2.0**969 * (1 + 2.0**-52)])[-1] == MAX
 
 
 def test_prefix_sums_nan_terms():
