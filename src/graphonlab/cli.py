@@ -322,7 +322,7 @@ def run(argv: list[str]) -> int:
         args = build_parser().parse_args(argv)
         text = args.handler(args)
         if args.out is not None:
-            _write_file(args.out, text)
+            fileio.write_text(args.out, text)
     except ParseError as e:
         print(f"error[{e.code}]: {e}", file=sys.stderr)
         return 2
@@ -332,15 +332,6 @@ def run(argv: list[str]) -> int:
     if args.out is None:
         print(text)
     return 0
-
-
-def _write_file(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")  # not text + "\n", which copies the whole output once more
-    except OSError as e:
-        raise ParseError(f"cannot write {path}: {e}") from None
 
 
 def main() -> None:

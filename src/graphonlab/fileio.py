@@ -16,14 +16,15 @@ semantic trouble. ``parse(serialize(x))`` reproduces ``x`` (for a
 graphon: equal masses, blocks and functionals) and serialization is
 canonical.
 
-The ``load_*`` functions read a file as bytes and decode it with orjson;
-when orjson refuses the bytes, or the parse refuses what it returned,
-the file is read again with :mod:`json` and that document is parsed, so
-every refusal is the one the :mod:`json` route gives. The two decoders
-agree on every document orjson accepts, except that orjson returns an
-integer outside [-2^63, 2^64) as the correctly rounded float: a float
-field reads the same value either way, and an integer field refuses it,
-which sends the file to :mod:`json`. orjson alone refuses ``NaN`` and
+Files are opened by :func:`_read` and :func:`write_text` alone; a path the
+system refuses is the ParseError ``cannot read PATH: ...`` or ``cannot
+write PATH: ...``. The ``load_*`` functions decode the bytes with orjson;
+when orjson or the parse refuses them, :mod:`json` decodes them again as a
+text-mode ``open`` would, so every refusal is the :mod:`json` route's. The
+two decoders agree on every document orjson accepts, except that orjson
+returns an integer outside [-2^63, 2^64) as the correctly rounded float: a
+float field reads the same value either way, and an integer field refuses
+it, which sends the file to :mod:`json`. orjson alone refuses ``NaN`` and
 ``Infinity`` literals, lone surrogate escapes and numbers beyond the
 double range, which :mod:`json` reads.
 
@@ -45,6 +46,7 @@ fields, so a report object is its own document.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
 from itertools import chain, compress
@@ -309,38 +311,42 @@ def _fields(x: Any) -> dict:
     return {f.name: getattr(x, f.name) for f in dataclasses.fields(x)}
 
 
-# -- path helpers -----------------------------------------------------------------
+# -- files ------------------------------------------------------------------------
 
 
-def _load_json(path: str) -> Any:
+def _read(path: str) -> bytes:
+    """The bytes of the file at ``path``, or ``cannot read PATH: ...``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as e:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except (OSError, ValueError) as e:  # ValueError: a NUL byte or a lone surrogate in the path
         raise ParseError(f"cannot read {path}: {e}") from None
+
+
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` and a line break to ``path``, or ``cannot write PATH: ...``."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.write("\n")  # not text + "\n", which copies the whole output once more
+    except (OSError, ValueError) as e:
+        raise ParseError(f"cannot write {path}: {e}") from None
+
+
+def _load(path: str, parse: Callable[[Any], Any]) -> Any:
+    """``parse`` of the document at ``path`` as orjson decodes it or, where orjson
+    or ``parse`` refuses that, as :func:`json.load` reads it from a text-mode ``open``."""
+    try:
+        return parse(orjson.loads(_read(path)))  # the bytes are released before the parse
+    except (orjson.JSONDecodeError, ParseError, ValidationError):
+        pass  # leaving the handler drops the refused document before the re-read
+    try:  # open()'s decoder, newlines and errors; the bytes are released before the decode
+        doc = json.loads(io.TextIOWrapper(io.BytesIO(_read(path)), encoding="utf-8").read())
     except ValueError as e:  # bad JSON, bad UTF-8, or an integer of over 4300 digits
         raise ParseError(f"{path} is not valid JSON: {e}") from None
     except RecursionError:  # json's decoder recurses once per level of nesting
         raise ParseError(f"{path} nests its JSON too deeply to read") from None
-
-
-def _decode(path: str) -> Any:
-    with open(path, "rb") as fh:
-        return orjson.loads(fh.read())  # the bytes are released before the parse
-
-
-def _load(path: str, parse: Callable[[Any], Any]) -> Any:
-    """``parse`` of the document at ``path``, decoded by orjson.
-
-    A file orjson cannot read or decode, or whose document ``parse``
-    refuses, is read again by :func:`_load_json` and parsed from there, so
-    every refusal is that route's.
-    """
-    try:
-        return parse(_decode(path))
-    except (OSError, orjson.JSONDecodeError, ParseError, ValidationError):
-        pass  # leaving the handler drops the refused document before the re-read
-    return parse(_load_json(path))
+    return parse(doc)
 
 
 def load_graphon(path: str) -> StepGraphon:

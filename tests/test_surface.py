@@ -127,3 +127,23 @@ def test_one_module_holds_the_size_policy():
                 refusers.append(path.name)
     assert set(users) == {"density.py"}
     assert set(refusers) == {"density.py"}
+
+
+def test_only_the_fileio_helpers_open_files():
+    # every path is read by fileio._read and written by fileio.write_text, so
+    # each refusal to open one is a coded ``cannot read`` or ``cannot write``
+    openers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for fn in ast.walk(tree):  # breadth first: an inner function overwrites its outer one
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(fn), f"{path.stem}.{fn.name}"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "open"
+                or isinstance(node.func, ast.Attribute) and node.func.attr == "open"
+                and isinstance(node.func.value, ast.Name) and node.func.value.id in ("io", "builtins")
+            ):
+                openers.append(owner.get(node, path.stem))
+    assert sorted(openers) == ["fileio._read", "fileio.write_text"]
