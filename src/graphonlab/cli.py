@@ -323,12 +323,11 @@ def run(argv: list[str]) -> int:
         text = args.handler(args)
         if args.out is not None:
             fileio.write_text(args.out, text)
-    except ParseError as e:
-        print(f"error[{e.code}]: {e}", file=sys.stderr)
-        return 2
     except GraphonlabError as e:
-        print(f"error[{e.code}]: {e}", file=sys.stderr)
-        return 1
+        # one line: each character str.isprintable rejects is spelled as repr spells it
+        message = "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(e))
+        print(f"error[{e.code}]: {message}", file=sys.stderr)
+        return 2 if isinstance(e, ParseError) else 1
     if args.out is None:
         print(text)
     return 0

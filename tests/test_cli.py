@@ -845,6 +845,30 @@ def test_an_empty_path_is_a_missing_file(files, capsys, argv, message):
     assert err.startswith(f"error[parse]: {message}") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["validate", "--graphon", "a\x00b"], "cannot read a\\x00b: "),
+        (["validate", "--graphon", "\ud800.json"], "cannot read \\ud800.json: "),
+        (["momentpair", "--support", "5", "--order", "3", "--out", "o\x00"], "cannot write o\\x00: "),
+        (["momentpair", "--support", "5", "--order", "3", "--out", "\ud800"], "cannot write \\ud800: "),
+    ],
+    ids=["graphon-nul", "graphon-surrogate", "out-nul", "out-surrogate"],
+)
+def test_a_path_the_system_refuses_is_one_coded_line(capsys, argv, message):
+    # open() raises ValueError for these paths, not OSError
+    code, out, err = in_process(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error[parse]: {message}") and err.count("\n") == 1, err
+    assert err[:-1].isprintable()
+
+
+def test_an_error_line_escapes_what_is_not_printable(files, capsys):
+    code, out, err = in_process(["twins", "--graphon", files["w2.json"], "x\ny"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error[bad-flag]: graphonlab: unrecognized arguments: x\\ny\n"
+
+
 def test_carleman_refuses_a_negative_symbolic_norm(tmp_path, capsys):
     p = tmp_path / "moments.json"
     p.write_text(json.dumps({"moments": [1, 2, -3, 4, 5], "source": "symbolic"}))

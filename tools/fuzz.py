@@ -15,13 +15,16 @@ documents unmutated and gives one flag of the command a value of the
 flag's type at the edge of what it takes (``FLAG_VALUES``), as
 ``--flag=value``; one such job in eight gives an ill-typed value instead
 (``ILL_TYPED``), and one in eight writes the value as a token of its
-own, where a value such as ``-inf`` or ``-1:0`` reads as a flag. It runs
-the command twice through ``graphonlab.cli.run`` in this process. It
-checks that
+own, where a value such as ``-inf`` or ``-1:0`` reads as a flag. One job
+in eight instead puts a line break, a tab, a NUL or a lone surrogate
+(``CONTROLS``) into one path, one string flag value or an added
+``--out`` path. It runs the command twice through ``graphonlab.cli.run``
+in this process. It checks that
 
 - the exit code is 0, 1 or 2, and ``run`` raises nothing and issues no
   warning;
-- stderr is empty on exit 0 and one ``error[code]: ...`` line otherwise;
+- stderr is empty on exit 0 and otherwise one ``error[code]: ...`` line
+  of printable characters;
 - stdout holds no ``inf``, ``nan``, ``Infinity`` or ``NaN`` outside
   ``carleman``, whose partial sums may diverge;
 - the second run prints the same bytes as the first.
@@ -98,6 +101,10 @@ FLAG_VALUES = {
 }
 #: values of the wrong type for a flag: a word, an empty string, a float for an int flag
 ILL_TYPED = ("x", "", "0.5")
+#: characters a job puts into one path or string flag value: each is escaped in an error line
+CONTROLS = ("\n", "\t", "\x00", "\ud800")
+#: the flags whose values a command reads as text
+STRINGS = ("--psi", "--psis", "--anchors")
 #: mutations, drawn with these weights
 MOVES = ("swap", "swap", "scale", "scale", "exchange", "delete", "duplicate", "nest")
 #: factors a mutation scales a number by, for each number type
@@ -116,7 +123,12 @@ class Job(NamedTuple):
     text: str
 
     def __str__(self) -> str:
-        return f"{' '.join(self.argv)} <- {self.kind} {self.text[:120]!r}"
+        return f"{printable(' '.join(self.argv))} <- {self.kind} {self.text[:120]!r}"
+
+
+def printable(text: str) -> str:
+    """``text`` with each character ``str.isprintable`` rejects spelled as ``repr`` spells it."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
 
 
 def documents(seed: int) -> dict[str, object]:
@@ -206,6 +218,16 @@ def jobs(seed: int, root: str):
         Path(paths[kind]).write_text(json.dumps(doc))
     while True:
         command = rng.choice(COMMANDS)
+        if rng.random() < 0.125:  # a control character in one path or text value, or in --out
+            argv = [paths.get(a, a) for a in command]
+            texts = [k for k in range(1, len(argv)) if argv[k - 1] in STRINGS or command[k] in KINDS]
+            k = rng.choice(texts + [len(argv) + 1])
+            if k > len(argv):
+                argv += ["--out", os.path.join(root, "out.txt")]
+            at = rng.randint(0, len(argv[k]))
+            argv[k] = argv[k][:at] + rng.choice(CONTROLS) + argv[k][at:]
+            yield Job(argv, argv[k - 1], argv[k])
+            continue
         flags = [k for k, a in enumerate(command) if a in FLAG_VALUES]
         kinds = [a for a in command if a in KINDS]
         if flags and (not kinds or rng.random() < 0.25):  # a command reading no file takes flags only
@@ -252,7 +274,7 @@ def check(job: Job) -> list[str]:
         broken.append(f"exit {code}")
     elif code == 0 and err:
         broken.append(f"exit 0 with stderr {err[:200]!r}")
-    elif code != 0 and not re.fullmatch(r"error\[[a-z-]+\]: [^\n]*\n", err):
+    elif code != 0 and not (re.fullmatch(r"error\[[a-z-]+\]: [^\n]*\n", err) and err[:-1].isprintable()):
         broken.append(f"exit {code} with stderr {err[:200]!r}")
     if job.argv[0] != "carleman" and SPECIAL.search(out):
         broken.append(f"stdout holds {SPECIAL.search(out).group()}")
