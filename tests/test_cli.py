@@ -700,6 +700,16 @@ def test_carleman_moments_source(files, tmp_path, capsys):
     assert json.loads(out_of(capsys))["classification"] == "convergent"
 
 
+@pytest.mark.parametrize("terms", ["10", "18"])
+def test_carleman_lognormal_moment_file_is_convergent(tmp_path, capsys, terms):
+    # E[X^p] = exp(p^2 / 2) for the standard lognormal law, which its moments do not
+    # determine; its order-1 Carleman terms are e^-n
+    p = tmp_path / "lognormal.json"
+    p.write_text(json.dumps({"moments": [math.exp(r * r / 2) for r in range(37)]}))
+    assert run(["carleman", "--moments", str(p), "--terms", terms]) == 0
+    assert json.loads(out_of(capsys))["classification"] == "convergent"
+
+
 @pytest.mark.parametrize(
     "flag, doc",
     [

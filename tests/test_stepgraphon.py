@@ -208,10 +208,72 @@ def test_carleman_geometric_convergent():
 
 
 def test_carleman_inconclusive_family():
-    # constant tiny terms: slope below the divergence cut, no geometric decay
+    # constant tiny terms do not tend to 0, so the series diverges
     seq = gl.MomentSequence(tuple(1e7 for _ in range(201)), "symbolic")
     rep = gl.carleman_report(seq, 1, 100)
-    assert rep.classification == "inconclusive"
+    assert rep.classification == "divergent"
+
+
+def _symbolic(term, count: int) -> gl.MomentSequence:
+    """Symbolic norms whose order-1 Carleman terms are ``term(n)``: the norm at 2n is 1/term(n)."""
+    norms = [1.0] + [1.0 / term((p + 1) // 2) for p in range(1, 2 * count + 1)]
+    return gl.MomentSequence(tuple(norms), "symbolic")
+
+
+def _law(log_moment, count: int) -> gl.MomentSequence:
+    """Symbolic norms ``E[X^p]^(1/p)`` of a law from the logarithm of its moments."""
+    norms = [1.0] + [math.exp(log_moment(p) / p) for p in range(1, 2 * count + 1)]
+    return gl.MomentSequence(tuple(norms), "symbolic")
+
+
+#: the classical families with the verdict the Carleman rule must give on them
+CARLEMAN_FAMILIES = {
+    **{
+        f"geometric-{a}": ("convergent", lambda c, a=a: _symbolic(lambda n: math.exp(-a * n), c))
+        for a in (1, 0.5, 0.1, 0.02, 0.01, 0.0025)
+    },
+    # the lognormal law, moment-indeterminate (Heyde 1963): norm exp(p s^2 / 2)
+    **{
+        f"lognormal-{s}": ("convergent", lambda c, s=s: _law(lambda p: p * p * s * s / 2, c))
+        for s in (1, 0.2, 0.05)
+    },
+    "p-series-0.5": ("divergent", lambda c: _symbolic(lambda n: n**-0.5, c)),
+    "p-series-1": ("divergent", lambda c: _symbolic(lambda n: 1.0 / n, c)),
+    "p-series-2": ("convergent", lambda c: _symbolic(lambda n: n**-2.0, c)),
+    "n-log2-n": ("convergent", lambda c: _symbolic(lambda n: 1 / ((n + 1) * math.log(n + 1) ** 2), c)),
+    # Bertrand's boundary case diverges, too slowly for finitely many terms to show
+    "n-log-n": ("inconclusive", lambda c: _symbolic(lambda n: 1 / ((n + 1) * math.log(n + 1)), c)),
+    "constant-1e-7": ("divergent", lambda c: _symbolic(lambda n: 1e-7, c)),
+    "abs-gaussian": (
+        "divergent",
+        lambda c: _law(lambda p: p / 2 * math.log(2) + math.lgamma((p + 1) / 2) - math.log(math.pi) / 2, c),
+    ),
+    "exponential": ("divergent", lambda c: _law(lambda p: math.lgamma(p + 1), c)),
+}
+
+
+@pytest.mark.parametrize("count", [50, 100, 200, 400])
+@pytest.mark.parametrize("family", list(CARLEMAN_FAMILIES))
+def test_carleman_verdicts_on_the_classical_families(family, count):
+    verdict, make = CARLEMAN_FAMILIES[family]
+    assert gl.carleman_report(make(count), 1, count).classification == verdict
+
+
+@pytest.mark.parametrize(
+    "k, norms, verdict",
+    [
+        (2, [1.0, 1.0, 1e200, 1e200], "convergent"),  # 1e200 ** -2 is 0.0: a tail of zeros
+        (2, [1.0, 1.0, 1e200, 1.0], "inconclusive"),  # a zero term, then a positive one
+        (1, [1.0, 2.0], "inconclusive"),  # one term in the last half
+    ],
+    ids=["zero-tail", "zero-then-positive", "one-term"],
+)
+def test_carleman_zero_terms_and_short_tails(k, norms, verdict):
+    # the norm at order 2nk is norms[n - 1]; the others are 1
+    entries = [1.0] * (2 * k * len(norms) + 1)
+    entries[2 * k :: 2 * k] = norms
+    rep = gl.carleman_report(gl.MomentSequence(tuple(entries), "symbolic"), k, len(norms))
+    assert rep.classification == verdict
 
 
 def test_carleman_insufficient_moments():
