@@ -133,7 +133,9 @@ def rank1_graphon(dist) -> StepGraphon:
     Support points with positive mass become classes; the block between
     classes with values k and k' is the scalar k*k' embedded at point 1,
     so every density can be read off with the canonical functional. The
-    support is empty when every product is 0 (the lone class k = 0).
+    support is empty when every product is 0 (the lone class k = 0). A
+    vector that does not sum to 1 within 1e-12 is refused as :func:`moment`
+    refuses it.
     """
     dist = [float(x) for x in dist]
     points = [k for k, x in enumerate(dist) if x > 0.0]
@@ -141,6 +143,7 @@ def rank1_graphon(dist) -> StepGraphon:
         raise ValidationError("distribution has a negative entry", code="bad-distribution")
     if not points:
         raise ValidationError("distribution has empty support", code="empty-support")
+    moment(dist, 0)  # the sum check
     masses = tuple(dist[k] for k in points)
     values = np.array(points, dtype=np.float64)
     weights = np.outer(values, values)[:, :, None]  # products below 2^53 are exact

@@ -156,6 +156,24 @@ def test_rank1_graphon_refuses_a_negative_mass():
     assert e.value.code == "bad-distribution"
 
 
+@pytest.mark.parametrize("dist", [(0.3, 0.3), (0.5, 0.5 + 2e-12), (0.0, 1.5)])
+def test_rank1_graphon_refuses_a_vector_that_does_not_sum_to_one(dist):
+    with pytest.raises(ValidationError) as e:
+        gl.rank1_graphon(dist)
+    with pytest.raises(ValidationError) as closed:
+        gl.rank1_density(gl.edge_graph(), dist)
+    assert (e.value.code, str(e.value)) == (closed.value.code, str(closed.value))
+    assert e.value.code == "bad-distribution"
+    assert str(e.value).endswith("not 1 within 1e-12")
+    gl.validate_graphon(gl.rank1_graphon((0.5, 0.5 + 5e-13)))  # within the tolerance
+
+
+def test_rank1_graphon_checks_the_support_before_the_sum():
+    with pytest.raises(ValidationError) as e:
+        gl.rank1_graphon((0.0, 0.0))
+    assert e.value.code == "empty-support"
+
+
 def test_rank1_density_paper_formulas():
     dist = (0.1, 0.3, 0.4, 0.2)
     m = [gl.moment(dist, r) for r in range(6)]
