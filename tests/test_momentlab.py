@@ -290,3 +290,80 @@ def test_standard_suite_shapes():
     low2, witness2 = standard_suite(2)
     assert all(g.max_degree <= 2 for g in low2)
     assert witness2.max_degree == 3
+
+
+# -- a pair whose moments agree at every order ------------------------------------
+
+
+def lognormal_step_graphon(theta: float, L: int) -> gl.StepGraphon:
+    """The rank-1 graphon of f = e^(n + theta) with mass proportional to
+    e^(-(n + theta)^2 / 2), over the 2L + 1 classes |n| <= L.
+
+    Untruncated, its moment of order m is sum_n e^(m(n + theta) - (n + theta)^2 / 2)
+    / Z = e^(m^2 / 2) for every theta, since shifting n by the integer m
+    leaves Z: the discrete lognormal laws of theta = 0 and 1/2 share every
+    moment, so their graphons share every density (the product of the
+    moments at the vertex degrees), and pinned marginals tell them apart.
+    """
+    n = np.arange(-L, L + 1) + theta
+    masses = np.exp(-n * n / 2)
+    f = np.exp(n)
+    unit = gl.unit_functional()
+    weights = np.outer(f, f)[:, :, None]
+    return gl.StepGraphon(tuple((masses / masses.sum()).tolist()), [1], weights, {unit.id: unit})
+
+
+def _fixture_moment(W: gl.StepGraphon, order: int) -> float:
+    f = np.sqrt(np.diagonal(W.weights[:, :, 0]))
+    return math.fsum((np.asarray(W.masses) * f**order).tolist())
+
+
+def _graph(n: int, edges) -> gl.DecoratedMultigraph:
+    return gl.DecoratedMultigraph(n, tuple((u, v, gl.DEFAULT_FUNCTIONAL_ID, 1) for u, v in edges))
+
+
+#: every graph at L = 30 (q = 61), and K_{4,4} at L = 17 (q = 35): at q = 61 its
+#: elimination is refused as too-costly, and at L = 17 the 16-star's truncation
+#: error is 4e-2
+MOMENT_PAIR_GRAPHS = {
+    "C3": (30, gl.cycle_graph(3)),
+    "C5": (30, gl.cycle_graph(5)),
+    "K4": (30, _graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])),
+    "cube": (30, _graph(8, [(a, a | 1 << b) for a in range(8) for b in range(3) if not a >> b & 1])),
+    "star-16": (30, gl.star_graph(16)),
+    "K4,4": (17, _graph(8, [(a, b) for a in range(4) for b in range(4, 8)])),
+}
+
+
+@pytest.mark.parametrize("name", list(MOMENT_PAIR_GRAPHS))
+def test_the_lognormal_pair_shares_every_density(name):
+    L, F = MOMENT_PAIR_GRAPHS[name]
+    W0, W1 = lognormal_step_graphon(0.0, L), lognormal_step_graphon(0.5, L)
+    degrees = F.degrees
+    for W in (W0, W1):
+        gl.validate_graphon(W)
+    t0, t1 = gl.density(F, W0), gl.density(F, W1)
+    assert abs(t0 - t1) <= 1e-13 * abs(t0)
+    for W, t in ((W0, t0), (W1, t1)):
+        moments = math.prod(_fixture_moment(W, degrees[v]) for v in sorted(degrees))
+        assert abs(t - moments) <= 1e-13 * abs(t)
+
+
+def test_the_lognormal_pair_needs_two_sizes():
+    K44 = MOMENT_PAIR_GRAPHS["K4,4"][1]
+    with pytest.raises(ValidationError) as e:
+        gl.density(K44, lognormal_step_graphon(0.0, 30))
+    assert e.value.code == "too-costly"
+    star = MOMENT_PAIR_GRAPHS["star-16"][1]
+    t0, t1 = (gl.density(star, lognormal_step_graphon(theta, 17)) for theta in (0.0, 0.5))
+    assert abs(t0 - t1) > 1e-2 * abs(t0)
+
+
+def test_the_lognormal_pair_differs_in_its_pinned_edge_marginals():
+    F = gl.relabel(gl.edge_graph(), 0, 1)
+    values = [
+        {gl.marginal(F, W, {1: c}) for c in range(W.q)}
+        for W in (lognormal_step_graphon(theta, 30) for theta in (0.0, 0.5))
+    ]
+    assert len(values[0]) == len(values[1]) == 61
+    assert values[0].isdisjoint(values[1])
