@@ -272,15 +272,14 @@ def carleman_report(
         decides: min B_n > 1.25 convergent, max B_n < 0.75 divergent,
         anything between inconclusive.
     Terms that reach 0.0 (a norm whose k-th power overflows) and stay
-    there read convergent; fewer than two terms read inconclusive.
+    there read convergent; fewer than two terms in the last half read
+    inconclusive.
     ``growth_fit`` is the least-squares slope of the partial sums over
     the last half, reported and not used.
 
     Divergence of an infinite series is not decidable from finitely many
-    terms; the rule is right on the classical families of the test
-    suite (geometric, lognormal, p-series, 1/(n log^2 n), |Gaussian|,
-    exponential) and calls 1/(n log n), Bertrand's boundary case,
-    inconclusive.
+    terms; the rule is right on the classical families of the test suite
+    and calls 1/(n log n), Bertrand's boundary case, inconclusive.
     """
     if k < 1:
         raise ValidationError("carleman order k must be >= 1", code="bad-order")
@@ -302,8 +301,5 @@ def carleman_report(
 
     terms = [_inverse_power(nv, k) for nv in norms]
     sums = _prefix_sums(terms)
-    if forced_divergent or math.inf in terms:
-        cls = "divergent"
-    else:
-        cls = _verdict(terms)
+    cls = "divergent" if forced_divergent or math.inf in terms else _verdict(terms)
     return CarlemanReport(k, cls, _fit_slope(sums), tuple(sums))

@@ -123,12 +123,7 @@ class Job(NamedTuple):
     text: str
 
     def __str__(self) -> str:
-        return f"{printable(' '.join(self.argv))} <- {self.kind} {self.text[:120]!r}"
-
-
-def printable(text: str) -> str:
-    """``text`` with each character ``str.isprintable`` rejects spelled as ``repr`` spells it."""
-    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+        return f"{' '.join(self.argv)!r} <- {self.kind} {self.text[:120]!r}"
 
 
 def documents(seed: int) -> dict[str, object]:
