@@ -55,11 +55,16 @@ _PRINTED_VALUE = 32
 #: this many vertices whatever q is
 MAX_BUCKET_VERTICES = 52
 
-#: Monte Carlo samples are drawn and evaluated about this many class draws
-#: at a time: ``MC_CHUNK // n`` samples of an n-vertex graph, so each chunk
-#: array holds about 0.5 MB whatever the graph; graphs of more vertices are
-#: refused
+#: Monte Carlo samples are drawn and evaluated at most this many class draws
+#: at a time: ``MC_CHUNK // n`` samples of an n-vertex graph, rounded down to
+#: a multiple of :data:`_LEAF` or, below it, to a power of two, so each chunk
+#: array holds at most 0.5 MB whatever the graph and the sample count;
+#: graphs of more vertices are refused
 MC_CHUNK = 1 << 16
+
+# Monte Carlo samples are reduced in leaves of this many consecutive
+# samples, aligned at its multiples in sample order
+_LEAF = 1 << 14
 
 #: a label-to-class pinning for marginal evaluation
 Anchoring = Mapping[int, int]
@@ -303,6 +308,25 @@ class _ClassSampler:
         return cls
 
 
+def _leaf_stats(x: np.ndarray) -> tuple[int, float, float]:
+    """``(count, mean, M2)`` of the samples ``x``, by the steps ``np.mean``
+    and ``np.std`` run; ``x`` is left holding the squared deviations."""
+    mean = float(np.add.reduce(x) / x.size)
+    x -= mean
+    np.square(x, out=x)
+    return x.size, mean, float(np.add.reduce(x))
+
+
+def _merge(a: tuple[int, float, float], b: tuple[int, float, float]) -> tuple[int, float, float]:
+    """The ``(count, mean, M2)`` of two runs of samples, by the pairwise update
+    of Chan, Golub and LeVeque (Amer. Statist., 1983)."""
+    na, mean_a, m2_a = a
+    nb, mean_b, m2_b = b
+    n = na + nb
+    delta = mean_b - mean_a
+    return n, mean_a + delta * (nb / n), m2_a + m2_b + delta * delta * (na * nb / n)
+
+
 def mc_density(
     F: DecoratedMultigraph,
     W: StepGraphon,
@@ -316,17 +340,21 @@ def mc_density(
     classes are those ``Generator.choice`` would draw. All samples come from
     one stream, the first child of ``SeedSequence(seed)``, so the estimate
     is a pure function of (inputs, seed). The stream is drawn in chunks of
-    about :data:`MC_CHUNK` class draws; the generator fills them in sample
-    order, so the samples do not depend on the chunk size.
+    at most :data:`MC_CHUNK` class draws; the generator fills them in
+    sample order, so the samples do not depend on the chunk size.
 
-    Memory is one float64 per sample plus one chunk: the variance is
-    computed inside the sample vector with the operations ``np.std``
-    performs (subtract the mean, square, ``np.add.reduce``), so the
-    standard error has the same bytes without a second vector.
+    Memory is one chunk, whatever the sample count. The samples are reduced
+    in leaves of :data:`_LEAF` consecutive samples, aligned in sample order:
+    each leaf's count, mean and sum of squared deviations ``M2`` come from
+    the operations ``np.mean`` and ``np.std`` perform, and the leaves are
+    merged by Chan et al.'s pairwise update in a perfect binary tree over
+    the leaf index, the partial last leaf last. The result does not depend
+    on the chunk size, and for at most :data:`_LEAF` samples it has the
+    bytes of ``np.mean`` and ``np.std(ddof=1) / sqrt(samples)``.
 
-    Raises ``ValidationError(code="too-costly")``, before allocating, when
-    the sample vector would hold more than :data:`MAX_CONTRACTION` values
-    or one sample more than :data:`MC_CHUNK` class draws,
+    Raises ``ValidationError(code="too-costly")``, before drawing, when
+    the sample count exceeds :data:`MAX_CONTRACTION`, which bounds the work,
+    or one sample would take more than :data:`MC_CHUNK` class draws,
     ``code="bad-seed"`` for a negative seed, which ``SeedSequence`` cannot
     take, ``code="labeled-graph"`` for a labeled graph, and
     ``code="nonpositive-mass"`` for a negative or non-finite mass or a mass
@@ -338,7 +366,7 @@ def mc_density(
         raise ValidationError("need at least one sample", code="bad-samples")
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}", code="bad-seed")
-    require_affordable("the Monte Carlo sample vector", samples)
+    require_affordable("the Monte Carlo sample count", samples)
     if F.n_vertices > MC_CHUNK:
         raise ValidationError(
             f"Monte Carlo would draw {F.n_vertices} classes per sample; "
@@ -363,26 +391,47 @@ def mc_density(
     # choice(p=pi / pi.sum()) did, so the classes and output bytes stay put
     sampler = _ClassSampler(masses / total)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    rows_per_chunk = MC_CHUNK // max(1, F.n_vertices)
+    rows = MC_CHUNK // max(1, F.n_vertices)
+    # every chunk then lies inside one leaf or covers whole leaves
+    rows = rows - rows % _LEAF if rows >= _LEAF else 1 << (rows.bit_length() - 1)
+    stack = []  # merged runs of full leaves, 2^k of them, k falling: a binary counter
+    last = None  # the partial last leaf
     with np.errstate(over="ignore", invalid="ignore"):
-        # before the sample vector, so an unknown functional id allocates nothing big
+        # before the buffer, so an unknown functional id allocates nothing
         flat = {psi: K.ravel() for psi, K in _kernels(F, W).items()}
-        vals = np.empty(samples)
-        for start in range(0, samples, rows_per_chunk):
-            out = vals[start : start + rows_per_chunk]
+        buf = np.empty(min(samples, max(rows, _LEAF)))
+        for start in range(0, samples, rows):
+            at = start % buf.size
+            out = buf[at : at + min(rows, samples - start)]
             cls = sampler.draw(rng, out.size, F.n_vertices)
             out.fill(1.0)
             for u, v, psi, mult in F.edges:
                 entries = flat[psi][cls[u] * q + cls[v]]
                 out *= entries if mult == 1 else entries**mult
-        mean = require_finite(np.mean(vals), "the Monte Carlo mean")
-        stderr = 0.0
-        if samples > 1:  # np.std(vals, ddof=1), step for step, without a second vector
-            vals -= mean
-            np.square(vals, out=vals)
-            stderr = math.sqrt(np.add.reduce(vals) / (samples - 1)) / math.sqrt(samples)
+            end = at + out.size
+            if end < buf.size and start + out.size < samples:
+                continue
+            for leaf in range(0, end, _LEAF):
+                stats = _leaf_stats(buf[leaf : min(leaf + _LEAF, end)])
+                if stats[0] < _LEAF:
+                    last = stats
+                    continue
+                stack.append(stats)
+                full = (start + leaf) // _LEAF + 1  # full leaves so far
+                while full % 2 == 0:  # carry: merge two runs of equal size
+                    stats = stack.pop()
+                    stack[-1] = _merge(stack[-1], stats)
+                    full //= 2
+    while len(stack) > 1:  # fold the counter from its shortest run up
+        stats = stack.pop()
+        stack[-1] = _merge(stack[-1], stats)
+    if last is not None:
+        stack.append(_merge(stack.pop(), last) if stack else last)
+    [(count, mean, m2)] = stack
+    require_finite(mean, "the Monte Carlo mean")
+    stderr = math.sqrt(m2 / (count - 1)) / math.sqrt(count) if count > 1 else 0.0
     require_finite(stderr, "the Monte Carlo standard error")
-    return MCEstimate(float(mean), stderr, samples, seed)
+    return MCEstimate(mean, stderr, samples, seed)
 
 
 # -- labeled product identity ----------------------------------------------------

@@ -222,21 +222,25 @@ def counterexample_report(N: int, D: int, seed: int | None = None) -> Counterexa
     guarantees at order D+1. The report is deterministic: ``seed`` is
     accepted for the CLI's ``--seed`` and does not influence it. The q x q
     weights of the two graphons, q <= N + 1, then every suite elimination
-    are charged to the size budget before either graphon is built.
+    are charged to the size budget before either graphon is built; the
+    graphons are then built one at a time, each dropped once the whole
+    suite is evaluated on it.
     """
     pair = matched_pair(N, D)
     low, witness = standard_suite(D)
+    suite = low + [witness]
     require_affordable(f"the two rank-1 graphons on {{0..{N}}}", 2 * (N + 1) ** 2)
-    for g in low + [witness]:
+    for g in suite:
         for dist in (pair.p, pair.q):  # q as rank1_graphon will count it
             _planned(g, sum(x > 0.0 for x in dist))
-    Wp = rank1_graphon(pair.p)
-    Wq = rank1_graphon(pair.q)
-    records = []
-    for g in low + [witness]:
-        dp = density(g, Wp)
-        dq = density(g, Wq)
-        records.append(GraphRecord(g, g.max_degree, dp, dq, abs(dp - dq)))
+    sides = []
+    for dist in (pair.p, pair.q):  # one rank-1 graphon alive at a time
+        W = rank1_graphon(dist)
+        sides.append([density(g, W) for g in suite])
+        del W
+    records = [
+        GraphRecord(g, g.max_degree, dp, dq, abs(dp - dq)) for g, dp, dq in zip(suite, *sides)
+    ]
 
     return CounterexampleReport(
         pair=pair,

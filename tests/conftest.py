@@ -397,6 +397,32 @@ def fraction_density(
     return total
 
 
+def full_vector_mc(
+    F: gl.DecoratedMultigraph, W: gl.StepGraphon, samples: int, seed: int
+) -> tuple[float, float]:
+    """``mc_density``'s (mean, stderr) from every sample held in one vector.
+
+    The samples are those ``mc_density`` draws: the classes come from
+    ``Generator.choice`` on the first child of ``SeedSequence(seed)``. The
+    mean is ``np.mean`` of the vector and the standard error
+    ``np.std(ddof=1) / sqrt(samples)``, step for step inside the vector.
+    """
+    masses = np.asarray(W.masses, dtype=float)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    cls = rng.choice(W.q, size=(samples, F.n_vertices), p=masses / masses.sum()).T
+    vals = np.ones(samples)
+    for u, v, psi, mult in F.edges:
+        entries = gl.kernel_matrix(W, psi)[cls[u], cls[v]]
+        vals *= entries if mult == 1 else entries**mult
+    mean = np.mean(vals)
+    stderr = 0.0
+    if samples > 1:
+        vals -= mean
+        np.square(vals, out=vals)
+        stderr = math.sqrt(np.add.reduce(vals) / (samples - 1)) / math.sqrt(samples)
+    return float(mean), stderr
+
+
 def min_degree_order(scopes: Sequence[tuple[int, ...]], free: Sequence[int]) -> list[int]:
     """Greedy min-degree elimination order on the factor-interaction graph.
 

@@ -23,6 +23,7 @@ from graphonlab.errors import ValidationError
 from conftest import (
     enumerate_density,
     fraction_density,
+    full_vector_mc,
     rand_graph,
     rand_graphon,
     scalar_graphon,
@@ -591,13 +592,28 @@ def test_eliminate_tensor_matches_fraction_oracle(W, F, data):
 
 # -- Monte Carlo output bytes and the cost guard ---------------------------------
 
-#: (seed, mean, stderr) of ``mc_density`` on the graphon and graph below
-#: with 70,001 samples, as drawn with the stream in one piece; the chunked
-#: draw must reproduce them at any chunk size
+#: (seed, full, leaves) on the graphon and graph below with 70,001 samples:
+#: ``full`` is the (mean, stderr) that ``np.mean`` and ``np.std`` give on
+#: the whole sample vector (``full_vector_mc``), ``leaves`` the one
+#: ``mc_density`` gives, reduced in leaves of ``_LEAF`` samples; the chunked
+#: draw must reproduce ``leaves`` at any chunk size. Seed 0's mean and seed
+#: 7's standard error differ by one unit in the last place.
 MC_BYTES = [
-    (0, "0x1.f1d8b3f14c6a3p+4", "0x1.c613d823d0216p-1"),
-    (1, "0x1.f15f3f11f7a01p+4", "0x1.ce21c7625320dp-1"),
-    (7, "0x1.01f0c5591902cp+5", "0x1.cff0853c59902p-1"),
+    (
+        0,
+        ("0x1.f1d8b3f14c6a3p+4", "0x1.c613d823d0216p-1"),
+        ("0x1.f1d8b3f14c6a4p+4", "0x1.c613d823d0216p-1"),
+    ),
+    (
+        1,
+        ("0x1.f15f3f11f7a01p+4", "0x1.ce21c7625320dp-1"),
+        ("0x1.f15f3f11f7a01p+4", "0x1.ce21c7625320dp-1"),
+    ),
+    (
+        7,
+        ("0x1.01f0c5591902cp+5", "0x1.cff0853c59902p-1"),
+        ("0x1.01f0c5591902cp+5", "0x1.cff0853c59901p-1"),
+    ),
 ]
 
 
@@ -606,37 +622,63 @@ MC_BYTES = [
 #: 2^20 holds every sample; one-sample chunks loop 70,001 times in Python,
 #: so they run on the first seed only. The ids keep the form
 #: ``seed-1-mean-stderr-chunk`` of the rows that once also pinned three
-#: substreams, where the 1 counted them.
+#: substreams, where the 1 counted them, with the full-vector bytes.
 MC_CHUNK_CASES = [
-    pytest.param(seed, mean, stderr, chunk, id=f"{seed}-1-{mean}-{stderr}-{chunk}")
+    pytest.param(seed, full, leaves, chunk, id=f"{seed}-1-{full[0]}-{full[1]}-{chunk}")
     for chunk in (1000, 32768, density_module.MC_CHUNK, 1 << 20, 4, 7)
-    for seed, mean, stderr in (MC_BYTES if chunk > 7 else MC_BYTES[:1])
+    for seed, full, leaves in (MC_BYTES if chunk > 7 else MC_BYTES[:1])
 ]
 
 
-@pytest.mark.parametrize("seed, mean, stderr, chunk", MC_CHUNK_CASES)
-def test_mc_output_bytes_pinned(monkeypatch, chunk, seed, mean, stderr):
+@pytest.mark.parametrize("seed, full, leaves, chunk", MC_CHUNK_CASES)
+def test_mc_output_bytes_pinned(monkeypatch, chunk, seed, full, leaves):
     monkeypatch.setattr(density_module, "MC_CHUNK", chunk)
     W = scalar_graphon((0.2, 0.3, 0.5), [[1.0, -2.0, 0.5], [-2.0, 3.0, 1.5], [0.5, 1.5, -0.25]])
     F = gl.DecoratedMultigraph(
         4, ((0, 1, "unit", 1), (1, 2, "unit", 2), (2, 0, "unit", 1), (2, 3, "unit", 3))
     )
     est = gl.mc_density(F, W, samples=70_001, seed=seed)
-    assert (est.mean.hex(), est.stderr.hex()) == (mean, stderr)
+    assert (est.mean.hex(), est.stderr.hex()) == leaves
+    assert tuple(x.hex() for x in full_vector_mc(F, W, 70_001, seed)) == full
 
 
-def test_mc_memory_is_one_value_per_sample_plus_a_chunk():
+def test_mc_memory_is_one_chunk():
     rng = np.random.default_rng(8)
     W = rand_graphon(rng, 8)
-    samples = 10**6
-    tracemalloc.start()
-    try:
-        est = gl.mc_density(gl.cycle_graph(7), W, samples=samples, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert math.isfinite(est.mean) and est.stderr > 0
-    assert peak <= 8 * samples + (2 << 20)
+    for samples in (10**6, 4 * 10**6):
+        tracemalloc.start()
+        try:
+            est = gl.mc_density(gl.cycle_graph(7), W, samples=samples, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(est.mean) and est.stderr > 0
+        assert peak <= 5 << 19  # 2.5 MiB, whatever the sample count
+
+
+LEAF = density_module._LEAF
+
+
+@pytest.mark.parametrize("case", range(45))
+def test_mc_leaves_match_the_full_vector(monkeypatch, case):
+    # up to one leaf the bytes are np.mean's and np.std's; beyond it the
+    # pairwise merge stays within 1e-14 of them, on the scale of the mean
+    # or of the sample standard deviation stderr * sqrt(S)
+    rng = np.random.default_rng(case)
+    W = rand_graphon(rng, int(rng.integers(1, 9)))
+    F = rand_graph(rng, max_vertices=9, max_mult=3)
+    chunk = (64, 1000, 32768, density_module.MC_CHUNK, 1 << 20)[case % 5]
+    monkeypatch.setattr(density_module, "MC_CHUNK", chunk)
+    for samples in (1, 2, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 1, 70_001, 150_000):
+        seed = int(rng.integers(0, 2**32))
+        est = gl.mc_density(F, W, samples, seed)
+        mean, stderr = full_vector_mc(F, W, samples, seed)
+        if samples <= LEAF:
+            assert (est.mean.hex(), est.stderr.hex()) == (mean.hex(), stderr.hex())
+        else:
+            spread = stderr * math.sqrt(samples)
+            assert abs(est.mean - mean) <= 1e-14 * max(abs(mean), spread)
+            assert abs(est.stderr - stderr) <= 1e-14 * max(stderr, abs(mean) / math.sqrt(samples))
 
 
 def _skewed(q: int) -> np.ndarray:

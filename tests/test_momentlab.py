@@ -1,6 +1,7 @@
 """Moment-matched pairs, rank-1 graphons, and the counterexample report."""
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,6 +252,20 @@ def test_counterexample_refuses_the_suite_before_building_a_graphon(monkeypatch)
         "elimination at q=3001 over 3 vertices would take 27027009001 elements; "
         "the limit is 67108864"
     )
+
+
+def test_counterexample_holds_one_rank1_graphon_at_a_time():
+    # each graphon holds 1501^2 float64 weights (17.2 MiB) and each suite
+    # density a q x q kernel and one product on top; with both graphons
+    # alive the peak was 68.9 MiB, with one 51.7 MiB
+    tracemalloc.start()
+    try:
+        rep = gl.counterexample_report(1500, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.witness_gap > 0
+    assert peak <= 56 << 20
 
 
 def test_counterexample_multibond_witness():
