@@ -656,24 +656,22 @@ def test_mc_memory_is_one_chunk():
         assert peak <= 5 << 19  # 2.5 MiB, whatever the sample count
 
 
-LEAF = density_module._LEAF
-
-
 @pytest.mark.parametrize("case", range(45))
 def test_mc_leaves_match_the_full_vector(monkeypatch, case):
     # up to one leaf the bytes are np.mean's and np.std's; beyond it the
     # pairwise merge stays within 1e-14 of them, on the scale of the mean
     # or of the sample standard deviation stderr * sqrt(S)
+    L = density_module._LEAF
     rng = np.random.default_rng(case)
     W = rand_graphon(rng, int(rng.integers(1, 9)))
     F = rand_graph(rng, max_vertices=9, max_mult=3)
     chunk = (64, 1000, 32768, density_module.MC_CHUNK, 1 << 20)[case % 5]
     monkeypatch.setattr(density_module, "MC_CHUNK", chunk)
-    for samples in (1, 2, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 1, 70_001, 150_000):
+    for samples in (1, 2, L - 1, L, L + 1, 2 * L + 1, 70_001, 150_000):
         seed = int(rng.integers(0, 2**32))
         est = gl.mc_density(F, W, samples, seed)
         mean, stderr = full_vector_mc(F, W, samples, seed)
-        if samples <= LEAF:
+        if samples <= L:
             assert (est.mean.hex(), est.stderr.hex()) == (mean.hex(), stderr.hex())
         else:
             spread = stderr * math.sqrt(samples)
