@@ -642,6 +642,64 @@ def test_mc_output_bytes_pinned(monkeypatch, chunk, seed, full, leaves):
     assert tuple(x.hex() for x in full_vector_mc(F, W, 70_001, seed)) == full
 
 
+#: (vertices, full leaves, extra samples, mean, stderr) of ``mc_density`` on the
+#: graphs and graphon below, seed = full leaves + vertices: the bytes move when
+#: the leaves are merged in another tree or the draws tile them otherwise. The
+#: 1-vertex graph has no edge, so its samples are all 1.0; it and the 2-vertex
+#: one draw more samples per chunk than a leaf holds.
+MC_LEAF_BYTES = [
+    (1, 3, 0, "0x1.0000000000000p+0", "0x0.0p+0"),
+    (1, 3, 7_777, "0x1.0000000000000p+0", "0x0.0p+0"),
+    (1, 5, 0, "0x1.0000000000000p+0", "0x0.0p+0"),
+    (1, 5, 7_777, "0x1.0000000000000p+0", "0x0.0p+0"),
+    (1, 7, 0, "0x1.0000000000000p+0", "0x0.0p+0"),
+    (1, 7, 7_777, "0x1.0000000000000p+0", "0x0.0p+0"),
+    (1, 11, 0, "0x1.0000000000000p+0", "0x0.0p+0"),
+    (1, 11, 7_777, "0x1.0000000000000p+0", "0x0.0p+0"),
+    (2, 3, 0, "0x1.e0856bc6a7efdp+0", "0x1.642f8ca4aeb79p-5"),
+    (2, 3, 7_777, "0x1.e40b294dff0c9p+0", "0x1.4bb212b32619ep-5"),
+    (2, 5, 0, "0x1.ff5dd240b7805p+0", "0x1.180a07d366641p-5"),
+    (2, 5, 7_777, "0x1.faeeb01c35757p+0", "0x1.0b2580de61f97p-5"),
+    (2, 7, 0, "0x1.f267d62e39ee0p+0", "0x1.d734af9f83dffp-6"),
+    (2, 7, 7_777, "0x1.f5a6294a47297p+0", "0x1.c92a8f7ed1eadp-6"),
+    (2, 11, 0, "0x1.f8b73f41598ddp+0", "0x1.7753fa9982bf6p-6"),
+    (2, 11, 7_777, "0x1.f9031c76eb94ap+0", "0x1.6f938a4317674p-6"),
+    (4, 3, 0, "0x1.ee54bec869569p+4", "0x1.6ea5ec2945f9fp+0"),
+    (4, 3, 7_777, "0x1.f56325bb25b56p+4", "0x1.5500fca2111c0p+0"),
+    (4, 5, 0, "0x1.e43b344a8ff46p+4", "0x1.16674f7d8bfd2p+0"),
+    (4, 5, 7_777, "0x1.e4556a6609664p+4", "0x1.0979e878c53bfp+0"),
+    (4, 7, 0, "0x1.d9358d4eee610p+4", "0x1.d4ba8fb1ef577p-1"),
+    (4, 7, 7_777, "0x1.da9ab79d4dd5dp+4", "0x1.c55891444edf0p-1"),
+    (4, 11, 0, "0x1.e0327be67a39ap+4", "0x1.783abcb9cf804p-1"),
+    (4, 11, 7_777, "0x1.df0cdd7d008d9p+4", "0x1.70d788039f2b7p-1"),
+    (9, 3, 0, "0x1.c5fa43985ca54p+15", "0x1.958531cc71a12p+14"),
+    (9, 3, 7_777, "0x1.01eb9e4637704p+16", "0x1.9076d787b8743p+14"),
+    (9, 5, 0, "0x1.2453060382f32p+14", "0x1.5e93a45c1b617p+13"),
+    (9, 5, 7_777, "0x1.1966e7ecf264bp+14", "0x1.4dd7934db7eb2p+13"),
+    (9, 7, 0, "0x1.756345db06ccap+13", "0x1.b617d0badd9efp+13"),
+    (9, 7, 7_777, "0x1.b3a56a8523b13p+13", "0x1.9e37d36da487bp+13"),
+    (9, 11, 0, "0x1.57085c830e980p+8", "0x1.50ea533220986p+13"),
+    (9, 11, 7_777, "0x1.4f3e8e8a8579cp+11", "0x1.455e4e7c14770p+13"),
+]
+
+MC_LEAF_GRAPHS = {
+    1: gl.DecoratedMultigraph(1),
+    2: gl.DecoratedMultigraph(2, ((0, 1, "unit", 3),)),
+    4: gl.DecoratedMultigraph(
+        4, ((0, 1, "unit", 1), (1, 2, "unit", 2), (2, 0, "unit", 1), (2, 3, "unit", 3))
+    ),
+    9: gl.DecoratedMultigraph(9, tuple((v, (v + 1) % 9, "unit", 1 + v % 3) for v in range(9))),
+}
+
+
+@pytest.mark.parametrize("n, full, extra, mean, stderr", MC_LEAF_BYTES)
+def test_mc_leaf_counts_pinned(n, full, extra, mean, stderr):
+    W = scalar_graphon((0.2, 0.3, 0.5), [[1.1, -2.3, 0.7], [-2.3, 3.1, 1.3], [0.7, 1.3, -0.45]])
+    samples = full * density_module._LEAF + extra
+    est = gl.mc_density(MC_LEAF_GRAPHS[n], W, samples, seed=full + n)
+    assert (est.mean.hex(), est.stderr.hex()) == (mean, stderr)
+
+
 def test_mc_memory_is_one_chunk():
     rng = np.random.default_rng(8)
     W = rand_graphon(rng, 8)
