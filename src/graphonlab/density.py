@@ -26,7 +26,9 @@ parallel edges; numpy's powers above 2 may round by the CPU's vector loops.
 :func:`mc_density` samples the same sum from one stream seeded by the
 caller: each vertex's class is drawn by inverse CDF over ``pi / sum(pi)``
 through a lookup table, and the classes are exactly those
-``numpy.random.Generator.choice`` draws from the same generator.
+``numpy.random.Generator.choice`` draws from the same generator. It draws
+and reduces one leaf of samples at a time and merges the leaves' means and
+squared deviations pairwise, so its memory is one leaf whatever the count.
 """
 from __future__ import annotations
 
@@ -57,13 +59,13 @@ MAX_BUCKET_VERTICES = 52
 
 #: Monte Carlo samples are drawn and evaluated at most this many class draws
 #: at a time: ``MC_CHUNK // n`` samples of an n-vertex graph, rounded down to
-#: a multiple of :data:`_LEAF` or, below it, to a power of two, so each chunk
-#: array holds at most 0.5 MB whatever the graph and the sample count;
-#: graphs of more vertices are refused
+#: a power of two of at most :data:`_LEAF`, so each draw holds at most
+#: 0.5 MB whatever the graph and the sample count; graphs of more vertices
+#: are refused
 MC_CHUNK = 1 << 16
 
-# Monte Carlo samples are reduced in leaves of this many consecutive
-# samples, aligned at its multiples in sample order
+# Monte Carlo samples are drawn and reduced in leaves of this many
+# consecutive samples, aligned at its multiples in sample order
 _LEAF = 1 << 14
 
 #: a label-to-class pinning for marginal evaluation
@@ -339,18 +341,19 @@ def mc_density(
     ``pi / sum(pi)``, by inverse CDF, and evaluates the edge product; the
     classes are those ``Generator.choice`` would draw. All samples come from
     one stream, the first child of ``SeedSequence(seed)``, so the estimate
-    is a pure function of (inputs, seed). The stream is drawn in chunks of
-    at most :data:`MC_CHUNK` class draws; the generator fills them in
-    sample order, so the samples do not depend on the chunk size.
+    is a pure function of (inputs, seed).
 
-    Memory is one chunk, whatever the sample count. The samples are reduced
-    in leaves of :data:`_LEAF` consecutive samples, aligned in sample order:
-    each leaf's count, mean and sum of squared deviations ``M2`` come from
-    the operations ``np.mean`` and ``np.std`` perform, and the leaves are
-    merged by Chan et al.'s pairwise update in a perfect binary tree over
-    the leaf index, the partial last leaf last. The result does not depend
-    on the chunk size, and for at most :data:`_LEAF` samples it has the
-    bytes of ``np.mean`` and ``np.std(ddof=1) / sqrt(samples)``.
+    Memory is one leaf of :data:`_LEAF` samples, whatever the sample count.
+    Each leaf, ``_LEAF`` consecutive samples or the partial last one, is
+    filled in draws of a power of two of samples, at most :data:`MC_CHUNK`
+    class draws each; the generator fills them in sample order, so the
+    samples do not depend on the draw size. Each leaf's count, mean and sum
+    of squared deviations ``M2`` come from the operations ``np.mean`` and
+    ``np.std`` perform. The full leaves are merged by Chan et al.'s pairwise
+    update, neighbours in pairs level by level with an odd one carried up,
+    and the partial last leaf is merged last. The result does not depend on
+    the draw size, and for at most :data:`_LEAF` samples it has the bytes
+    of ``np.mean`` and ``np.std(ddof=1) / sqrt(samples)``.
 
     Raises ``ValidationError(code="too-costly")``, before drawing, when
     the sample count exceeds :data:`MAX_CONTRACTION`, which bounds the work,
@@ -391,43 +394,28 @@ def mc_density(
     # choice(p=pi / pi.sum()) did, so the classes and output bytes stay put
     sampler = _ClassSampler(masses / total)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    rows = MC_CHUNK // max(1, F.n_vertices)
-    # every chunk then lies inside one leaf or covers whole leaves
-    rows = rows - rows % _LEAF if rows >= _LEAF else 1 << (rows.bit_length() - 1)
-    stack = []  # merged runs of full leaves, 2^k of them, k falling: a binary counter
-    last = None  # the partial last leaf
+    # a power of two, so the draws tile each leaf
+    rows = 1 << (min(_LEAF, MC_CHUNK // max(1, F.n_vertices)).bit_length() - 1)
+    leaves = []  # (count, mean, M2) of each leaf, in sample order
     with np.errstate(over="ignore", invalid="ignore"):
         # before the buffer, so an unknown functional id allocates nothing
         flat = {psi: K.ravel() for psi, K in _kernels(F, W).items()}
-        buf = np.empty(min(samples, max(rows, _LEAF)))
-        for start in range(0, samples, rows):
-            at = start % buf.size
-            out = buf[at : at + min(rows, samples - start)]
-            cls = sampler.draw(rng, out.size, F.n_vertices)
-            out.fill(1.0)
-            for u, v, psi, mult in F.edges:
-                entries = flat[psi][cls[u] * q + cls[v]]
-                out *= entries if mult == 1 else entries**mult
-            end = at + out.size
-            if end < buf.size and start + out.size < samples:
-                continue
-            for leaf in range(0, end, _LEAF):
-                stats = _leaf_stats(buf[leaf : min(leaf + _LEAF, end)])
-                if stats[0] < _LEAF:
-                    last = stats
-                    continue
-                stack.append(stats)
-                full = (start + leaf) // _LEAF + 1  # full leaves so far
-                while full % 2 == 0:  # carry: merge two runs of equal size
-                    stats = stack.pop()
-                    stack[-1] = _merge(stack[-1], stats)
-                    full //= 2
-    while len(stack) > 1:  # fold the counter from its shortest run up
-        stats = stack.pop()
-        stack[-1] = _merge(stack[-1], stats)
-    if last is not None:
-        stack.append(_merge(stack.pop(), last) if stack else last)
-    [(count, mean, m2)] = stack
+        buf = np.empty(min(samples, _LEAF))
+        for start in range(0, samples, _LEAF):
+            leaf = buf[: min(_LEAF, samples - start)]
+            for at in range(0, leaf.size, rows):
+                out = leaf[at : at + rows]
+                cls = sampler.draw(rng, out.size, F.n_vertices)
+                out.fill(1.0)
+                for u, v, psi, mult in F.edges:
+                    entries = flat[psi][cls[u] * q + cls[v]]
+                    out *= entries if mult == 1 else entries**mult
+            leaves.append(_leaf_stats(leaf))
+    last = [leaves.pop()] if leaves[-1][0] < _LEAF else []
+    while len(leaves) > 1:  # merge neighbours in pairs, level by level
+        odd = leaves[-1:] if len(leaves) % 2 else []  # carried up unmerged
+        leaves = [_merge(a, b) for a, b in zip(leaves[::2], leaves[1::2])] + odd
+    count, mean, m2 = functools.reduce(_merge, leaves + last)
     require_finite(mean, "the Monte Carlo mean")
     stderr = math.sqrt(m2 / (count - 1)) / math.sqrt(count) if count > 1 else 0.0
     require_finite(stderr, "the Monte Carlo standard error")

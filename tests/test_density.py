@@ -714,6 +714,21 @@ def test_mc_memory_is_one_chunk():
         assert peak <= 5 << 19  # 2.5 MiB, whatever the sample count
 
 
+def test_mc_memory_is_one_leaf_on_small_graphs():
+    # MC_CHUNK class draws hold several leaves of a one- or two-vertex
+    # graph, but the samples are drawn and reduced one leaf at a time
+    W = rand_graphon(np.random.default_rng(8), 8)
+    for F in (gl.DecoratedMultigraph(1), gl.edge_graph()):
+        tracemalloc.start()
+        try:
+            est = gl.mc_density(F, W, samples=10**6, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(est.mean)
+        assert peak <= 3 << 19  # 1.5 MiB
+
+
 @pytest.mark.parametrize("case", range(45))
 def test_mc_leaves_match_the_full_vector(monkeypatch, case):
     # up to one leaf the bytes are np.mean's and np.std's; beyond it the
