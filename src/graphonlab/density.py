@@ -231,19 +231,26 @@ def eliminate(
     and sums ``v`` out with the last; each step is one BLAS-free
     :func:`_contract`, so the bits do not depend on the BLAS kernel.
 
-    Raises ``ValidationError(code="too-costly")``, before allocating, when
-    a step (or the result) would span more than :data:`MAX_CONTRACTION`
-    elements or :data:`MAX_BUCKET_VERTICES` vertices.
+    Raises ``ValidationError``, before planning, with ``code="bad-anchor"``
+    for a pinned vertex or class out of range and ``code="bad-keep"`` for a
+    kept vertex that is out of range, repeated or pinned; with
+    ``code="too-costly"``, before allocating, when a step (or the result)
+    would span more than :data:`MAX_CONTRACTION` elements or
+    :data:`MAX_BUCKET_VERTICES` vertices.
     """
     q = W.q
     keep = tuple(keep)
     pinned = dict(pinned or {})
     for v, cls in pinned.items():
+        if not 0 <= v < F.n_vertices:
+            raise ValidationError(f"pinned vertex {v} out of range", code="bad-anchor")
         if not (0 <= cls < q):
-            raise ValidationError(
-                f"anchor class {cls} out of range for q={q}", code="bad-anchor"
-            )
+            raise ValidationError(f"anchor class {cls} out of range for q={q}", code="bad-anchor")
         pinned[v] = int(cls)
+    for k, v in enumerate(keep):
+        if not 0 <= v < F.n_vertices or v in pinned or v in keep[:k]:
+            why = "pinned" if v in pinned else "kept twice" if v in keep[:k] else "out of range"
+            raise ValidationError(f"kept vertex {v} is {why}", code="bad-keep")
     steps, live = _planned(F, q, keep, pinned)
 
     pi = np.asarray(W.masses)

@@ -328,6 +328,25 @@ def test_eliminate_keep_matrix(w2):
     assert np.allclose(T, gl.kernel_matrix(w2, "unit"), atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "keep, pinned, code",
+    [
+        pytest.param((0, 0), None, "bad-keep", id="repeated"),
+        pytest.param((7,), None, "bad-keep", id="out-of-range"),
+        pytest.param((0,), {0: 1}, "bad-keep", id="pinned"),
+        pytest.param((), {9: 0}, "bad-anchor", id="pinned-out-of-range"),
+    ],
+)
+def test_eliminate_refuses_bad_keep_and_pinned_vertices(monkeypatch, w2, keep, pinned, code):
+    def unplanned(*args):
+        raise AssertionError("planned before refusing")
+
+    monkeypatch.setattr(density_module, "_planned", unplanned)
+    with pytest.raises(ValidationError) as e:
+        gl.eliminate(gl.path_graph(2), w2, keep, pinned=pinned)
+    assert e.value.code == code
+
+
 def test_eliminate_runs_no_path_search_and_no_blas(monkeypatch, w2):
     # an einsum path search or tensordot would hand products to BLAS, whose
     # kernel changes the bits
