@@ -95,7 +95,9 @@ FLOATS = (math.nan, math.inf, -math.inf, -1.0, 0.0, 0.5, 5e-324, 1e308)
 #: functional ids: none, empty ones, one the graphon lacks, and a repeat
 PSIS = ("", ",", "ghost", "unit,unit", "unit,ghost")
 FLAG_VALUES = {
-    "--samples": INTS, "--seed": INTS, "--terms": INTS, "--k": INTS, "--kmax": INTS,
+    # three full Monte Carlo leaves of 2^14 samples and a partial one
+    "--samples": INTS + (3 * 2**14 + 1,),
+    "--seed": INTS, "--terms": INTS, "--k": INTS, "--kmax": INTS,
     "--u": INTS, "--v": INTS, "--support": INTS, "--order": INTS, "--p": FLOATS,
     "--tol": FLOATS, "--anchors": INTS, "--psi": PSIS, "--psis": PSIS,
 }
