@@ -28,7 +28,7 @@ caller: each vertex's class is drawn by inverse CDF over ``pi / sum(pi)``
 through a lookup table, and the classes are exactly those
 ``numpy.random.Generator.choice`` draws from the same generator. It draws
 and reduces one leaf of samples at a time and merges the leaves' means and
-squared deviations pairwise, so its memory is one leaf whatever the count.
+squared deviations pairwise, so its memory is one leaf and one draw.
 """
 from __future__ import annotations
 
@@ -350,7 +350,7 @@ def mc_density(
     one stream, the first child of ``SeedSequence(seed)``, so the estimate
     is a pure function of (inputs, seed).
 
-    Memory is one leaf of :data:`_LEAF` samples, whatever the sample count.
+    Memory is one leaf and one draw, whatever the sample count.
     Each leaf, ``_LEAF`` consecutive samples or the partial last one, is
     filled in draws of a power of two of samples, at most :data:`MC_CHUNK`
     class draws each; the generator fills them in sample order, so the
@@ -420,7 +420,7 @@ def mc_density(
             leaves.append(_leaf_stats(leaf))
     last = [leaves.pop()] if leaves[-1][0] < _LEAF else []
     while len(leaves) > 1:  # merge neighbours in pairs, level by level
-        odd = leaves[-1:] if len(leaves) % 2 else []  # carried up unmerged
+        odd = leaves[-1:] if len(leaves) % 2 else []
         leaves = [_merge(a, b) for a, b in zip(leaves[::2], leaves[1::2])] + odd
     count, mean, m2 = functools.reduce(_merge, leaves + last)
     require_finite(mean, "the Monte Carlo mean")
