@@ -94,8 +94,11 @@ def require_affordable(what: str, elements: int, printed: int = 0) -> None:
         )
 
 
-def _kernels(F: DecoratedMultigraph, W: StepGraphon) -> dict[str, np.ndarray]:
-    return {psi: kernel_matrix(W, psi) for psi in sorted(F.psi_ids)}
+def _edge_kernels(F: DecoratedMultigraph, W: StepGraphon) -> dict[tuple[str, int], np.ndarray]:
+    """``K_psi ** mult``, the kernel itself at 1, for each ``(psi, mult)`` on ``F``'s edges."""
+    kernels = {psi: kernel_matrix(W, psi) for psi in sorted(F.psi_ids)}
+    return {(psi, m): kernels[psi] ** m if m > 1 else kernels[psi]
+            for psi, m in {e[2:] for e in F.edges}}
 
 
 def density(F: DecoratedMultigraph, W: StepGraphon, *, ignore_labels: bool = False) -> float:
@@ -236,8 +239,8 @@ def eliminate(
     kept vertex that is out of range, repeated or pinned; with
     ``code="too-costly"``, before allocating, when a step (or the result)
     would span more than :data:`MAX_CONTRACTION` elements or
-    :data:`MAX_BUCKET_VERTICES` vertices.
-    """
+    :data:`MAX_BUCKET_VERTICES` vertices; then ``code="overflow"`` for a
+    kernel beyond the double range."""
     q = W.q
     keep = tuple(keep)
     pinned = dict(pinned or {})
@@ -254,11 +257,9 @@ def eliminate(
     steps, live = _planned(F, q, keep, pinned)
 
     pi = np.asarray(W.masses)
-    kernels = _kernels(F, W)
-    arrays = {}
-    for i, (u, v, psi, mult) in enumerate(F.edges):
-        arr = kernels[psi] if mult == 1 else kernels[psi] ** mult
-        arrays[i] = arr[pinned.get(u, slice(None)), pinned.get(v, slice(None))]
+    table = _edge_kernels(F, W)
+    arrays = {i: table[psi, mult][pinned.get(u, slice(None)), pinned.get(v, slice(None))]
+              for i, (u, v, psi, mult) in enumerate(F.edges)}
     for n, (v, bucket, left) in enumerate(steps, start=len(F.edges)):
         acc, axes = pi, (v,)
         for i, scope in bucket:
@@ -370,7 +371,7 @@ def mc_density(
     ``code="nonpositive-mass"`` for a negative or non-finite mass or a mass
     vector that does not sum to a positive number, ``code="unknown-functional"``
     for an edge whose functional ``W`` lacks, and ``code="overflow"`` for a
-    mean or standard error beyond the double range.
+    kernel (before any draw), mean or standard error beyond the double range.
     """
     if samples < 1:
         raise ValidationError("need at least one sample", code="bad-samples")
@@ -405,8 +406,9 @@ def mc_density(
     rows = 1 << (min(_LEAF, MC_CHUNK // max(1, F.n_vertices)).bit_length() - 1)
     leaves = []  # (count, mean, M2) of each leaf, in sample order
     with np.errstate(over="ignore", invalid="ignore"):
-        # before the buffer, so an unknown functional id allocates nothing
-        flat = {psi: K.ravel() for psi, K in _kernels(F, W).items()}
+        # before the buffer: a kernel is refused whole, drawn or not, with nothing allocated
+        table = _edge_kernels(F, W)
+        edges = [(u, v, table[psi, mult].ravel()) for u, v, psi, mult in F.edges]
         buf = np.empty(min(samples, _LEAF))
         for start in range(0, samples, _LEAF):
             leaf = buf[: min(_LEAF, samples - start)]
@@ -414,9 +416,8 @@ def mc_density(
                 out = leaf[at : at + rows]
                 cls = sampler.draw(rng, out.size, F.n_vertices)
                 out.fill(1.0)
-                for u, v, psi, mult in F.edges:
-                    entries = flat[psi][cls[u] * q + cls[v]]
-                    out *= entries if mult == 1 else entries**mult
+                for u, v, flat in edges:
+                    out *= flat[cls[u] * q + cls[v]]
             leaves.append(_leaf_stats(leaf))
     last = [leaves.pop()] if leaves[-1][0] < _LEAF else []
     while len(leaves) > 1:  # merge neighbours in pairs, level by level

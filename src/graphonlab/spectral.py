@@ -47,11 +47,10 @@ class EigenSystem:
 
 
 def eigendecomp(W: StepGraphon, psi_id: str) -> EigenSystem:
-    """Full eigensystem of the symmetrized kernel, deterministically signed."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        K = require_finite(kernel_matrix(W, psi_id), f"the kernel of {psi_id!r}")
+    """Full eigensystem of the symmetrized kernel, deterministically signed; a
+    kernel beyond the double range is refused by :func:`kernel_matrix`."""
     s = np.sqrt(np.asarray(W.masses))
-    vals, vecs = np.linalg.eigh(s[:, None] * K * s[None, :])
+    vals, vecs = np.linalg.eigh(s[:, None] * kernel_matrix(W, psi_id) * s[None, :])
     order = np.lexsort((-vals, -np.abs(vals)))  # stable: ties keep eigh's order
     vals = vals[order]
     vecs = vecs[:, order]
@@ -63,9 +62,8 @@ def eigendecomp(W: StepGraphon, psi_id: str) -> EigenSystem:
 def _path_kernels(W: StepGraphon, psi_id: str, k: int):
     """Path kernels of lengths 1 to k, one BLAS-free product apart. Unbounded:
     callers check ``k`` first and iterate with numpy's overflow warnings off."""
-    K = kernel_matrix(W, psi_id)
-    step = np.asarray(W.masses)[:, None] * K
-    P = K
+    P = kernel_matrix(W, psi_id)
+    step = np.asarray(W.masses)[:, None] * P
     yield P
     for _ in range(k - 1):
         P = _contract(P, (0, 1), step, (1, 2), (0, 2))

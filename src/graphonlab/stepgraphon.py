@@ -149,11 +149,12 @@ def kernel_matrix(W: StepGraphon, psi_id: str) -> np.ndarray:
 
     An elementwise product summed over the support rather than a matrix
     product: BLAS may round a row differently by its position, and twin
-    classes must get bit-identical kernel rows.
-    """
+    classes must get bit-identical kernel rows. Every reader of a kernel
+    calls this, which refuses one beyond the double range as ``overflow``."""
     psi = W.functional(psi_id)
     values = np.array([psi(k) for k in W.support.tolist()], dtype=np.float64)
-    return (W.weights * values).sum(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return require_finite((W.weights * values).sum(axis=-1), f"the kernel of {psi_id!r}")
 
 
 def p_norm(W: StepGraphon, p: float) -> float:

@@ -407,31 +407,63 @@ BIG_NORM_DOC = {
     "functionals": [],
 }
 
+#: a rare class of mass 1e-9 whose self-block alone overflows the kernel of
+#: ``unit``, which is ``[[1, 1], [1, inf]]``
+RARE_KERNEL_DOC = {
+    "masses": [1 - 1e-9, 1e-9],
+    "blocks": [
+        {"i": 0, "j": 0, "support": [1], "weights": [1e-10]},
+        {"i": 0, "j": 1, "support": [1], "weights": [1e-10]},
+        {"i": 1, "j": 1, "support": [1], "weights": [1e300]},
+    ],
+    "functionals": [{"id": "unit", "support": [1], "values": [1e10]}],
+}
+
+#: every command that reads the kernel of ``unit`` on the rare-class graphon
+RARE_KERNEL_ROWS = [
+    ["density", "--graph", "unit_edge.json"],
+    ["marginal", "--graph", "labeled_edge.json", "--anchors", "1:0"],
+    ["mc", "--graph", "unit_edge.json", "--samples", "100000", "--seed", "3"],
+    ["productcheck", "--graph1", "labeled_edge.json", "--graph2", "labeled_edge.json"],
+    ["liftcheck", "--graph", "unit_edge.json", "--u", "0", "--v", "1", "--psi", "unit",
+     "--kmax", "2"],
+    ["pathkernel", "--psi", "unit", "--k", "3"],
+    ["kernel", "--psi", "unit"],
+    ["eigen", "--psi", "unit"],
+    ["anchor", "--anchors", "0"],
+    ["regularity", "--anchors", "0"],
+]
+
 
 @pytest.mark.parametrize(
     "argv, quantity",
     [
-        (["kernel", "--graphon", "big_kernel.json", "--psi", "f"],
-         "the path kernel of length 1"),
+        (["kernel", "--graphon", "big_kernel.json", "--psi", "f"], "the kernel of 'f'"),
         (["eigen", "--graphon", "big_kernel.json", "--psi", "f"], "the kernel of 'f'"),
         (["anchor", "--graphon", "big_kernel.json", "--anchors", "0"], "the kernel of 'f'"),
         (["regularity", "--graphon", "big_kernel.json", "--anchors", "0"], "the kernel of 'f'"),
         (["mc", "--graphon", "big_kernel.json", "--graph", "edge.json", "--samples", "10",
-          "--seed", "1"], "the Monte Carlo mean"),
+          "--seed", "1"], "the kernel of 'f'"),
         (["pnorm", "--graphon", "big_norm.json", "--p", "3"],
          "the largest block total variation"),
         (["carleman", "--graphon", "big_norm.json", "--terms", "3"],
          "the largest block total variation"),
-    ],
-    ids=["kernel", "eigen", "anchor", "regularity", "mc", "pnorm", "carleman"],
+    ] + [(row[:1] + ["--graphon", "rare_kernel.json"] + row[1:], "the kernel of 'unit'")
+         for row in RARE_KERNEL_ROWS],
+    ids=["kernel", "eigen", "anchor", "regularity", "mc", "pnorm", "carleman"]
+    + [f"rare-{row[0]}" for row in RARE_KERNEL_ROWS],
 )
 def test_overflowing_kernels_and_norms_refused_exit_one(tmp_path, argv, quantity):
     # these printed inf, nan or Infinity after numpy's overflow warning, or
-    # (mc) refused only after that warning
+    # (mc) refused only after that warning; on the rare-class graphon,
+    # marginal (pinned off the rare class) and mc (which never drew it) printed 1.0
     (tmp_path / "big_kernel.json").write_text(json.dumps(BIG_KERNEL_DOC))
     (tmp_path / "big_norm.json").write_text(json.dumps(BIG_NORM_DOC))
+    (tmp_path / "rare_kernel.json").write_text(json.dumps(RARE_KERNEL_DOC))
     (tmp_path / "edge.json").write_text(json.dumps({**EDGE_DOC, "edges": [
         {"u": 0, "v": 1, "psi": "f"}]}))
+    (tmp_path / "unit_edge.json").write_text(json.dumps(EDGE_DOC))
+    (tmp_path / "labeled_edge.json").write_text(json.dumps({**EDGE_DOC, "labels": {"0": 1}}))
     argv = [arg if not arg.endswith(".json") else str(tmp_path / arg) for arg in argv]
     code, out, err = fresh_process(argv)
     assert (code, out) == (1, "")

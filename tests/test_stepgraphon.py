@@ -139,6 +139,51 @@ def test_kernel_linear_in_functional(w2):
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
+@st.composite
+def overflowing_kernels(draw):
+    """A graphon of q <= 4 classes, a finite functional ``g`` and a functional
+    ``f`` whose kernel overflows in one block pair alone: that block puts
+    ``10**a`` on point 1, where ``f`` reads ``10**(310 - a)``."""
+    q = draw(st.integers(1, 4))
+    masses = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=q, max_size=q)))
+    small = st.floats(-1.0, 1.0, allow_subnormal=False)
+    weights = np.array(draw(st.lists(small, min_size=2 * q * q, max_size=2 * q * q)))
+    weights = weights.reshape(q, q, 2)
+    weights = weights + weights.transpose(1, 0, 2)
+    i, j = draw(st.integers(0, q - 1)), draw(st.integers(0, q - 1))
+    a = draw(st.integers(250, 300))
+    weights[i, j, 0] = weights[j, i, 0] = draw(st.sampled_from([1.0, -1.0])) * 10.0**a
+    f = gl.TestFunctional("f", (1, 2), (10.0 ** (310 - a), draw(small)))
+    g = gl.TestFunctional("g", (1, 2), (draw(small), draw(small)))
+    return gl.StepGraphon(masses / masses.sum(), (1, 2), weights, {"f": f, "g": g})
+
+
+@settings(max_examples=60, deadline=None)
+@given(overflowing_kernels(), st.integers(1, 3), st.data())
+def test_every_reader_refuses_an_overflowing_kernel(W, mult, data):
+    # one message from kernel_matrix, whichever route reads the kernel, even
+    # where the route would read only finite entries (a pinned marginal, a
+    # column of the feature map, Monte Carlo draws missing the block)
+    cls = data.draw(st.integers(0, W.q - 1))
+    F = gl.DecoratedMultigraph(3, ((0, 1, "f", mult), (1, 2, "g", 1)))
+    labeled = gl.DecoratedMultigraph(3, F.edges, {0: 1})
+    routes = [
+        lambda: gl.kernel_matrix(W, "f"),
+        lambda: gl.density(F, W),
+        lambda: gl.marginal(labeled, W, {1: cls}),
+        lambda: gl.mc_density(F, W, 100, 1),
+        lambda: gl.product_identity_residual(labeled, labeled, W),
+        lambda: gl.path_kernel(W, "f", mult),
+        lambda: gl.eigendecomp(W, "f"),
+        lambda: gl.transforms.feature_map(W, [cls], ["g", "f"]),
+    ]
+    for route in routes:
+        with pytest.raises(ValidationError) as e:
+            route()
+        assert e.value.code == "overflow"
+        assert str(e.value) == "the kernel of 'f' is not finite: it overflows a double"
+
+
 def test_p_norm_examples(w2):
     # oracle: weighted sum over the four blocks
     tv = [[1.0, 2.0], [2.0, 3.0]]

@@ -129,6 +129,19 @@ def test_one_module_holds_the_size_policy():
     assert set(refusers) == {"density.py"}
 
 
+def test_one_module_refuses_an_overflowing_kernel():
+    # kernel_matrix pairs every kernel, so only it may name one as not finite
+    builders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.JoinedStr) and any(
+                isinstance(part, ast.Constant) and "the kernel of " in part.value
+                for part in node.values
+            ):
+                builders.append(path.name)
+    assert builders == ["stepgraphon.py"]
+
+
 def test_only_the_fileio_helpers_open_files():
     # every path is read by fileio._read and written by fileio.write_text, so
     # each refusal to open one is a coded ``cannot read`` or ``cannot write``
