@@ -10,10 +10,11 @@ documents that command reads: values swapped for others of any JSON
 type, numbers scaled, entries deleted, exchanged or duplicated, values
 nested deep, or the whole text cut and followed by 100,000 open
 brackets. It writes the document to a temporary file. One job in four,
-and every job of a command that reads no file, instead reads the
-documents unmutated and gives one flag of the command a value of the
-flag's type at the edge of what it takes (``FLAG_VALUES``), as
-``--flag=value``; one such job in eight gives an ill-typed value instead
+and every job of a command that reads no file, instead gives one flag of
+the command a value of the flag's type at the edge of what it takes
+(``FLAG_VALUES``), as ``--flag=value``, and half of those of a command
+that reads a file also mutate one of its documents, while the other half
+read them unmutated; one such job in eight gives an ill-typed value instead
 (``ILL_TYPED``), and one in eight writes the value as a token of its
 own, where a value such as ``-inf`` or ``-1:0`` reads as a flag. One job
 in eight instead puts a line break, a tab, a NUL or a lone surrogate
@@ -120,7 +121,8 @@ SPECIAL = re.compile(r"\b(?:inf|nan|Infinity|NaN)\b")
 
 class Job(NamedTuple):
     argv: list[str]
-    #: kind of the mutated document and its text, or the flag drawn and its value
+    #: kind of the mutated document and its text, or the flag drawn and its value,
+    #: or ``--flag=value on kind`` and the text when a flag job mutates a document
     kind: str
     text: str
 
@@ -230,22 +232,32 @@ def jobs(seed: int, root: str):
         if flags and (not kinds or rng.random() < 0.25):  # a command reading no file takes flags only
             k = rng.choice(flags)
             value = flag_value(command, k, rng)
-            argv = [paths.get(a, a) for a in command]
+            on_mutated = kinds and rng.random() < 0.5  # a mutated document, half the time
             odd = rng.random()
             if odd < 0.125:
                 value = rng.choice(ILL_TYPED)
+            if on_mutated:
+                argv, kind, text = _mutated(command, docs, paths, root, rng)
+                kind = f"{command[k]}={value} on {kind}"
+            else:
+                argv, kind, text = [paths.get(a, a) for a in command], command[k], value
             if 0.125 <= odd < 0.25:
                 argv[k + 1] = value  # argparse takes "-inf" as a flag after a space
             else:
                 argv[k : k + 2] = [f"{command[k]}={value}"]
-            yield Job(argv, command[k], value)
+            yield Job(argv, kind, text)
             continue
-        kind = rng.choice(kinds)
-        text = mutate(docs[kind], rng)
-        mutated = os.path.join(root, "mutated.json")
-        Path(mutated).write_text(text)
-        argv = [mutated if a == kind else paths.get(a, a) for a in command]
-        yield Job(argv, kind, text)
+        yield Job(*_mutated(command, docs, paths, root, rng))
+
+
+def _mutated(command: tuple, docs: dict, paths: dict, root: str, rng: random.Random):
+    """The argv of ``command`` with one of its documents mutated and written
+    under ``root``, the kind of that document and its text."""
+    kind = rng.choice([a for a in command if a in KINDS])
+    text = mutate(docs[kind], rng)
+    mutated = os.path.join(root, "mutated.json")
+    Path(mutated).write_text(text)
+    return [mutated if a == kind else paths.get(a, a) for a in command], kind, text
 
 
 def _run(argv: list[str]) -> tuple[object, str, str]:
