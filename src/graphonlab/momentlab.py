@@ -220,8 +220,8 @@ def counterexample_report(N: int, D: int, seed: int | None = None) -> Counterexa
     Graphs of maximum degree at most D must come out with equal densities;
     the (D+1)-star witness exhibits the gap, which :class:`MatchedPair`
     guarantees at order D+1. The report is deterministic: ``seed`` is
-    accepted for the CLI's ``--seed`` and does not influence it. The q x q
-    weights of the two graphons, q <= N + 1, then every suite elimination
+    accepted for the CLI's ``--seed`` and does not influence it. One graphon's
+    q x q weights and its q x q kernel, q <= N + 1, then every suite elimination
     are charged to the size budget before either graphon is built; the
     graphons are then built one at a time, each dropped once the whole
     suite is evaluated on it.
@@ -229,7 +229,7 @@ def counterexample_report(N: int, D: int, seed: int | None = None) -> Counterexa
     pair = matched_pair(N, D)
     low, witness = standard_suite(D)
     suite = low + [witness]
-    require_affordable(f"the two rank-1 graphons on {{0..{N}}}", 2 * (N + 1) ** 2)
+    require_affordable(f"a rank-1 graphon's weights and kernel on {{0..{N}}}", 2 * (N + 1) ** 2)
     for g in suite:
         for dist in (pair.p, pair.q):  # q as rank1_graphon will count it
             _planned(g, sum(x > 0.0 for x in dist))

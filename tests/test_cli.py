@@ -173,7 +173,7 @@ def test_mc_too_costly_exit_one(files, capsys):
         ([*LIFTCHECK, str(10**6)], 10**6 * (9 + 9 + 4 * 32)),
         # stencil and moment checks, (N + 1) * (1 + 2 * (D + 2)), plus 3 (N + 1) printed values
         (["momentpair", "--support", "2000000", "--order", "1"], 2000001 * (7 + 3 * 32)),
-        # the (N + 1)^2 weights of each rank-1 graphon
+        # the (N + 1)^2 weights of one rank-1 graphon and as many kernel entries
         (["counterexample", "--support", "5792", "--order", "1"], 2 * 5793**2),
     ],
     ids=["pathkernel", "carleman", "carleman-kmax", "carleman-q1", "liftcheck", "momentpair",
@@ -231,7 +231,7 @@ def sized(files, argv: list, n: int) -> list[str]:
         (["mc", "--graphon", "w3.json", "--graph", "edge.json", "--seed", "1", "--samples", "N"],
          1000, 1000),
         (["momentpair", "--order", "1", "--support", "N"], 5, 6 * (7 + 3 * 32)),
-        # both rank-1 graphons, above the pair's 62 * (7 + 3 * 32) = 6,386
+        # one rank-1 graphon's weights and kernel, above the pair's 62 * (7 + 3 * 32) = 6,386
         (["counterexample", "--order", "1", "--support", "N"], 60, 2 * 61**2),
     ],
     ids=["pathkernel", "carleman", "liftcheck", "graphon-blocks", "density", "mc", "momentpair",
