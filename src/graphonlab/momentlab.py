@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -29,9 +30,6 @@ from .stepgraphon import StepGraphon
 # bench/tracing.py counts calls through this name; nothing here calls it
 from .measures import point_mass  # noqa: F401
 
-MOMENT_MATCH_TOL = 1e-10
-WITNESS_GAP_MIN = 1e-8
-
 #: the largest order of a finite-difference stencil whose binomial
 #: coefficients are doubles: C(1030, 515) is beyond the double range
 MAX_STENCIL_ORDER = 1029
@@ -43,7 +41,8 @@ class MatchedPair:
 
     ``null_vector`` spans the direction along which the two vectors differ;
     it annihilates the moment map up to order D, and its order-(D+1)
-    moment is nonzero, which certifies the pair is genuinely distinct.
+    moment is nonzero, which certifies the pair is genuinely distinct. Every
+    check is exact, on ints, floats or Fractions; each entry is then rounded once.
     """
 
     support_size: int
@@ -54,30 +53,40 @@ class MatchedPair:
     null_vector: tuple[float, ...]
 
     def __post_init__(self):
-        self.p = tuple(float(x) for x in self.p)
-        self.q = tuple(float(x) for x in self.q)
-        self.null_vector = tuple(float(z) for z in self.null_vector)
         if len(self.p) != self.support_size or len(self.q) != self.support_size:
             raise ValidationError("pair vectors must live on {0..N}", code="bad-pair")
-        if self.p == self.q:
+        if tuple(self.p) == tuple(self.q):  # ints, floats and Fractions compare exactly
             raise ValidationError("pair vectors must differ", code="bad-pair")
+        exact = []  # each vector as integers over one denominator
         for vec in (self.p, self.q):
-            if any(x < 0 for x in vec):
+            try:
+                den = math.lcm(*{x.as_integer_ratio()[1] for x in vec})
+                nums = [n * (den // d) for n, d in (x.as_integer_ratio() for x in vec)]
+            except (OverflowError, ValueError):  # an infinite or NaN entry, which sums to no 1
+                nums, den = [-1 if x < 0 else 0 for x in vec], 1
+            if min(nums) < 0:
                 raise ValidationError("pair vectors must be nonnegative", code="bad-pair")
-            if abs(math.fsum(vec) - 1.0) > 1e-12:
+            if sum(nums) != den:
                 raise ValidationError("pair vectors must sum to 1", code="bad-pair")
-        for r in range(self.order + 1):
-            if abs(moment(self.p, r) - moment(self.q, r)) > MOMENT_MATCH_TOL:
-                raise ValidationError(
-                    f"moments must agree up to order {self.order}", code="bad-pair"
-                )
-        if abs(moment(self.p, self.order + 1) - moment(self.q, self.order + 1)) <= WITNESS_GAP_MIN:
-            raise ValidationError(
-                "pair must differ strictly at the witness order", code="bad-pair"
-            )
+            exact.append((nums, den))
+        (P, dp), (Q, dq) = exact
+        # the moment gaps times dp * dq, by running powers k^r, where p and q differ
+        ks, terms = zip(*((k, d) for k, (a, b) in enumerate(zip(P, Q)) if (d := a * dq - b * dp)))
+        gaps = []
+        for _ in range(self.order + 2):
+            gaps.append(sum(terms))
+            terms = [t * k for t, k in zip(terms, ks)]
+        if any(gaps[:-1]):
+            raise ValidationError(f"moments must agree up to order {self.order}", code="bad-pair")
+        if not gaps[-1]:
+            raise ValidationError("pair must differ strictly at the witness order", code="bad-pair")
+        self.p = tuple(n / dp for n in P)  # int / int rounds once
+        self.q = tuple(n / dq for n in Q)
+        self.epsilon = float(self.epsilon)
+        self.null_vector = tuple(map(float, self.null_vector))
 
 
-def _difference_stencil(order: int, length: int) -> tuple[float, ...]:
+def _difference_stencil(order: int, length: int) -> tuple[int, ...]:
     """Alternating binomial coefficients of the order-th finite difference,
     placed at positions 0..order and zero-padded to ``length``.
 
@@ -90,10 +99,24 @@ def _difference_stencil(order: int, length: int) -> tuple[float, ...]:
             f"stencil fits in a double is {MAX_STENCIL_ORDER - 1}",
             code="bad-order",
         )
-    z = [0.0] * length
-    for i in range(order + 1):
-        z[i] = float((-1) ** i * math.comb(order, i))
-    return tuple(z)
+    head = tuple((-1) ** i * math.comb(order, i) for i in range(order + 1))
+    return head + (0,) * (length - order - 1)
+
+
+def _pair_stencil(N: int, D: int) -> tuple[int, ...]:
+    """:func:`matched_pair`'s refusals, in its order, then its stencil."""
+    if N < D + 1:
+        raise ValidationError(
+            f"support {{0..{N}}} cannot match order {D}: need N >= D + 1",
+            code="infeasible",
+        )
+    if D < 0:
+        raise ValidationError("order must be >= 0", code="bad-order")
+    # priced as doubles: the stencil, the moment checks (both vectors at orders
+    # 0..D+1) and the three printed vectors; the exact pair fits in it (README)
+    what = f"a pair on {{0..{N}}} matched to order {D}"
+    require_affordable(what, (N + 1) * (1 + 2 * (D + 2)), printed=3 * (N + 1))
+    return _difference_stencil(D + 1, N + 1)
 
 
 def matched_pair(N: int, D: int) -> MatchedPair:
@@ -102,29 +125,17 @@ def matched_pair(N: int, D: int) -> MatchedPair:
     The annihilating direction is the (D+1)-th finite-difference stencil at
     positions 0..D+1 (zero-padded), which kills every moment of order at
     most D; around the uniform vector the largest admissible step in that
-    direction is taken on both sides. Refused as ``too-costly``, before the
-    stencil is built, beyond the size budget of :func:`require_affordable`.
+    direction is taken on both sides, in Fractions: u = 1/(N+1) and eps =
+    u / max|z|. Refused as ``too-costly``, before the stencil is built, beyond
+    the size budget of :func:`require_affordable`.
     """
-    if N < D + 1:
-        raise ValidationError(
-            f"support {{0..{N}}} cannot match order {D}: need N >= D + 1",
-            code="infeasible",
-        )
-    if D < 0:
-        raise ValidationError("order must be >= 0", code="bad-order")
-    # the stencil, the moment checks (both vectors at orders 0..D+1) and the
-    # three printed vectors
-    what = f"a pair on {{0..{N}}} matched to order {D}"
-    require_affordable(what, (N + 1) * (1 + 2 * (D + 2)), printed=3 * (N + 1))
-    z = _difference_stencil(D + 1, N + 1)
-    u = 1.0 / (N + 1)
-    eps = min(u / abs(zk) for zk in z if zk != 0.0)
-    p = [u + eps * zk for zk in z]
-    q = [u - eps * zk for zk in z]
-    # the extreme entries land exactly on 0; clear any rounding dust
-    p = [0.0 if abs(x) < 1e-15 else x for x in p]
-    q = [0.0 if abs(x) < 1e-15 else x for x in q]
-    return MatchedPair(N + 1, D, tuple(p), tuple(q), eps, z)
+    z = _pair_stencil(N, D)
+    u = Fraction(1, N + 1)
+    eps = u / max(map(abs, z))
+    tail = [u] * (N - D - 1)  # every entry past D + 1 is u: one shared object
+    p = [u + eps * zk for zk in z[: D + 2]] + tail
+    q = [u - eps * zk for zk in z[: D + 2]] + tail
+    return MatchedPair(N + 1, D, p, q, eps, z)
 
 
 def rank1_graphon(dist) -> StepGraphon:
@@ -198,6 +209,7 @@ class CounterexampleReport:
     graphs: tuple[GraphRecord, ...]
     max_discrepancy_low_degree: float
     witness_graph: DecoratedMultigraph
+    #: the exact |M_{D+1}(p) - M_{D+1}(q)| * M_1^{D+1}, rounded once
     witness_gap: float
 
     @property
@@ -218,18 +230,19 @@ def counterexample_report(N: int, D: int, seed: int | None = None) -> Counterexa
     """Build the matched pair, evaluate the standard suite on both graphons, report.
 
     Graphs of maximum degree at most D must come out with equal densities;
-    the (D+1)-star witness exhibits the gap, which :class:`MatchedPair`
-    guarantees at order D+1. The report is deterministic: ``seed`` is
-    accepted for the CLI's ``--seed`` and does not influence it. One graphon's
-    q x q weights and its q x q kernel, q <= N + 1, then every suite elimination
-    are charged to the size budget before either graphon is built; the
-    graphons are then built one at a time, each dropped once the whole
-    suite is evaluated on it.
+    the (D+1)-star witness exhibits the gap, exact in ``witness_gap`` and in
+    floats, as a diagnostic, in each record's ``gap``. ``seed`` is accepted
+    for the CLI's ``--seed`` and does not influence the report. After
+    :func:`matched_pair`'s refusals, one graphon's q x q weights and kernel,
+    q <= N + 1, are charged to the size budget before the pair is built,
+    then every suite elimination; the graphons are then built one at a
+    time, each dropped once the whole suite is evaluated on it.
     """
-    pair = matched_pair(N, D)
+    _pair_stencil(N, D)  # matched_pair's refusals, before the suite and the graphon charge
     low, witness = standard_suite(D)
     suite = low + [witness]
     require_affordable(f"a rank-1 graphon's weights and kernel on {{0..{N}}}", 2 * (N + 1) ** 2)
+    pair = matched_pair(N, D)
     for g in suite:
         for dist in (pair.p, pair.q):  # q as rank1_graphon will count it
             _planned(g, sum(x > 0.0 for x in dist))
@@ -241,11 +254,14 @@ def counterexample_report(N: int, D: int, seed: int | None = None) -> Counterexa
     records = [
         GraphRecord(g, g.max_degree, dp, dq, abs(dp - dq)) for g, dp, dq in zip(suite, *sides)
     ]
+    # M_1 = N/2 on both sides and the order-(D+1) gap is 2 eps (D+1)!; below the star's
+    # density, which ``density`` refused beyond the doubles, it rounds without overflow
+    gap = math.factorial(D + 1) * N ** (D + 1) / ((N + 1) * math.comb(D + 1, (D + 1) // 2) * 2**D)
 
     return CounterexampleReport(
         pair=pair,
         graphs=tuple(records),
         max_discrepancy_low_degree=max(r.gap for r in records[:-1]),
         witness_graph=witness,
-        witness_gap=records[-1].gap,
+        witness_gap=gap,
     )

@@ -8,7 +8,9 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -497,10 +499,21 @@ def test_momentpair_stencil_beyond_the_doubles_refused(capsys):
     )
 
 
-def test_momentpair_moment_beyond_the_doubles_refused(capsys):
-    code, out, err = in_process(["momentpair", "--support", "1100", "--order", "1028"], capsys)
-    assert (code, out) == (1, "")
-    assert err == "error[overflow]: the moment of order 102 on {0..1100} is beyond the double range\n"
+@pytest.mark.parametrize("support", [1100, 31111])  # 31111: the largest accepted at order 1028
+def test_momentpair_with_moments_beyond_the_doubles_is_certified(capsys, support):
+    # the float certificate refused both as overflow: the moment of order 102
+    # on {0..1100} is beyond the double range
+    start = time.perf_counter()
+    code, out, err = in_process(["momentpair", "--support", str(support), "--order", "1028"], capsys)
+    assert time.perf_counter() - start < 3.0
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    top = math.comb(1029, 514)
+    assert (doc["support_size"], doc["order"]) == (support + 1, 1028)
+    assert doc["epsilon"] == float(Fraction(1, (support + 1) * top))
+    assert max(map(abs, doc["null_vector"])) == float(top)
+    for vec in (doc["p"], doc["q"]):
+        assert min(vec) == 0.0 and all(x == 1 / (support + 1) for x in vec[1030:])
 
 
 def in_process(argv: list[str], capsys) -> tuple[int, str, str]:

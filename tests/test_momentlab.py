@@ -2,6 +2,7 @@
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,20 @@ def null_oracle(z, order):
         abs(math.fsum((k**r) * zk for k, zk in enumerate(z))) < 1e-9
         for r in range(order + 1)
     )
+
+
+def exact_pair(N, D):
+    """The pair of ``matched_pair(N, D)`` in Fractions, built independently:
+    u = 1/(N+1), the (D+1)-th difference stencil z and eps = u / max|z|."""
+    u = Fraction(1, N + 1)
+    z = [Fraction((-1) ** i * math.comb(D + 1, i)) for i in range(D + 2)]
+    z += [Fraction(0)] * (N - D - 1)
+    eps = u / max(map(abs, z))
+    return [u + eps * zk for zk in z], [u - eps * zk for zk in z], eps
+
+
+def exact_moment(dist, r):
+    return sum(Fraction(k) ** r * x for k, x in enumerate(dist))
 
 
 def test_matched_pair_n5_d3_canonical_values():
@@ -45,6 +60,30 @@ def test_matched_pair_shares_low_moments():
         for r in range(D + 1):
             assert abs(gl.moment(pair.p, r) - gl.moment(pair.q, r)) <= 1e-10
         assert abs(gl.moment(pair.p, D + 1) - gl.moment(pair.q, D + 1)) > 1e-8
+
+
+def test_matched_pair_entries_are_the_exact_entries_rounded_once():
+    for D in range(8):
+        for N in range(D + 1, 25):
+            p, q, eps = exact_pair(N, D)
+            pair = gl.matched_pair(N, D)
+            assert pair.p == tuple(map(float, p)) and pair.q == tuple(map(float, q))
+            assert pair.epsilon == float(eps)
+
+
+def test_matched_pair_from_fractions_by_hand():
+    p = [Fraction(x, 36) for x in (7, 2, 12, 2, 7, 6)]
+    q = [Fraction(x, 36) for x in (5, 10, 0, 10, 5, 6)]
+    by_hand = gl.MatchedPair(6, 3, p, q, Fraction(1, 36), (1, -4, 6, -4, 1, 0))
+    assert by_hand == gl.matched_pair(5, 3)
+    assert by_hand.p[0] == 7 / 36 == 0.19444444444444445  # rounded once
+
+
+@pytest.mark.parametrize("N, D", [(156, 7), (493, 5), (3245, 3), (18749, 2), (9, 8), (45, 40)])
+def test_matched_pair_certified_where_the_float_checks_refused_it(N, D):
+    # the float route's absolute tolerances refused each of these as bad-pair
+    pair = gl.matched_pair(N, D)
+    assert (pair.support_size, pair.order) == (N + 1, D)
 
 
 def test_matched_pair_order_zero():
@@ -76,10 +115,16 @@ def test_matched_pair_infeasible():
 
 
 def test_matched_pair_validation_rejects_bad_pairs():
-    with pytest.raises(ValidationError):
-        gl.MatchedPair(2, 0, (0.5, 0.5), (0.5, 0.5), 0.0, (0.0, 0.0))  # p == q
-    with pytest.raises(ValidationError):
-        gl.MatchedPair(2, 1, (0.2, 0.8), (0.8, 0.2), 0.3, (1.0, -1.0))  # moment 1 differs
+    for p, q, message in [
+        ((0.5, 0.5), (0.5, 0.5), "pair vectors must differ"),
+        ((Fraction(1, 2), 0.5), (0.5, Fraction(1, 2)), "pair vectors must differ"),
+        # 0.2 + 0.8 is not 1 in binary rationals
+        ((0.2, 0.8), (0.8, 0.2), "pair vectors must sum to 1"),
+        ((0.25, 0.75), (0.75, 0.25), "moments must agree up to order 1"),
+    ]:
+        with pytest.raises(ValidationError) as e:
+            gl.MatchedPair(2, 1, p, q, 0.25, (1.0, -1.0))
+        assert (e.value.code, str(e.value)) == ("bad-pair", message)
 
 
 @pytest.mark.parametrize(
@@ -88,10 +133,16 @@ def test_matched_pair_validation_rejects_bad_pairs():
         (3, (0.5, 0.5), (0.25, 0.75), "pair vectors must live on {0..N}"),
         (2, (1.5, -0.5), (0.5, 0.5), "pair vectors must be nonnegative"),
         (2, (0.5, 0.6), (0.5, 0.5), "pair vectors must sum to 1"),
+        # the sum is 1 within 1e-12, and math.fsum rounds it to 1.0, but it is not 1
+        (3, (0.1, 0.2, 0.7), (0.25, 0.5, 0.25), "pair vectors must sum to 1"),
+        (2, (0.5, 0.5), (math.nan, 1.0), "pair vectors must sum to 1"),
+        (2, (math.inf, 0.0), (0.5, 0.5), "pair vectors must sum to 1"),
+        (2, (-math.inf, 0.0), (0.5, 0.5), "pair vectors must be nonnegative"),
         # the order-1 moments agree (both 1), so order 0 has no witness
         (3, (0.5, 0.0, 0.5), (0.0, 1.0, 0.0), "pair must differ strictly at the witness order"),
     ],
-    ids=["length", "negative", "sum", "no-witness"],
+    ids=["length", "negative", "sum", "sum-within-1e-12", "nan", "inf", "minus-inf",
+         "no-witness"],
 )
 def test_matched_pair_refusals(support, p, q, message):
     with pytest.raises(ValidationError) as e:
@@ -105,7 +156,7 @@ def test_stencil_order_limit_is_the_largest_that_fits_a_double():
     with pytest.raises(OverflowError):
         float(math.comb(top + 1, (top + 1) // 2))
     z = _difference_stencil(top, top + 1)
-    assert max(map(abs, z)) == float(math.comb(top, top // 2))
+    assert z == tuple((-1) ** i * math.comb(top, i) for i in range(top + 1))
     with pytest.raises(ValidationError) as e:
         _difference_stencil(top + 1, top + 2)
     assert e.value.code == "bad-order"
@@ -236,6 +287,17 @@ def test_counterexample_default_suite():
     assert rep.witness_graph.max_degree == 4
     assert len(rep.graphs) == 6  # edge, 2-path, triangle, 3-star, C4, 4-star
     assert rep.graphs_tested is rep.graphs  # the field's earlier name, kept readable
+
+
+def test_counterexample_gap_is_the_exact_gap_rounded_once():
+    assert gl.counterexample_report(5, 3).witness_gap == 625 / 12
+    for D in range(1, 41):
+        for N in (D + 1, D + 5):
+            p, q, _ = exact_pair(N, D)
+            assert all(exact_moment(p, r) == exact_moment(q, r) for r in range(D + 1))
+            gap = abs(exact_moment(p, D + 1) - exact_moment(q, D + 1)) * exact_moment(p, 1) ** (D + 1)
+            rep = gl.counterexample_report(N, D)
+            assert gap != 0 and rep.witness_gap == float(gap), (N, D)
 
 
 def test_counterexample_refuses_the_suite_before_building_a_graphon(monkeypatch):
