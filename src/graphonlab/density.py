@@ -10,10 +10,11 @@ sides of :func:`product_identity_residual`) is computed by one engine,
 :func:`eliminate`: bucket elimination (Dechter, 1999) in greedy
 min-degree order, planned in one pass over the edge scopes, whose cost is
 exponential only in the induced width of the elimination order, not in
-the vertex count; a vertex on no edge is never visited. Contractions
-that would span more than :data:`MAX_CONTRACTION` elements are refused
-before anything is allocated. The enumeration of all q^n assignments is
-kept in the tests as the oracle.
+the vertex count; a free vertex on no edge is never visited and counts
+as sum(pi), exactly 1. Contractions beyond :data:`MAX_CONTRACTION`
+elements are refused before anything is allocated. The loop runs in its
+arrays' arithmetic, exactly on ``Fraction`` object arrays. The
+enumeration of all q^n assignments is kept in the tests as the oracle.
 
 Each step of the elimination is one two-operand ``np.einsum`` with no path
 search, so no BLAS runs and the bits do not depend on the BLAS kernel.
@@ -229,9 +230,10 @@ def eliminate(
     in ``pinned`` are fixed to the given classes and carry no mass factor.
     With ``keep=()`` this is the full density as a 0-d array. The order is
     greedy min-degree, planned by :func:`_plan` from the edges alone: a
-    free vertex on no edge integrates to ``sum(pi) == 1`` and costs nothing.
-    Each bucket starts from ``pi[v]``, takes in its factors one at a time
-    and sums ``v`` out with the last; each step is one BLAS-free
+    free vertex on no edge integrates to ``sum(pi)``, counted as exactly 1,
+    and costs nothing. Each bucket of :func:`_run_plan` starts from
+    ``pi[v]``, takes in its factors one at a time and sums ``v`` out with
+    the last, in the arithmetic of its arrays; each step is one BLAS-free
     :func:`_contract`, so the bits do not depend on the BLAS kernel.
 
     Raises ``ValidationError``, before planning, with ``code="bad-anchor"``
@@ -255,9 +257,11 @@ def eliminate(
             why = "pinned" if v in pinned else "kept twice" if v in keep[:k] else "out of range"
             raise ValidationError(f"kept vertex {v} is {why}", code="bad-keep")
     steps, live = _planned(F, q, keep, pinned)
+    return _run_plan(F, steps, live, np.asarray(W.masses), _edge_kernels(F, W), keep, pinned)
 
-    pi = np.asarray(W.masses)
-    table = _edge_kernels(F, W)
+
+def _run_plan(F, steps, live, pi, table, keep, pinned) -> np.ndarray:
+    """The plan's buckets, then its live factors, in the arithmetic of ``pi`` and ``table``."""
     arrays = {i: table[psi, mult][pinned.get(u, slice(None)), pinned.get(v, slice(None))]
               for i, (u, v, psi, mult) in enumerate(F.edges)}
     for n, (v, bucket, left) in enumerate(steps, start=len(F.edges)):
@@ -266,8 +270,7 @@ def eliminate(
             out = left if i == bucket[-1][0] else tuple(dict.fromkeys(axes + scope))
             acc, axes = _contract(acc, axes, arrays.pop(i), scope, out), out
         arrays[n] = acc
-
-    result = np.ones((q,) * len(keep))
+    result = np.ones((pi.size,) * len(keep), dtype=pi.dtype)
     for i, scope in live.items():
         result = _contract(result, keep, arrays[i], scope, keep)
     return result

@@ -80,10 +80,12 @@ class MatchedPair:
             raise ValidationError(f"moments must agree up to order {self.order}", code="bad-pair")
         if not gaps[-1]:
             raise ValidationError("pair must differ strictly at the witness order", code="bad-pair")
-        self.p = tuple(n / dp for n in P)  # int / int rounds once
-        self.q = tuple(n / dq for n in Q)
+        p, q = ({n: n / d for n in set(nums)} for nums, d in exact)  # int / int rounds once
+        self.p, self.q = tuple(map(p.__getitem__, P)), tuple(map(q.__getitem__, Q))
         self.epsilon = float(self.epsilon)
-        self.null_vector = tuple(map(float, self.null_vector))
+        nv = self.null_vector  # equal entries share one float; floats, -0.0 too, stay as they are
+        z = {x: float(x) for x in set(nv) if not isinstance(x, float)}
+        self.null_vector = tuple(float(x) if isinstance(x, float) else z[x] for x in nv)
 
 
 def _difference_stencil(order: int, length: int) -> tuple[int, ...]:

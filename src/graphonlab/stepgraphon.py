@@ -16,10 +16,10 @@ shared support:
 A functional acts as its vector of values at the support points, so a
 kernel is ``weights`` contracted with that vector, and the block
 total-variation norms are ``|weights|.sum(-1)``, a ``(q, q)`` matrix
-computed once per graphon. Every entry of either matrix is a function
-of its own block alone, so twin classes get identical kernel and norm
-rows. Both arrays are read-only once the graphon holds them; ``blocks``
-is an exact :class:`FiniteMeasure` view built on first use.
+computed once per graphon. Both sum over all of S, so twin rows (which
+share S) get bit-identical kernel and norm rows, but an entry can move in
+its last bits when another block gains support points (ROADMAP item 18).
+The arrays are read-only once held; ``blocks`` is an exact view of them.
 """
 from __future__ import annotations
 

@@ -1,6 +1,7 @@
 """Shared fixtures, random-instance generators and reference oracles."""
 from __future__ import annotations
 
+import importlib
 import itertools
 import json
 import math
@@ -15,6 +16,9 @@ import graphonlab as gl
 from graphonlab import fileio
 from graphonlab.errors import ParseError, ValidationError
 from graphonlab.measures import tv_distance
+
+# the package binds the name ``density`` to the function
+density_module = importlib.import_module("graphonlab.density")
 
 INDICATORS = tuple(gl.TestFunctional(f"e{k}", (k,), (1.0,)) for k in range(4))
 PSI_CHOICES = tuple(f.id for f in INDICATORS) + (gl.DEFAULT_FUNCTIONAL_ID,)
@@ -395,6 +399,32 @@ def fraction_density(
             term *= kernels[psi_id][c[u]][c[v]] ** mult
         total += term
     return total
+
+
+def exact_run(F, pi, kernels, keep=(), pinned=None) -> np.ndarray:
+    """``eliminate``'s own plan and loop on object arrays: the masses ``pi`` and
+    each functional's kernel in ``kernels``, as ``Fraction``s or ints, give
+    the exact value. A free vertex on no edge counts as 1, not sum(pi)."""
+    keep, pinned = tuple(keep), dict(pinned or {})
+    steps, live = density_module._planned(F, len(pi), keep, pinned)
+    kinds = {e[2:] for e in F.edges}
+    table = {(psi, m): np.array(kernels[psi], dtype=object) ** m for psi, m in kinds}
+    T = density_module._run_plan(F, steps, live, np.array(pi, dtype=object), table, keep, pinned)
+    return np.asarray(T, dtype=object)  # a 0-d result comes back as a bare Fraction
+
+
+def exact_kernels(W, psis) -> dict[str, np.ndarray]:
+    """Object arrays of the exact kernels of ``W``'s floats: entry (i, j) of
+    ``psi`` is sum_s Fraction(w_ij(s)) Fraction(psi(s))."""
+    w = np.array([Fraction(x) for x in W.weights.ravel().tolist()], dtype=object)
+    w = w.reshape(W.weights.shape)
+    values = {psi: [Fraction(W.functional(psi)(k)) for k in W.support.tolist()] for psi in psis}
+    return {psi: (w * v).sum(axis=-1) for psi, v in values.items()}
+
+
+def exact_eliminate(F, W, keep=(), pinned=None) -> np.ndarray:
+    """``eliminate`` of ``F`` against the exact values of ``W``'s floats."""
+    return exact_run(F, [Fraction(m) for m in W.masses], exact_kernels(W, F.psi_ids), keep, pinned)
 
 
 def full_vector_mc(

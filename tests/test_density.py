@@ -22,6 +22,7 @@ from graphonlab.errors import ValidationError
 
 from conftest import (
     enumerate_density,
+    exact_eliminate,
     fraction_density,
     full_vector_mc,
     rand_graph,
@@ -607,6 +608,57 @@ def test_eliminate_tensor_matches_fraction_oracle(W, F, data):
     for classes in itertools.product(range(W.q), repeat=len(keep)):
         exact = fraction_density(G, W, {**pinned, **dict(zip(keep, classes))})
         assert close_to_exact(T[classes], exact)
+
+
+def check_exact_run(F, W, pinned, keep, got) -> tuple[bool, bool, bool]:
+    """Check ``exact_eliminate`` and the float result ``got`` against the
+    enumeration at every class of ``keep``; says which features the case had."""
+    T = exact_eliminate(F, W, keep, pinned)
+    isolated = set(range(F.n_vertices)) - {x for e in F.edges for x in e[:2]}
+    isolated -= pinned.keys() | set(keep)
+    mass = sum(map(Fraction, W.masses))
+    for classes in itertools.product(range(W.q), repeat=len(keep)):
+        exact = fraction_density(F, W, {**pinned, **dict(zip(keep, classes))})
+        assert T[classes] * mass ** len(isolated) == exact
+        assert close_to_exact(np.asarray(got)[classes], exact)
+    return bool(pinned), bool(keep), bool(isolated)
+
+
+def test_exact_run_matches_fraction_oracle():
+    # eliminate's own plan and loop, run on Fractions, give the enumeration's
+    # exact value for densities, pinned marginals and kept tensors, except that
+    # a free vertex on no edge counts as 1 where the enumeration multiplies by
+    # the exact sum of the float masses
+    rng = np.random.default_rng(31)
+    seen = set()
+    for _ in range(60):
+        W = rand_graphon(rng, int(rng.integers(1, 4)))
+        F = rand_graph(rng, max_vertices=5, n_labels=int(rng.integers(0, 3)))
+        anchoring = {l: int(rng.integers(0, W.q)) for l in F.labels.values()}
+        pins = {v: anchoring[l] for v, l in F.labels.items()}
+        order = rng.permutation(F.n_vertices).tolist()
+        keep = [v for v in order if v not in pins and rng.random() < 0.4]
+        seen.add(check_exact_run(F, W, {}, [], gl.density(F, W, ignore_labels=True)))
+        seen.add(check_exact_run(F, W, pins, [], gl.marginal(F, W, anchoring)))
+        seen.add(check_exact_run(F, W, pins, keep, gl.eliminate(F, W, keep, pinned=pins)))
+    assert {(False, False, True), (True, False, False), (True, True, False)} <= seen
+
+
+COMPLETE4 = gl.DecoratedMultigraph(
+    4, tuple((u, v, "unit", 1) for u, v in itertools.combinations(range(4), 2))
+)
+
+
+@pytest.mark.parametrize(
+    "F, q",
+    [(gl.cycle_graph(7), 8), (COMPLETE4, 16), (gl.cycle_graph(7), 32)],
+    ids=["C7-q8", "K4-q16", "C7-q32"],
+)
+def test_density_is_within_the_oracle_tolerance_of_the_exact_run(F, q):
+    # beyond the enumeration's reach: C7 at q = 32 has 32^7 class assignments
+    W = rand_graphon(np.random.default_rng(q), q)
+    exact = exact_eliminate(F, W)[()]
+    assert exact != 0 and close_to_exact(gl.density(F, W), exact)
 
 
 # -- Monte Carlo output bytes and the cost guard ---------------------------------

@@ -13,7 +13,7 @@ from graphonlab.errors import ValidationError
 from graphonlab.measures import point_mass, tv_distance, tv_norm
 from graphonlab.momentlab import MAX_STENCIL_ORDER, _difference_stencil, standard_suite
 
-from conftest import block_arrays, rand_graph
+from conftest import block_arrays, exact_run, rand_graph
 
 
 def null_oracle(z, order):
@@ -69,6 +69,28 @@ def test_matched_pair_entries_are_the_exact_entries_rounded_once():
             pair = gl.matched_pair(N, D)
             assert pair.p == tuple(map(float, p)) and pair.q == tuple(map(float, q))
             assert pair.epsilon == float(eps)
+
+
+def test_matched_pair_rounds_each_distinct_entry_once():
+    # equal entries share one float object: the long tail of u in p and q and
+    # the zeros of the null vector cost one float each
+    for N, D in ((5, 3), (8, 5), (40, 2)):
+        pair = gl.matched_pair(N, D)
+        for vec in (pair.p, pair.q, pair.null_vector):
+            assert len({id(x) for x in vec}) == len(set(vec))
+    tracemalloc.start()
+    try:
+        pair = gl.matched_pair(200_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for vec in (pair.p, pair.q, pair.null_vector):
+        assert len({id(x) for x in vec}) == len(set(vec)) == 3
+    assert peak < 20 << 20  # 27.7 MiB with one float per entry, 14.0 MiB shared
+    # a float entry is kept as it is, so a -0.0 does not become the 0.0 of an int 0
+    p, q, eps = exact_pair(5, 3)
+    nv = gl.MatchedPair(6, 3, p, q, eps, (1, -4, 6, -4, 0, -0.0)).null_vector
+    assert [math.copysign(1.0, x) for x in nv[4:]] == [1.0, -1.0]
 
 
 def test_matched_pair_from_fractions_by_hand():
@@ -298,6 +320,32 @@ def test_counterexample_gap_is_the_exact_gap_rounded_once():
             gap = abs(exact_moment(p, D + 1) - exact_moment(q, D + 1)) * exact_moment(p, 1) ** (D + 1)
             rep = gl.counterexample_report(N, D)
             assert gap != 0 and rep.witness_gap == float(gap), (N, D)
+
+
+def test_the_engine_certifies_the_counterexample_exactly():
+    # eliminate's own plan and loop, on the exact rank-1 pair (masses from
+    # exact_pair on the points 0..N, integer kernel k k'): every suite graph
+    # of degree at most D gets equal densities, and the (D+1)-star the gap
+    # that witness_gap rounds once
+    cases = 0
+    for D in range(1, 5):
+        points = np.arange(13, dtype=object)
+        for N in range(D + 1, 13):
+            kernels = {gl.DEFAULT_FUNCTIONAL_ID: np.outer(points[: N + 1], points[: N + 1])}
+            low, witness = standard_suite(D)
+            sides = [
+                [exact_run(g, dist, kernels)[()] for g in low + [witness]]
+                for dist in exact_pair(N, D)[:2]
+            ]
+            assert sides[0][:-1] == sides[1][:-1] and all(g.max_degree <= D for g in low)
+            gap = abs(sides[0][-1] - sides[1][-1])
+            closed = Fraction(
+                math.factorial(D + 1) * N ** (D + 1),
+                (N + 1) * math.comb(D + 1, (D + 1) // 2) * 2**D,
+            )
+            assert gap == closed and float(gap) == gl.counterexample_report(N, D).witness_gap
+            cases += 1
+    assert cases == 38
 
 
 def test_counterexample_refuses_the_suite_before_building_a_graphon(monkeypatch):

@@ -1,4 +1,5 @@
 """Quotients, twins, anchored graphons and regularity."""
+import json
 import math
 import time
 import tracemalloc
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphonlab as gl
-from graphonlab import transforms
+from graphonlab import fileio, transforms
 from graphonlab.errors import ValidationError
 from graphonlab.measures import measure_combine, point_mass, tv_distance
 
@@ -18,6 +19,8 @@ from conftest import (
     INDICATORS,
     all_pairs_twin_partition,
     duplicate_class,
+    exact_kernels,
+    exact_run,
     fraction_quotient,
     graphon_from_blocks,
     graph_suite,
@@ -337,6 +340,55 @@ def test_twin_reduce_preserves_densities():
                 a = gl.density(F, W)
                 b = gl.density(F, R)
                 assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
+
+
+#: random twin-free graphons each map is checked on
+GRAPHONS = 24
+
+
+def split_class(W: gl.StepGraphon, i: int) -> gl.StepGraphon:
+    """Split class ``i`` into two twins of mass m/2 each, the new one last;
+    halving is exact in binary, so both splits sum back to m exactly."""
+    masses = list(W.masses) + [W.masses[i] / 2]
+    masses[i] /= 2
+    rows = list(range(W.q)) + [i]
+    return gl.StepGraphon(masses, W.support, W.weights[rows][:, rows], dict(W.functionals))
+
+
+def exact_suite(W: gl.StepGraphon) -> list[Fraction]:
+    """The exact density of every ``graph_suite(psi)`` graph, for each functional."""
+    kernels = exact_kernels(W, W.functionals)
+    masses = [Fraction(m) for m in W.masses]
+    suite = [F for psi in sorted(W.functionals) for F in graph_suite(psi)]
+    return [exact_run(F, masses, kernels)[()] for F in suite]
+
+
+def test_weak_isomorphisms_keep_the_exact_density():
+    # the paper identifies graphons up to measure-preserving maps: each map
+    # below leaves every exact density the same Fraction, and twin_reduce
+    # undoes the split exactly, not within a tolerance
+    rng = np.random.default_rng(26)
+    checks = 0
+    for _ in range(GRAPHONS):
+        W = rand_twin_free_graphon(rng, int(rng.integers(1, 5)))
+        perm = rng.permutation(W.q).tolist()
+        permuted = gl.StepGraphon(
+            [W.masses[c] for c in perm], W.support, W.weights[perm][:, perm], dict(W.functionals)
+        )
+        split = split_class(W, int(rng.integers(0, W.q)))
+        R = gl.twin_reduce(split)
+        assert R.masses == W.masses and R.blocks == W.blocks
+        exact = exact_suite(W)
+        for image in (
+            permuted,
+            split,
+            fileio.parse_graphon(json.loads(fileio.dump_json(W))),
+            R,
+            gl.quotient(split, gl.twin_partition(split)),
+        ):
+            assert exact_suite(image) == exact
+            checks += len(exact)
+    assert checks == GRAPHONS * 5 * 5 * 5  # maps, functionals, graphs
 
 
 def test_twin_reduce_idempotent_and_certified():
